@@ -17,6 +17,7 @@ from .catalog import catalog, catalog_names, sample_interior
 from .delaunay import (
     CertificationError,
     NotPositiveDefiniteError,
+    UnsupportedRankError,
     certify_cell,
     delaunay_star,
 )
@@ -220,11 +221,12 @@ def run(argv=None) -> int:
         parser.error("catalog show requires a cone name")
     try:
         return args.func(args)
-    except formats.FormatError as exc:
-        return _fail_usage(str(exc))
-    except FileNotFoundError as exc:
-        return _fail_usage(str(exc))
-    except NotPositiveDefiniteError as exc:
+    except (
+        formats.FormatError,
+        FileNotFoundError,
+        NotPositiveDefiniteError,
+        UnsupportedRankError,
+    ) as exc:
         return _fail_usage(str(exc))
     except CertificationError as exc:
         print("error: %s" % exc, file=sys.stderr)

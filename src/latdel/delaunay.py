@@ -38,6 +38,10 @@ class NotCospherical(ValueError):
     """Vertices do not lie on a common empty sphere."""
 
 
+class UnsupportedRankError(ValueError):
+    """The form's rank is beyond what the star computation supports."""
+
+
 class CertificationError(RuntimeError):
     """A computed star failed its own certificate; signals an internal bug."""
 
@@ -294,7 +298,7 @@ def delaunay_star(form: QuadraticForm) -> DelaunayStar:
     if not is_positive_definite(form):
         raise NotPositiveDefiniteError("delaunay_star needs a definite form")
     if form.rank > 4:
-        raise ValueError("only ranks up to 4 are supported")
+        raise UnsupportedRankError("only ranks up to 4 are supported")
     ineqs = [(row, rhs) for row, rhs, _ in voronoi_inequalities(form)]
     centers = vertex_enumeration(ineqs)
     cells = []

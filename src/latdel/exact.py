@@ -25,8 +25,12 @@ class SingularMatrixError(ValueError):
     """Raised when a linear solve meets a singular matrix."""
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse the "p/q" (or plain "p") text encoding."""
+def parse_rational(text) -> Fraction:
+    """Parse the "p/q" (or plain "p") text encoding; an int is taken as is."""
+    if isinstance(text, int) and not isinstance(text, bool):
+        return Fraction(text)
+    if not isinstance(text, str):
+        raise TypeError('expected a "p/q" string or an integer, got %r' % (text,))
     try:
         return Fraction(text.strip())
     except ZeroDivisionError:
@@ -51,16 +55,8 @@ def basis_sum(rank: int, indices: Iterable[int]) -> LatticeVector:
     return tuple(coords)
 
 
-def vec_add(x: Sequence, y: Sequence) -> tuple:
-    return tuple(a + b for a, b in zip(x, y))
-
-
 def vec_sub(x: Sequence, y: Sequence) -> tuple:
     return tuple(a - b for a, b in zip(x, y))
-
-
-def vec_scale(c, x: Sequence) -> tuple:
-    return tuple(c * a for a in x)
 
 
 def dot(x: Sequence, y: Sequence):

@@ -5,9 +5,13 @@ x1-x4) the twelve generators of K become the twelve forms (x_i +- x_j)^2,
 so faces are bookkept by which three of them are absent.  Each absent
 generator (p, q, sign) is an edge of a colored graph on {1,2,3,4}: black
 for a missing (x_p + x_q)^2, red for a missing (x_p - x_q)^2.  The faces
-fall into two orbits, black forks and red triangles, under a group of
+fall into two orbits, black forks and red triangles, under a group G of
 order 1152 generated by sign flips, coordinate swaps and the extra
 involution x_i -> -x_i + (1/2) sum x_k.
+
+The orbits are computed from the 11 generators alone: the orbits of a group
+on a finite set equal the orbits of any generating set.  The order
+|G| = 1152 is checked by an exact closure over the integer matrices 2*M.
 """
 
 from __future__ import annotations
@@ -15,11 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
+from math import lcm
 from typing import Dict, Optional, Tuple
 
 from .catalog import NamedCone, catalog
-from .exact import QuadraticForm, congruence_act, identity_matrix, mat_mul, nullspace
+from .exact import QuadraticForm, congruence_act, nullspace
+from .geometry import primitive
 
 BLACK = "black"
 RED = "red"
@@ -60,18 +65,10 @@ PM_FORMS: Dict[SignedPair, QuadraticForm] = {k: pm_form(*k) for k in SIGNED_PAIR
 
 def _primitive_form(form: QuadraticForm) -> QuadraticForm:
     flat = [v for row in form.entries for v in row]
-    denom = 1
-    for v in flat:
-        denom = denom * v.denominator // gcd(denom, v.denominator)
-    ints = [int(v * denom) for v in flat]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g == 0:
-        raise ValueError("zero form has no primitive representative")
-    return QuadraticForm(
-        tuple(tuple(Fraction(int(v * denom) // g) for v in row) for row in form.entries)
-    )
+    denom = lcm(*(v.denominator for v in flat))
+    ints = primitive([v * denom for v in flat])
+    g = form.rank
+    return QuadraticForm(tuple(ints[i * g:(i + 1) * g] for i in range(g)))
 
 
 _PM_LOOKUP = {_primitive_form(f).entries: k for k, f in PM_FORMS.items()}
@@ -196,17 +193,26 @@ def group_generators():
     return gens
 
 
+def _doubled_product(a, b):
+    """2*(M N) from a = 2*M and b = 2*N; fails unless M N is half-integral."""
+    prod = tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
+    if any(v % 2 for row in prod for v in row):
+        raise RuntimeError("product left the half-integral matrices")
+    return tuple(tuple(v // 2 for v in row) for row in prod)
+
+
 def group_G(limit: int = 10000):
-    """Closure of the generators; must have order 1152."""
-    gens = group_generators()
-    identity = identity_matrix(4)
+    """Closure of the generators, as the integer matrices 2*M; order 1152."""
+    # the generators are half-integral, so 2*M is exact in integers
+    gens = [tuple(tuple(int(2 * v) for v in row) for row in g) for g in group_generators()]
+    identity = tuple(tuple(2 if r == c else 0 for c in range(4)) for r in range(4))
     elements = {identity}
     frontier = [identity]
     while frontier:
         nxt = []
         for m in frontier:
             for g in gens:
-                prod = mat_mul(m, g)
+                prod = _doubled_product(m, g)
                 if prod not in elements:
                     elements.add(prod)
                     nxt.append(prod)
@@ -217,7 +223,7 @@ def group_G(limit: int = 10000):
 
 
 def pair_permutation(element) -> Dict[SignedPair, SignedPair]:
-    """How a group element permutes the twelve (x_i +- x_j)^2 rays."""
+    """How a group element (or a positive multiple) permutes the twelve rays."""
     perm = {}
     for key, form in PM_FORMS.items():
         image = identify_pm(congruence_act(element, form))
@@ -231,9 +237,13 @@ def apply_to_face(perm, dropped):
     return tuple(sorted(perm[k] for k in dropped))
 
 
-def orbit_classify(faces, group):
-    """Split the faces into the two G-orbits BF (48) and RT (16)."""
-    perms = [pair_permutation(g) for g in group]
+def orbit_classify(faces, generators):
+    """Split the faces into the two G-orbits BF (48) and RT (16).
+
+    Any generating set of G gives the same orbits as the whole group, so
+    the 11 generators are enough.
+    """
+    perms = [pair_permutation(g) for g in generators]
     remaining = {f.dropped: f for f in faces}
     orbits = []
     while remaining:
@@ -266,7 +276,7 @@ def _classification():
     global _CLASSIFICATION
     if _CLASSIFICATION is None:
         faces = enumerate_faces()
-        orbits = orbit_classify(faces, group_G())
+        orbits = orbit_classify(faces, group_generators())
         _CLASSIFICATION = (faces, orbits)
     return _CLASSIFICATION
 

@@ -54,23 +54,6 @@ def _require_origin(cell: DelaunayCell):
     return zero
 
 
-def cell_lattice_points(cell: DelaunayCell):
-    """All lattice points of the convex hull of the cell's vertices."""
-    verts = list(cell.vertices)
-    g = len(verts[0])
-    if affine_dimension(verts) < g:
-        # lower-dimensional cells keep only their own vertices here
-        return tuple(sorted(verts))
-    facets = polytope_facets(verts)
-    lo = [min(v[i] for v in verts) for i in range(g)]
-    hi = [max(v[i] for v in verts) for i in range(g)]
-    points = []
-    for p in product(*[range(a, b + 1) for a, b in zip(lo, hi)]):
-        if all(dot(normal, p) <= offset for _, normal, offset in facets):
-            points.append(p)
-    return tuple(sorted(points))
-
-
 def cone_rays(cell: DelaunayCell) -> ConeAtZero:
     """Primitive extremal rays of C(0, cell), with the generating set.
 

@@ -76,13 +76,19 @@ def name_cell(cell: DelaunayCell) -> str:
 
 
 @lru_cache(maxsize=None)
-def star_for(cone_name: str, weights: Optional[tuple] = None) -> DelaunayStar:
-    cone = catalog(cone_name)
-    if weights is None:
-        form = sample_interior(cone)
-    else:
-        form = sample_interior(cone, [Fraction(w) for w in weights])
-    return delaunay_star(form)
+def _star(cone_name: str, weights: Optional[Tuple[Fraction, ...]]) -> DelaunayStar:
+    return delaunay_star(sample_interior(catalog(cone_name), weights))
+
+
+def star_for(cone_name: str, weights=None) -> DelaunayStar:
+    """The cached star of a catalog cone's sample form; weights: None or a sequence."""
+    if weights is not None:
+        weights = tuple(Fraction(w) for w in weights)
+    return _star(cone_name, weights)
+
+
+star_for.cache_info = _star.cache_info
+star_for.cache_clear = _star.cache_clear
 
 
 def ramp_weights(cone_name: str):
@@ -549,7 +555,7 @@ def verify_faces() -> dict:
         details.append("%s %s" % ("PASS" if condition else "FAIL", label))
         ok = ok and condition
 
-    all_faces = face_mod.enumerate_faces()
+    all_faces, orbits = face_mod._classification()
     shapes = [f.graph.shape for f in all_faces]
     check(
         "64 faces: 32 triangles, 32 forks",
@@ -557,9 +563,7 @@ def verify_faces() -> dict:
         and shapes.count(face_mod.TRIANGLE) == 32
         and shapes.count(face_mod.FORK) == 32,
     )
-    group = face_mod.group_G()
-    check("|G| = 1152", len(group) == 1152)
-    orbits = face_mod.orbit_classify(all_faces, group)
+    check("|G| = 1152", len(face_mod.group_G()) == 1152)
     check("orbits BF=48, RT=16", len(orbits["BF"]) == 48 and len(orbits["RT"]) == 16)
     w0 = face_mod.face_of_cone(catalog("dim4.W0"))
     check(

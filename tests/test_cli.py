@@ -47,6 +47,37 @@ def test_del_rejects_indefinite(tmp_path, capsys):
     assert err
 
 
+def test_del_accepts_json_integer_entries(tmp_path, capsys):
+    path = tmp_path / "ints.json"
+    path.write_text(json.dumps({"entries": [[1, 0], [0, 1]]}))
+    code, out, err = invoke(capsys, "del", "--form", str(path))
+    assert code == 0 and err == ""
+    strings = write_form(tmp_path, "strings.json", [[1, 0], [0, 1]])
+    assert invoke(capsys, "del", "--form", strings)[1] == out
+
+
+def assert_usage_error(code, err):
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_del_rejects_float_entries(tmp_path, capsys):
+    path = tmp_path / "floats.json"
+    path.write_text(json.dumps({"entries": [[1.5, 0], [0, 1]]}))
+    code, _, err = invoke(capsys, "del", "--form", str(path))
+    assert_usage_error(code, err)
+
+
+def test_del_rejects_rank_5(tmp_path, capsys):
+    path = write_form(
+        tmp_path, "id5.json", [[int(i == j) for j in range(5)] for i in range(5)]
+    )
+    code, _, err = invoke(capsys, "del", "--form", path)
+    assert_usage_error(code, err)
+    assert "ranks up to 4" in err
+
+
 def test_del_missing_file(capsys):
     code, _, err = invoke(capsys, "del", "--form", "/nonexistent.json")
     assert code == 2

@@ -20,6 +20,7 @@ from latdel.faces import (
     face_of_cone,
     facial_certificate,
     graph_of,
+    _doubled_product,
     group_G,
     group_generators,
     identify_pm,
@@ -73,6 +74,9 @@ def test_facial_certificate():
 
 def test_group_order():
     assert len(group_G()) == 1152
+    # (1/2)(1/2) = 1/4 is not half-integral, so the doubled product refuses it
+    with pytest.raises(RuntimeError):
+        _doubled_product(((1,),), ((1,),))
 
 
 def test_orbit_sizes_and_all_red_triangles():

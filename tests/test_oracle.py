@@ -1,10 +1,19 @@
-"""Independent brute-force oracles for stars and generation in rank ≤ 2."""
+"""Independent oracles: brute force for stars and generation in rank ≤ 2,
+and the whole symmetry group G for the faces of K."""
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 from latdel.delaunay import delaunay_star, make_cell, nearest_points
-from latdel.exact import QuadraticForm
+from latdel.exact import QuadraticForm, identity_matrix, mat_mul
+from latdel.faces import (
+    _classification,
+    apply_to_face,
+    group_G,
+    group_generators,
+    pair_permutation,
+)
 from latdel.generation import cone_rays, is_totally_generating
 from latdel.geometry import affine_dimension, cone_contains
 
@@ -113,3 +122,38 @@ def generation_oracle_agrees() -> bool:
 
 def test_generation_matches_naive_oracle():
     assert generation_oracle_agrees()
+
+
+@lru_cache(maxsize=None)
+def fraction_closure():
+    """All elements of G, closed over `Fraction` matrices."""
+    gens = group_generators()
+    elements = {identity_matrix(4)}
+    frontier = list(elements)
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for g in gens:
+                prod = mat_mul(m, g)
+                if prod not in elements:
+                    elements.add(prod)
+                    nxt.append(prod)
+        frontier = nxt
+    return frozenset(elements)
+
+
+def test_integer_closure_matches_fraction_closure():
+    oracle = fraction_closure()
+    assert len(oracle) == 1152
+    # Fraction(2) == 2 with equal hashes, so the doubled oracle compares directly
+    assert group_G() == {tuple(tuple(2 * v for v in row) for row in m) for m in oracle}
+
+
+def test_generator_orbits_are_orbits_of_every_element():
+    _, orbits = _classification()
+    perms = [pair_permutation(m) for m in fraction_closure()]
+    for orbit in orbits.values():
+        for perm in perms:
+            assert {apply_to_face(perm, d) for d in orbit} == orbit
+        seed = min(orbit)
+        assert {apply_to_face(perm, seed) for perm in perms} == orbit

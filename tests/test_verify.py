@@ -10,6 +10,7 @@ from latdel.verify import (
     reproduce_table,
     run_suites,
     sigma_cell,
+    star_for,
     sv,
     verify_dim4,
     verify_lowdim,
@@ -93,3 +94,17 @@ def test_run_suites_all():
         "theorem",
     ]
     assert all(r["pass"] for r in reports)
+
+
+def test_star_for_one_cache_entry_per_form():
+    star_for.cache_clear()
+    first = star_for("dim2.V1")
+    assert star_for("dim2.V1", None) is first
+    assert star_for(cone_name="dim2.V1") is first
+    info = star_for.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    # weights in any sequence type share one entry
+    ramp = star_for("dim2.V1", [1, 2, 3])
+    assert star_for("dim2.V1", (1, 2, 3)) is ramp
+    info = star_for.cache_info()
+    assert (info.misses, info.hits) == (2, 3)
