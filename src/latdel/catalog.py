@@ -24,6 +24,7 @@ from .exact import (
     solve_overdetermined,
     SingularMatrixError,
 )
+from .geometry import cone_contains
 
 
 @dataclass(frozen=True)
@@ -229,40 +230,7 @@ def contains(cone: NamedCone, form: QuadraticForm):
     """Exact nonnegative-combination membership; returns coefficients or None."""
     if form.rank != cone.ambient_rank:
         raise ValueError("ambient ranks disagree")
-    target = _flatten(form)
-    gens = [_flatten(g) for g in cone.generators]
-    n = len(gens)
-    d = matrix_rank(gens)
-    if d == n:
-        # simplicial cone: membership is one exact solve
-        try:
-            coeffs = solve_overdetermined(list(zip(*gens)), target)
-        except (SingularMatrixError, ValueError):
-            return None
-        return coeffs if all(c >= 0 for c in coeffs) else None
-    # Caratheodory: a member is a nonnegative combination of some linearly
-    # independent generator subset
-    for k in range(0, d + 1):
-        for subset in combinations(range(n), k):
-            sel = [gens[i] for i in subset]
-            if matrix_rank(sel) < k:
-                continue
-            cols = list(zip(*sel)) if sel else []
-            try:
-                if k == 0:
-                    if any(v != 0 for v in target):
-                        continue
-                    coeffs = ()
-                else:
-                    coeffs = solve_overdetermined(cols, target)
-            except (SingularMatrixError, ValueError):
-                continue
-            if all(c >= 0 for c in coeffs):
-                full = [Fraction(0)] * n
-                for i, c in zip(subset, coeffs):
-                    full[i] = c
-                return tuple(full)
-    return None
+    return cone_contains([_flatten(g) for g in cone.generators], _flatten(form))
 
 
 def verify_matrix_identities():

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 from . import formats
-from .catalog import catalog, catalog_names, sample_interior
+from .catalog import catalog, sample_interior
 from .delaunay import (
     CertificationError,
     NotPositiveDefiniteError,
@@ -113,7 +112,10 @@ def _cmd_gen(args) -> int:
         return 1
     if args.pieces:
         pieces = formats.load_cells(args.pieces)
-        report = is_simplicially_generating(cell, pieces)
+        try:
+            report = is_simplicially_generating(cell, pieces)
+        except ValueError as exc:  # the pieces do not refine the cell
+            return _fail_usage(str(exc))
     else:
         report = is_totally_generating(cell)
     _emit(formats.encode_generation_report(report))

@@ -20,8 +20,10 @@ from typing import Optional, Tuple
 from .exact import (
     QuadraticForm,
     SingularMatrixError,
+    determinant,
     evaluate,
     is_positive_definite,
+    ldl,
     mat_vec,
     norm,
     solve_overdetermined,
@@ -113,39 +115,21 @@ def _int_interval(c: Fraction, t: Fraction):
     return range(lo, hi + 1)
 
 
-def _ldl(form: QuadraticForm):
-    """B = U^T D U with U unit upper triangular; requires B positive definite."""
-    n = form.rank
-    a = [list(row) for row in form.entries]
-    d = []
-    u = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        pivot = a[i][i]
-        if pivot <= 0:
-            raise NotPositiveDefiniteError("form is not positive definite")
-        d.append(pivot)
-        u[i][i] = Fraction(1)
-        for j in range(i + 1, n):
-            u[i][j] = a[i][j] / pivot
-        for r in range(i + 1, n):
-            f = a[i][r] / pivot
-            for c in range(i + 1, n):
-                a[r][c] -= f * a[i][c]
-    return d, u
-
-
 def points_within(form: QuadraticForm, alpha, bound: Fraction):
     """All lattice points x with B(x - alpha, x - alpha) <= bound.
 
-    Fincke-Pohst style enumeration from the exact U^T D U decomposition; the
-    returned list is provably exhaustive and sorted.
+    Fincke-Pohst style enumeration from the exact in-order U^T D U of
+    `ldl`; the returned list is provably exhaustive and sorted.
     """
     n = form.rank
     alpha = tuple(Fraction(a) for a in alpha)
     bound = Fraction(bound)
     if bound < 0:
         return []
-    d, u = _ldl(form)
+    factor = ldl(form)
+    if factor is None or not all(factor[0]):
+        raise NotPositiveDefiniteError("form is not positive definite")
+    d, u = factor
     out = []
     x = [0] * n
 
@@ -266,8 +250,6 @@ def is_basic_simplex(cell: DelaunayCell) -> bool:
     g = len(verts[0]) if verts else 0
     if len(verts) != g + 1:
         return False
-    from .exact import determinant
-
     rows = [vec_sub(v, verts[0]) for v in verts[1:]]
     return abs(determinant(rows)) == 1
 

@@ -1,14 +1,20 @@
 """Exact rational scalars, vectors and symmetric bilinear forms.
 
-All arithmetic is done with `fractions.Fraction`; nothing in this package
-ever rounds.  Vectors are plain tuples (ints for lattice vectors, Fractions
-for rational vectors) and matrices are tuples of row tuples.
+All arithmetic is exact, in `int` and `fractions.Fraction`; nothing in this
+package ever rounds.  Vectors are plain tuples (ints for lattice vectors,
+Fractions for rational vectors) and matrices are tuples of row tuples.
+
+Row elimination lives in two routines only: `_echelon`, a fraction-free
+(Bareiss) Gauss-Jordan core under the rank, nullspace, solves and
+determinant, and `ldl`, the in-order symmetric LDL^T under definiteness and
+the lattice point sweep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence, Tuple
 
 Rational = Fraction
@@ -146,47 +152,39 @@ def form_scale(c, form: QuadraticForm) -> QuadraticForm:
     return QuadraticForm(tuple(tuple(c * v for v in row) for row in form.entries))
 
 
-def definiteness(form: QuadraticForm) -> str:
-    """Exact classification by LDL^T with pivoting on the diagonal.
+def ldl(form: QuadraticForm):
+    """In-order B = U^T D U with U unit upper triangular, for semidefinite B.
 
-    A zero pivot whose residual row is nonzero means the form is indefinite;
-    otherwise zero pivots only reduce the rank.
+    Returns (d, u), or None when B is indefinite: a negative pivot, or a zero
+    pivot whose residual row is nonzero.  A zero pivot with a zero residual
+    row only lowers the rank.  The pivots stay in index order, as the
+    Fincke-Pohst sweep of `delaunay.points_within` needs.
     """
     n = form.rank
     a = [list(row) for row in form.entries]
-    active = list(range(n))
-    negative = False
-    rank = 0
-    while active:
-        pivot = None
-        for i in active:
-            if a[i][i] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            # all remaining diagonal entries vanish; any off-diagonal residue
-            # gives a hyperbolic (indefinite) 2x2 block
-            for i in active:
-                for j in active:
-                    if a[i][j] != 0:
-                        return INDEFINITE
-            break
-        d = a[pivot][pivot]
-        if d < 0:
-            negative = True
-            break
-        rank += 1
-        active.remove(pivot)
-        factors = {i: a[i][pivot] / d for i in active}
-        for i in active:
-            for j in active:
-                a[i][j] -= factors[i] * a[pivot][j]
-        for i in active:
-            a[i][pivot] = Fraction(0)
-            a[pivot][i] = Fraction(0)
-    if negative:
+    d = []
+    u = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        pivot = a[i][i]
+        if pivot < 0 or (pivot == 0 and any(a[i][i + 1:])):
+            return None
+        d.append(pivot)
+        if pivot == 0:
+            continue
+        for j in range(i + 1, n):
+            u[i][j] = a[i][j] / pivot
+        for r in range(i + 1, n):
+            for c in range(i + 1, n):
+                a[r][c] -= u[i][r] * a[i][c]
+    return d, u
+
+
+def definiteness(form: QuadraticForm) -> str:
+    """Exact classification by the in-order LDL^T of `ldl`."""
+    factor = ldl(form)
+    if factor is None:
         return INDEFINITE
-    return POSITIVE_DEFINITE if rank == n else POSITIVE_SEMIDEFINITE
+    return POSITIVE_DEFINITE if all(factor[0]) else POSITIVE_SEMIDEFINITE
 
 
 def is_positive_definite(form: QuadraticForm) -> bool:
@@ -201,25 +199,59 @@ def congruence_act(a: Matrix, form: QuadraticForm) -> QuadraticForm:
     return QuadraticForm(mat_mul(transpose(a), mat_mul(form.entries, a)))
 
 
-def determinant(m: Matrix) -> Fraction:
-    n = len(m)
-    a = [list(Fraction(v) for v in row) for row in m]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+def _row_scale(row) -> int:
+    """The least common multiple of the denominators of a rational row."""
+    return lcm(*[v.denominator for v in row])
+
+
+def _echelon(rows):
+    """Fraction-free Gauss-Jordan reduction of a rational row list.
+
+    Each row is scaled to integers by the lcm of its denominators, then
+    eliminated over the integers; every update is divided exactly by the
+    previous pivot (Bareiss, Math. Comp. 22, 1968), so the entries stay
+    minors of the scaled matrix.  Returns (a, pivots, p, sign): the integer
+    rows, whose first len(pivots) rows are p times the reduced row echelon
+    form; the pivot columns; the common pivot p; and the sign of the row
+    swaps.  For a square scaled matrix of full rank, its determinant is
+    sign * p.
+    """
+    a = []
+    for row in rows:
+        scale = _row_scale(row)
+        if scale == 1:
+            a.append([v.numerator for v in row])
+        else:
+            a.append([v.numerator * (scale // v.denominator) for v in row])
+    ncols = len(a[0]) if a else 0
+    pivots = []
+    prev, sign, r = 1, 1, 0
+    for col in range(ncols):
+        pivot = next((i for i in range(r, len(a)) if a[i][col]), None)
         if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            f = a[r][col] * inv
-            if f:
-                for c in range(col, n):
-                    a[r][c] -= f * a[col][c]
-    return det
+            continue
+        if pivot != r:
+            a[r], a[pivot] = a[pivot], a[r]
+            sign = -sign
+        p, top = a[r][col], a[r]
+        for i, row in enumerate(a):
+            if i != r:
+                f = row[col]
+                a[i] = [(p * v - f * t) // prev for v, t in zip(row, top)]
+        pivots.append(col)
+        prev = p
+        r += 1
+    return a, pivots, prev, sign
+
+
+def determinant(m: Matrix) -> Fraction:
+    _, pivots, p, sign = _echelon(m)
+    if len(pivots) < len(m):
+        return Fraction(0)
+    scale = 1
+    for row in m:
+        scale *= _row_scale(row)
+    return Fraction(sign * p, scale)
 
 
 def solve_linear(m: Matrix, b: Sequence) -> RationalVector:
@@ -227,19 +259,11 @@ def solve_linear(m: Matrix, b: Sequence) -> RationalVector:
     n = len(m)
     if any(len(row) != n for row in m) or len(b) != n:
         raise ValueError("dimension mismatch")
-    a = [[Fraction(v) for v in row] + [Fraction(bv)] for row, bv in zip(m, b)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            raise SingularMatrixError("singular")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [v * inv for v in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [v - f * p for v, p in zip(a[r], a[col])]
-    return tuple(row[n] for row in a)
+    try:
+        return solve_overdetermined(m, b)
+    except ValueError:
+        # a square system is inconsistent only when M is singular
+        raise SingularMatrixError("singular")
 
 
 def solve_overdetermined(rows: Sequence[Sequence], rhs: Sequence):
@@ -251,63 +275,34 @@ def solve_overdetermined(rows: Sequence[Sequence], rhs: Sequence):
     if not rows:
         raise SingularMatrixError("singular")
     n = len(rows[0])
-    a = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    pivots = []
-    r = 0
-    for col in range(n):
-        pivot = next((i for i in range(r, len(a)) if a[i][col] != 0), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        inv = 1 / a[r][col]
-        a[r] = [v * inv for v in a[r]]
-        for i in range(len(a)):
-            if i != r and a[i][col]:
-                f = a[i][col]
-                a[i] = [v - f * p for v, p in zip(a[i], a[r])]
-        pivots.append(col)
-        r += 1
-    for i in range(r, len(a)):
-        if a[i][n] != 0:
-            raise ValueError("inconsistent")
-    if r < n:
+    a, pivots, p, _ = _echelon([list(row) + [b] for row, b in zip(rows, rhs)])
+    if pivots and pivots[-1] == n:
+        raise ValueError("inconsistent")
+    if len(pivots) < n:
         raise SingularMatrixError("singular")
-    return tuple(a[i][n] for i in range(n))
+    return tuple(Fraction(a[i][n], p) for i in range(n))
 
 
 def nullspace(rows: Sequence[Sequence]) -> list:
-    """Basis of the right nullspace of the given row list, exactly."""
+    """The reduced basis of the right nullspace of the given row list, exactly.
+
+    One vector per free column f, with 1 at f, 0 at the other free columns
+    and minus the reduced row entries at the pivot columns.
+    """
     if not rows:
         return []
     n = len(rows[0])
-    a = [[Fraction(v) for v in row] for row in rows]
-    pivots = []
-    r = 0
-    for col in range(n):
-        pivot = next((i for i in range(r, len(a)) if a[i][col] != 0), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        inv = 1 / a[r][col]
-        a[r] = [v * inv for v in a[r]]
-        for i in range(len(a)):
-            if i != r and a[i][col]:
-                f = a[i][col]
-                a[i] = [v - f * p for v, p in zip(a[i], a[r])]
-        pivots.append(col)
-        r += 1
+    a, pivots, p, _ = _echelon(rows)
     basis = []
-    free = [c for c in range(n) if c not in pivots]
-    for fc in free:
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
+    for fc in range(n):
+        if fc in pivots:
+            continue
+        v = [Fraction(int(c == fc)) for c in range(n)]
         for i, pc in enumerate(pivots):
-            v[pc] = -a[i][fc]
+            v[pc] = Fraction(-a[i][fc], p)
         basis.append(tuple(v))
     return basis
 
 
 def matrix_rank(rows: Sequence[Sequence]) -> int:
-    if not rows:
-        return 0
-    return len(rows[0]) - len(nullspace(rows))
+    return len(_echelon(rows)[1])

@@ -22,7 +22,7 @@ from itertools import combinations, product
 from math import lcm
 from typing import Dict, Optional, Tuple
 
-from .catalog import NamedCone, catalog
+from .catalog import NamedCone, _flatten, catalog
 from .exact import QuadraticForm, congruence_act, nullspace
 from .geometry import primitive
 
@@ -127,10 +127,6 @@ class KFace:
     kept: Tuple[SignedPair, ...]
     graph: ColoredGraph
     functional: Tuple[Fraction, ...]  # supporting functional on flattened forms
-
-
-def _flatten(form: QuadraticForm):
-    return tuple(form.entries[i][j] for i in range(4) for j in range(i, 4))
 
 
 def facial_certificate(dropped):

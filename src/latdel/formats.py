@@ -8,7 +8,6 @@ identity, so identical inputs always produce identical bytes.
 from __future__ import annotations
 
 import json
-from typing import Optional
 
 from .catalog import NamedCone, catalog, catalog_names
 from .delaunay import DelaunayCell, DelaunayStar, make_cell

@@ -10,19 +10,26 @@ each of those finitely many points by a bounded exact semigroup search.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, product
 from typing import Optional, Tuple
 
 from .delaunay import DelaunayCell
-from .exact import dot, matrix_rank, nullspace, solve_overdetermined, vec_sub
-from .exact import SingularMatrixError
+from .exact import (
+    SingularMatrixError,
+    dot,
+    matrix_rank,
+    nullspace,
+    solve_overdetermined,
+    vec_sub,
+)
 from .geometry import (
     affine_dimension,
     cone_contains,
+    cone_facets,
     extremal_rays,
     normalized_volume,
     polytope_facets,
+    triangulate_cone,
     vertex_enumeration,
 )
 
@@ -125,55 +132,6 @@ def in_semigroup(x, generators, degree_bound: int) -> bool:
     return search(tuple(x), 0, degree_bound)
 
 
-def _linear_coords(rays):
-    """Coordinates of the rays in an independent-subset basis of their span."""
-    basis = []
-    for r in rays:
-        if matrix_rank(basis + [r]) > len(basis):
-            basis.append(r)
-    cols = list(zip(*basis))
-    return [solve_overdetermined(cols, r) for r in rays]
-
-
-def _triangulate_cone(rays):
-    """Pulling triangulation of a pointed cone, as ray-index simplices."""
-    rays = [tuple(r) for r in rays]
-    d = matrix_rank(rays)
-    if len(rays) == d:
-        return [tuple(range(len(rays)))]
-    if d == 1:
-        return [(0,)]
-    if d < len(rays[0]):
-        rays = _linear_coords(rays)
-    result = []
-    for members in _cone_facets(rays, d):
-        if 0 in members:
-            continue
-        sub = [rays[i] for i in members]
-        for simplex in _triangulate_cone(sub):
-            result.append((0,) + tuple(members[i] for i in simplex))
-    return result
-
-
-def _cone_facets(rays, d):
-    """Facet ray-index sets of a pointed full-dimensional cone."""
-    facets = set()
-    for subset in combinations(range(len(rays)), d - 1):
-        sel = [rays[i] for i in subset]
-        if matrix_rank(sel) != d - 1:
-            continue
-        kernel = nullspace(sel)
-        if len(kernel) != 1:
-            continue
-        normal = kernel[0]
-        values = [dot(normal, r) for r in rays]
-        if all(v >= 0 for v in values) or all(v <= 0 for v in values):
-            members = tuple(i for i, v in enumerate(values) if v == 0)
-            if matrix_rank([rays[i] for i in members]) == d - 1:
-                facets.add(members)
-    return sorted(facets)
-
-
 def is_totally_generating(cell: DelaunayCell) -> GenerationReport:
     """Decide C(0, cell) Z-cap X == Semi(0, cell Z-cap X), with witness."""
     _require_origin(cell)
@@ -181,7 +139,7 @@ def is_totally_generating(cell: DelaunayCell) -> GenerationReport:
     cone = cone_rays(cell)
     gens = [p for p in cone.lattice_points if any(p)]
     bound = DEGREE_BOUND_FACTOR * g
-    for simplex in _triangulate_cone(list(cone.rays)):
+    for simplex in triangulate_cone(cone.rays):
         sel = [cone.rays[i] for i in simplex]
         for p in sorted(parallelepiped_points(sel)):
             if not any(p):
@@ -233,10 +191,8 @@ def cone_cover_check(coarse_cell: DelaunayCell, pieces) -> bool:
                 return False
     g = len(zero)
     height = 2 * max(abs(c) for v in coarse_cell.vertices for c in v)
-    piece_ineqs = [
-        _cone_inequalities(list(pc.rays), g) for pc in piece_cones
-    ]
-    coarse_ineqs = _cone_inequalities(list(coarse.rays), g)
+    piece_ineqs = [_cone_inequalities(pc.rays) for pc in piece_cones]
+    coarse_ineqs = _cone_inequalities(coarse.rays)
     for x in product(range(-height, height + 1), repeat=g):
         if not _satisfies(coarse_ineqs, x):
             continue
@@ -245,39 +201,16 @@ def cone_cover_check(coarse_cell: DelaunayCell, pieces) -> bool:
     return True
 
 
-def _cone_inequalities(rays, g):
-    """Halfspace description of a cone: inequality rows plus span equations."""
-    d = matrix_rank(rays)
-    if 1 < d < g:
-        # lower-dimensional cone: fall back to direct membership
-        return [("carath", tuple(rays))]
-    rows = []
-    if d > 1:
-        for members in _cone_facets(rays, d):
-            sel = [rays[i] for i in members]
-            normal = nullspace(sel)[0]
-            if any(dot(normal, r) < 0 for r in rays):
-                normal = tuple(-v for v in normal)
-            rows.append(("ge", normal))
-    if d == 1:
-        # single ray: x must be a nonnegative multiple
-        rows.append(("ray", rays[0]))
-    for eq in nullspace(rays):
-        rows.append(("eq", eq))
-    return rows
+def _cone_inequalities(rays):
+    """Halfspace description of a pointed cone: facet normals, span equations."""
+    return [normal for _, normal in cone_facets(rays)], nullspace(rays)
 
 
-def _satisfies(rows, x):
-    for kind, v in rows:
-        if kind == "ge" and dot(v, x) < 0:
-            return False
-        if kind == "eq" and dot(v, x) != 0:
-            return False
-        if kind == "ray" and cone_contains([v], x) is None:
-            return False
-        if kind == "carath" and cone_contains(list(v), x) is None:
-            return False
-    return True
+def _satisfies(inequalities, x):
+    normals, equations = inequalities
+    return all(dot(v, x) >= 0 for v in normals) and all(
+        dot(v, x) == 0 for v in equations
+    )
 
 
 def is_simplicially_generating(cell: DelaunayCell, pieces) -> GenerationReport:

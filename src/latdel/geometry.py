@@ -3,8 +3,10 @@
 Everything here works over the rationals.  Dimensions are tiny (g <= 4), so
 the algorithms are the simple combinatorial ones: vertices of a bounded
 polyhedron are found by solving all d-subsets of its defining inequalities,
-facets of a polytope by enumerating supporting hyperplanes, and membership
-in a pointed cone by Caratheodory over independent ray subsets.
+and membership in a pointed cone by Caratheodory over independent ray
+subsets.  Facets and pulling triangulations are computed once, for pointed
+cones of any dimension; a polytope is handled as the cone over its lifted
+points (p, 1).
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ from math import gcd
 
 from .exact import (
     SingularMatrixError,
+    _echelon,
+    _row_scale,
     determinant,
     dot,
     matrix_rank,
@@ -26,32 +30,9 @@ from .exact import (
 
 def _int_scaled(a, b):
     """Scale inequality a.x <= b to integer coefficients."""
-    denoms = [Fraction(v).denominator for v in a] + [Fraction(b).denominator]
-    m = 1
-    for d in denoms:
-        m = m * d // gcd(m, d)
-    return tuple(int(Fraction(v) * m) for v in a), int(Fraction(b) * m)
-
-
-def _int_det(rows):
-    """Fraction-free (Bareiss) determinant of a small integer matrix."""
-    a = [list(r) for r in rows]
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if pivot is None:
-                return 0
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    row = [Fraction(v) for v in a] + [Fraction(b)]
+    m = _row_scale(row)
+    return tuple(int(v * m) for v in row[:-1]), int(row[-1] * m)
 
 
 def vertex_enumeration(inequalities):
@@ -59,37 +40,27 @@ def vertex_enumeration(inequalities):
 
     The polyhedron must be bounded.  Returns a sorted list of rational
     coordinate tuples.  Inequalities may be rational; they are rescaled to
-    integers internally so the d x d solves stay in integer arithmetic.
+    integers, and each d-subset of the rows [a | b] is reduced once by the
+    fraction-free `_echelon`.  A nonsingular subset gives its vertex as
+    integer numerators over the common pivot, so the feasibility test stays
+    in integer arithmetic.
     """
     if not inequalities:
         return []
     d = len(inequalities[0][0])
     ineqs = [_int_scaled(a, b) for a, b in inequalities]
+    rows = [a + (b,) for a, b in ineqs]
+    nonsingular = list(range(d))
     seen = set()
-    for subset in combinations(range(len(ineqs)), d):
-        rows = [ineqs[i][0] for i in subset]
-        det = _int_det(rows)
-        if det == 0:
+    for subset in combinations(rows, d):
+        reduced, pivots, den, _ = _echelon(subset)
+        if pivots != nonsingular:
             continue
-        rhs = [ineqs[i][1] for i in subset]
-        # Cramer's rule, fraction-free until the final division
-        nums = []
-        for col in range(d):
-            m = [
-                tuple(rhs[r] if c == col else rows[r][c] for c in range(d))
-                for r in range(d)
-            ]
-            nums.append(_int_det(m))
-        if det < 0:
-            det = -det
-            nums = [-v for v in nums]
-        feasible = True
-        for a, b in ineqs:
-            if dot(a, nums) > b * det:
-                feasible = False
-                break
-        if feasible:
-            seen.add(tuple(Fraction(v, det) for v in nums))
+        nums = [row[d] for row in reduced]
+        if den < 0:
+            den, nums = -den, [-v for v in nums]
+        if all(dot(a, nums) <= b * den for a, b in ineqs):
+            seen.add(tuple(Fraction(v, den) for v in nums))
     return sorted(seen)
 
 
@@ -102,83 +73,87 @@ def affine_dimension(points) -> int:
     return matrix_rank(diffs)
 
 
-def _affine_coords(points):
-    """Coordinates of the points in a basis of their affine hull."""
-    p0 = points[0]
-    diffs = [vec_sub(p, p0) for p in points[1:]]
-    basis = []
-    for v in diffs:
-        if matrix_rank(basis + [v]) > len(basis):
-            basis.append(v)
-    d = len(basis)
-    cols = list(zip(*basis)) if basis else []
-    coords = []
-    for p in points:
-        if d == 0:
-            coords.append(())
+def _lift(points):
+    """The points (p, 1): a polytope is a slice of the cone over them."""
+    return [tuple(p) + (1,) for p in points]
+
+
+def cone_facets(rays):
+    """Facets of a pointed cone, as sorted (member indices, normal) pairs.
+
+    The normal lies in the linear span of the rays, is >= 0 on every ray and
+    vanishes exactly on the members.  Each facet is spanned by rank - 1 of
+    the rays, so every such subset is tried: its normal is the kernel of the
+    subset stacked with the equations of the span, when that is a line.
+    """
+    rays = [tuple(r) for r in rays]
+    g = len(rays[0])
+    span_equations = nullspace(rays)
+    facets = {}
+    for subset in combinations(range(len(rays)), g - len(span_equations) - 1):
+        stack = [rays[i] for i in subset] + span_equations
+        # rank-1 rays in a one-dimensional space leave an empty stack, which
+        # imposes nothing
+        kernel = nullspace(stack or [(0,) * g])
+        if len(kernel) != 1:
             continue
-        coords.append(solve_overdetermined(cols, vec_sub(p, p0)))
-    return d, coords
+        normal = kernel[0]
+        values = [dot(normal, r) for r in rays]
+        if all(v <= 0 for v in values):
+            normal, values = tuple(-v for v in normal), [-v for v in values]
+        elif not all(v >= 0 for v in values):
+            continue
+        members = tuple(i for i, v in enumerate(values) if v == 0)
+        facets[members] = (members, normal)
+    return sorted(facets.values())
 
 
 def polytope_facets(points):
     """Facets of a full-dimensional polytope given by its vertex list.
 
     Returns a list of (vertex_indices, normal, offset) with normal.x <= offset
-    valid for every vertex and tight exactly on the facet.
+    valid for every vertex and tight exactly on the facet.  A facet normal
+    (w, c) of the cone over the lifted points gives normal -w and offset c.
     """
     d = len(points[0])
-    if affine_dimension(points) != d:
+    lifted = _lift(points)
+    if matrix_rank(lifted) != d + 1:
         raise ValueError("polytope is not full-dimensional")
-    facets = {}
-    for subset in combinations(range(len(points)), d):
-        pts = [points[i] for i in subset]
-        diffs = [vec_sub(p, pts[0]) for p in pts[1:]]
-        kernel = nullspace(diffs) if diffs else nullspace([[Fraction(0)] * d])
-        if len(kernel) != 1:
+    return [
+        (members, tuple(-v for v in w[:d]), w[d])
+        for members, w in cone_facets(lifted)
+    ]
+
+
+def triangulate_cone(rays):
+    """A pulling triangulation of a pointed cone, as ray-index simplices.
+
+    Pulls from the first ray: it is joined to a triangulation of every facet
+    not containing it, so the result is determined by the input order.
+    """
+    rays = [tuple(r) for r in rays]
+    d = matrix_rank(rays)
+    if len(rays) == d:
+        return [tuple(range(d))]
+    if d == 1:
+        return [(0,)]
+    result = []
+    for members, _ in cone_facets(rays):
+        if 0 in members:
             continue
-        normal = kernel[0]
-        offset = dot(normal, pts[0])
-        values = [dot(normal, p) - offset for p in points]
-        if all(v <= 0 for v in values):
-            pass
-        elif all(v >= 0 for v in values):
-            normal = tuple(-v for v in normal)
-            offset = -offset
-            values = [-v for v in values]
-        else:
-            continue
-        members = tuple(i for i, v in enumerate(values) if v == 0)
-        facets[members] = (members, normal, offset)
-    return sorted(facets.values())
+        for simplex in triangulate_cone([rays[i] for i in members]):
+            result.append((0,) + tuple(members[i] for i in simplex))
+    return result
 
 
 def triangulate_polytope(points):
     """A pulling triangulation of conv(points); points need not be full-dim.
 
     Returns simplices as tuples of indices into the input list, pulling from
-    the first point so the decomposition is determined by the input order.
+    the first point so the decomposition is determined by the input order:
+    the triangulation of the cone over the lifted points.
     """
-    points = list(points)
-    d, coords = _affine_coords(points)
-    simplices = _triangulate_full(coords, d)
-    return sorted(tuple(sorted(s)) for s in simplices)
-
-
-def _triangulate_full(points, d):
-    if d == 0:
-        return [(0,)]
-    if len(points) == d + 1:
-        return [tuple(range(len(points)))]
-    result = []
-    for members, _, _ in polytope_facets(points):
-        if 0 in members:
-            continue
-        sub = [points[i] for i in members]
-        sd, sub_coords = _affine_coords(sub)
-        for simplex in _triangulate_full(sub_coords, sd):
-            result.append((0,) + tuple(members[i] for i in simplex))
-    return result
+    return sorted(tuple(sorted(s)) for s in triangulate_cone(_lift(points)))
 
 
 def normalized_volume(points):
@@ -205,25 +180,25 @@ def primitive(v):
 def cone_contains(rays, x):
     """Exact membership of x in the cone spanned by the rays.
 
-    By Caratheodory it suffices to search nonnegative combinations over
-    linearly independent ray subsets.  Returns the coefficient witness (full
-    length, zeros for unused rays) or None.
+    Returns the coefficient witness (full length, zeros for unused rays) or
+    None.  Linearly independent rays have unique coefficients, so one solve
+    decides.  Otherwise, by Caratheodory, it suffices to search nonnegative
+    combinations over linearly independent ray subsets; a dependent subset
+    fails its solve.
     """
+    n = len(rays)
     if all(v == 0 for v in x):
         return tuple(Fraction(0) for _ in rays)
-    d = matrix_rank(list(rays)) if rays else 0
-    for k in range(1, d + 1):
-        for subset in combinations(range(len(rays)), k):
-            sel = [rays[i] for i in subset]
-            if matrix_rank(sel) < k:
-                continue
-            cols = list(zip(*sel))
+    d = matrix_rank(list(rays))
+    for k in (n,) if d == n else range(1, d + 1):
+        for subset in combinations(range(n), k):
+            cols = list(zip(*(rays[i] for i in subset)))
             try:
                 coeffs = solve_overdetermined(cols, x)
             except (SingularMatrixError, ValueError):
                 continue
             if all(c >= 0 for c in coeffs):
-                full = [Fraction(0)] * len(rays)
+                full = [Fraction(0)] * n
                 for i, c in zip(subset, coeffs):
                     full[i] = c
                 return tuple(full)

@@ -23,7 +23,7 @@ from .delaunay import (
     is_basic_simplex,
     make_cell,
 )
-from .exact import basis_sum
+from .exact import basis_sum, vec_sub
 from .generation import (
     cone_rays,
     is_simplicially_generating,
@@ -112,6 +112,18 @@ class FusionReport:
         return True
 
 
+def _translates(star: DelaunayStar, cell: DelaunayCell):
+    """Translates of the star's orbit reps that share a vertex with the cell.
+
+    One per pair of a cell vertex and a rep vertex, carrying the rep vertex
+    onto the cell vertex.
+    """
+    for rep in star.orbit_reps:
+        for w in cell.vertices:
+            for r in rep.vertices:
+                yield rep.translate(vec_sub(w, r))
+
+
 def cells_tiling(star: DelaunayStar, coarse: DelaunayCell):
     """The Delaunay cells of the star's decomposition inside a coarse cell.
 
@@ -121,14 +133,11 @@ def cells_tiling(star: DelaunayStar, coarse: DelaunayCell):
     lattice-normalized volume).
     """
     coarse_set = set(coarse.vertices)
-    found = {}
-    for rep in star.orbit_reps:
-        for w in coarse.vertices:
-            for r in rep.vertices:
-                t = tuple(a - b for a, b in zip(w, r))
-                cand = rep.translate(t)
-                if set(cand.vertices) <= coarse_set:
-                    found[cand.vertices] = cand
+    found = {
+        cand.vertices: cand
+        for cand in _translates(star, coarse)
+        if coarse_set.issuperset(cand.vertices)
+    }
     pieces = sorted(found.values(), key=lambda c: c.vertices)
     total = sum(normalized_volume(list(p.vertices)) for p in pieces)
     if total != normalized_volume(list(coarse.vertices)):
@@ -223,22 +232,6 @@ _T1_UNCHANGED = [
     (23, (3, 2, 4, 1)),
     (24, (4, 2, 3, 1)),
 ]
-# sigma orders of rows 1..12 of Table 1 (fine V1 cells)
-_T1_SIGMA = {
-    1: (1, 2, 3, 4),
-    2: (2, 1, 3, 4),
-    3: (1, 2, 4, 3),
-    4: (2, 1, 4, 3),
-    5: (3, 1, 2, 4),
-    6: (3, 2, 1, 4),
-    7: (4, 1, 2, 3),
-    8: (4, 2, 1, 3),
-    9: (3, 4, 1, 2),
-    10: (3, 4, 2, 1),
-    11: (4, 3, 1, 2),
-    12: (4, 3, 2, 1),
-}
-
 _T2_ROWS = [
     (2, ("1", "2", "12", "123", "1234"), "A", ("1", "2", "12", "123", "124")),
     (4, ("1", "2", "12", "124", "1234"), "A", ("1", "2", "123", "124", "1234")),
@@ -284,50 +277,30 @@ class TableDiff:
 
 def _table_layout(which: int):
     if which == 1:
-        fine, coarse, refined = "dim4.V1", "dim4.V1capV2", "dim4.V2"
-        rows = []
-        for no, fine_names, block, refined_names in _T1_ROWS:
-            rows.append(
-                (
-                    no,
-                    sigma_cell(_T1_SIGMA[no]),
-                    block,
-                    _cell_from_names(4, refined_names),
-                )
-            )
-        for no, order in _T1_UNCHANGED:
-            rows.append((no, sigma_cell(order), None, sigma_cell(order)))
-        return fine, coarse, refined, rows
-    if which == 2:
-        fine, coarse, refined = "dim4.V2", "dim4.V2capV3", "dim4.V3"
-        rows = []
-        for no, fine_names, block, refined_names in _T2_ROWS:
-            rows.append(
-                (
-                    no,
-                    _cell_from_names(4, fine_names),
-                    block,
-                    _cell_from_names(4, refined_names),
-                )
-            )
-        for no, names in _T2_UNCHANGED:
-            cell = _cell_from_names(4, names)
-            rows.append((no, cell, None, cell))
-        return fine, coarse, refined, rows
-    raise ValueError("table must be 1 or 2")
+        cones = ("dim4.V1", "dim4.V1capV2", "dim4.V2")
+        changed = _T1_ROWS
+        unchanged = [(no, sigma_cell(order)) for no, order in _T1_UNCHANGED]
+    elif which == 2:
+        cones = ("dim4.V2", "dim4.V2capV3", "dim4.V3")
+        changed = _T2_ROWS
+        unchanged = [(no, _cell_from_names(4, n)) for no, n in _T2_UNCHANGED]
+    else:
+        raise ValueError("table must be 1 or 2")
+    rows = [
+        (no, _cell_from_names(4, fine), block, _cell_from_names(4, refined))
+        for no, fine, block, refined in changed
+    ]
+    rows += [(no, cell, None, cell) for no, cell in unchanged]
+    return cones + (rows,)
 
 
 def _containing_cell(star: DelaunayStar, cell: DelaunayCell) -> DelaunayCell:
     """The unique Delaunay cell of the star's decomposition containing cell."""
-    matches = {}
-    cell_set = set(cell.vertices)
-    for rep in star.orbit_reps:
-        for w in cell.vertices:
-            for r in rep.vertices:
-                t = tuple(a - b for a, b in zip(w, r))
-                cand = rep.translate(t)
-                if cell_set <= set(cand.vertices):
-                    matches[cand.vertices] = cand
+    matches = {
+        cand.vertices: cand
+        for cand in _translates(star, cell)
+        if set(cand.vertices).issuperset(cell.vertices)
+    }
     if len(matches) != 1:
         raise ValueError(
             "cell %r lies in %d maximal cells" % (cell.vertices, len(matches))

@@ -145,6 +145,24 @@ def test_gen(tmp_path, capsys):
     assert code == 1
 
 
+def test_gen_rejects_non_refining_pieces(tmp_path, capsys):
+    fpath = write_form(tmp_path, "id2.json", [[1, 0], [0, 1]])
+    cpath = tmp_path / "cell.json"
+    cpath.write_text(
+        formats.dumps({"vertices": [[0, 0], [0, 1], [1, 0], [1, 1]]})
+    )
+    # one triangle covers half of the unit square
+    ppath = tmp_path / "pieces.json"
+    ppath.write_text(formats.dumps([{"vertices": [[0, 0], [1, 0], [0, 1]]}]))
+    code, out, err = invoke(
+        capsys, "gen", "--cell", str(cpath), "--form", fpath, "--pieces", str(ppath)
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_tables(capsys):
     code, out, _ = invoke(capsys, "tables", "--which", "1")
     assert code == 0

@@ -1,9 +1,16 @@
-"""Byte-for-byte golden outputs of the face classification commands.
+"""Byte-for-byte golden outputs of the CLI.
 
-The files under tests/golden/ hold the stdout of `latdel faces` and
-`latdel verify --suite faces`; every face's orbit and type is in them.
+The files under tests/golden/ hold stdout recorded before the exact kernel
+and the polyhedral primitives were rewritten: `latdel faces`,
+`latdel verify --suite faces`, both tables, the unit sample forms of
+dim2.V1, dim3.V and dim4.V1capV2 (`latdel sample`) and their stars
+(`latdel del`).  verify_all.json is the stdout of `latdel verify --suite
+all`; it is compared in tests/test_verify.py, where that run already
+happens, and by CI.
 """
 
+import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -11,6 +18,7 @@ import pytest
 from latdel.cli import run
 
 GOLDEN = Path(__file__).parent / "golden"
+SAMPLES = ["dim2.V1", "dim3.V", "dim4.V1capV2"]
 
 
 @pytest.mark.parametrize(
@@ -18,8 +26,21 @@ GOLDEN = Path(__file__).parent / "golden"
     [
         (["faces"], "faces.json"),
         (["verify", "--suite", "faces"], "verify_faces.json"),
+        (["tables", "--which", "1"], "tables_1.json"),
+        (["tables", "--which", "2"], "tables_2.json"),
+    ]
+    + [(["sample", "--cone", c], "form_%s.json" % c) for c in SAMPLES]
+    + [
+        (["del", "--form", str(GOLDEN / ("form_%s.json" % c))], "del_%s.json" % c)
+        for c in SAMPLES
     ],
 )
 def test_stdout_matches_golden(capsys, argv, name):
     assert run(argv) == 0
     assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / name).read_bytes()
+
+
+def test_verify_all_golden_is_the_benchmark_paper_output():
+    expected = Path(__file__).parent.parent / "perfbench" / "expected.json"
+    digest = hashlib.sha256((GOLDEN / "verify_all.json").read_bytes()).hexdigest()
+    assert digest == json.loads(expected.read_text())["paper"]

@@ -1,12 +1,29 @@
 """Independent oracles: brute force for stars and generation in rank ≤ 2,
-and the whole symmetry group G for the faces of K."""
+the whole symmetry group G for the faces of K, and a plain `Fraction`
+Gauss-Jordan elimination and principal minors for the exact kernel."""
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latdel.delaunay import delaunay_star, make_cell, nearest_points
-from latdel.exact import QuadraticForm, identity_matrix, mat_mul
+from latdel.exact import (
+    INDEFINITE,
+    POSITIVE_DEFINITE,
+    POSITIVE_SEMIDEFINITE,
+    QuadraticForm,
+    SingularMatrixError,
+    definiteness,
+    determinant,
+    identity_matrix,
+    mat_mul,
+    matrix_rank,
+    nullspace,
+    solve_overdetermined,
+)
 from latdel.faces import (
     _classification,
     apply_to_face,
@@ -157,3 +174,156 @@ def test_generator_orbits_are_orbits_of_every_element():
             assert {apply_to_face(perm, d) for d in orbit} == orbit
         seed = min(orbit)
         assert {apply_to_face(perm, seed) for perm in perms} == orbit
+
+
+def fraction_rref(rows, ncols):
+    """Gauss-Jordan over `Fraction` on the first ncols columns of the rows.
+
+    Returns the reduced rows and the pivot columns.
+    """
+    a = [[Fraction(v) for v in row] for row in rows]
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(r, len(a)) if a[i][col] != 0), None)
+        if pivot is None:
+            continue
+        a[r], a[pivot] = a[pivot], a[r]
+        inv = 1 / a[r][col]
+        a[r] = [v * inv for v in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][col]:
+                f = a[i][col]
+                a[i] = [v - f * p for v, p in zip(a[i], a[r])]
+        pivots.append(col)
+        r += 1
+    return a, pivots
+
+
+def oracle_nullspace(rows):
+    n = len(rows[0])
+    a, pivots = fraction_rref(rows, n)
+    basis = []
+    for fc in (c for c in range(n) if c not in pivots):
+        v = [Fraction(0)] * n
+        v[fc] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            v[pc] = -a[i][fc]
+        basis.append(tuple(v))
+    return basis
+
+
+def oracle_solve(rows, rhs):
+    """The solution, or the name of the error solve_overdetermined must raise."""
+    n = len(rows[0])
+    a, pivots = fraction_rref([list(r) + [b] for r, b in zip(rows, rhs)], n)
+    if any(a[i][n] != 0 for i in range(len(pivots), len(a))):
+        return "inconsistent"
+    if len(pivots) < n:
+        return "singular"
+    return tuple(a[i][n] for i in range(n))
+
+
+def oracle_determinant(m):
+    n = len(m)
+    a = [[Fraction(v) for v in row] for row in m]
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            a[col], a[pivot] = a[pivot], a[col]
+            det = -det
+        det *= a[col][col]
+        for r in range(col + 1, n):
+            f = a[r][col] / a[col][col]
+            for c in range(col, n):
+                a[r][c] -= f * a[col][c]
+    return det
+
+
+# small rationals with many zeros, so that rank-deficient systems are common
+ENTRIES = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+
+
+@st.composite
+def rational_matrices(draw, max_size=7, square=False):
+    nrows = draw(st.integers(1, max_size))
+    ncols = nrows if square else draw(st.integers(1, max_size))
+    rows = draw(st.lists(st.lists(ENTRIES, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows))
+    # replace some rows by combinations of the others
+    for i in range(1, nrows):
+        if draw(st.booleans()) and draw(st.booleans()):
+            c = draw(st.lists(ENTRIES, min_size=i, max_size=i))
+            rows[i] = [sum(c[k] * rows[k][j] for k in range(i)) for j in range(ncols)]
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_matrices(), st.data())
+def test_kernel_matches_fraction_gauss_jordan(rows, data):
+    n = len(rows[0])
+    kernel = oracle_nullspace(rows)
+    assert nullspace(rows) == kernel
+    assert matrix_rank(rows) == n - len(kernel)
+    if data.draw(st.booleans()):
+        x = data.draw(st.lists(ENTRIES, min_size=n, max_size=n))
+        rhs = [sum(a * b for a, b in zip(row, x)) for row in rows]
+    else:
+        rhs = data.draw(st.lists(ENTRIES, min_size=len(rows), max_size=len(rows)))
+    expected = oracle_solve(rows, rhs)
+    try:
+        got = solve_overdetermined(rows, rhs)
+    except SingularMatrixError:
+        got = "singular"
+    except ValueError as exc:
+        assert str(exc) == "inconsistent"
+        got = "inconsistent"
+    assert got == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_matrices(square=True))
+def test_determinant_matches_fraction_elimination(m):
+    assert determinant(m) == oracle_determinant(m)
+
+
+def principal_minor_class(entries):
+    """Sylvester: semidefinite iff every principal minor is >= 0, definite iff
+    every leading principal minor is > 0."""
+    n = len(entries)
+    minors = {
+        idx: oracle_determinant([[entries[i][j] for j in idx] for i in idx])
+        for k in range(1, n + 1)
+        for idx in combinations(range(n), k)
+    }
+    if any(v < 0 for v in minors.values()):
+        return INDEFINITE
+    if all(minors[tuple(range(k))] > 0 for k in range(1, n + 1)):
+        return POSITIVE_DEFINITE
+    return POSITIVE_SEMIDEFINITE
+
+
+@st.composite
+def symmetric_matrices(draw):
+    n = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        # a Gram matrix A^T A: semidefinite, of rank at most the row count
+        k = draw(st.integers(0, n))
+        a = draw(st.lists(st.lists(ENTRIES, min_size=n, max_size=n), min_size=k, max_size=k))
+        return [[sum(r[i] * r[j] for r in a) for j in range(n)] for i in range(n)]
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = draw(ENTRIES)
+    return m
+
+
+@settings(max_examples=200, deadline=None)
+@given(symmetric_matrices())
+def test_definiteness_matches_principal_minors(entries):
+    assert definiteness(QuadraticForm(entries)) == principal_minor_class(entries)

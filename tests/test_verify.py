@@ -1,7 +1,10 @@
 """Verification suites: fusion reports, table diffs, cell naming."""
 
+from pathlib import Path
+
 import pytest
 
+from latdel import formats
 from latdel.delaunay import make_cell
 from latdel.verify import (
     fusion_check,
@@ -94,6 +97,9 @@ def test_run_suites_all():
         "theorem",
     ]
     assert all(r["pass"] for r in reports)
+    # byte for byte the stdout of `latdel verify --suite all`
+    golden = Path(__file__).parent / "golden" / "verify_all.json"
+    assert formats.dumps(reports).encode("utf-8") == golden.read_bytes()
 
 
 def test_star_for_one_cache_entry_per_form():
