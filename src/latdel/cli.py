@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from . import formats
 from .catalog import catalog, sample_interior
@@ -21,7 +22,11 @@ from .delaunay import (
     delaunay_star,
 )
 from .exact import parse_rational
-from .generation import is_simplicially_generating, is_totally_generating
+from .generation import (
+    SemigroupBoundExceeded,
+    is_simplicially_generating,
+    is_totally_generating,
+)
 from .verify import fusion_check, reproduce_table, run_suites
 
 
@@ -110,14 +115,21 @@ def _cmd_gen(args) -> int:
             file=sys.stderr,
         )
         return 1
+    # generation is decided at 0: a cell without 0 is decided at its
+    # smallest vertex, on its canonical orbit representative
+    zero = tuple(0 for _ in cell.vertices[0])
+    shift = zero if zero in cell.vertices else min(cell.vertices)
+    back = tuple(-c for c in shift)
     if args.pieces:
-        pieces = formats.load_cells(args.pieces)
+        pieces = [p.translate(back) for p in formats.load_cells(args.pieces)]
         try:
-            report = is_simplicially_generating(cell, pieces)
+            report = is_simplicially_generating(cell.translate(back), pieces)
         except ValueError as exc:  # the pieces do not refine the cell
             return _fail_usage(str(exc))
+        pieces = tuple(p.translate(shift) for p in report.pieces)
+        report = replace(report, pieces=pieces)
     else:
-        report = is_totally_generating(cell)
+        report = is_totally_generating(cell.translate(back))
     _emit(formats.encode_generation_report(report))
     return 0 if report.totally_generating else 1
 
@@ -230,7 +242,7 @@ def run(argv=None) -> int:
         UnsupportedRankError,
     ) as exc:
         return _fail_usage(str(exc))
-    except CertificationError as exc:
+    except (CertificationError, SemigroupBoundExceeded) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

@@ -4,8 +4,13 @@ The star Del(0) is computed through the classical duality with the Voronoi
 polytope of the origin: the holes (centers of maximal Delaunay cells through
 0) are exactly the vertices of {y : 2B(e, y) <= B(e, e) for all lattice e},
 and the defining inequalities can be restricted to the minima of the cosets
-of X/2X.  Every cell is then re-validated by an independent empty-sphere
-certificate, and the star by a local completeness check, so the construction
+of X/2X.  The holes are found by walking the edges of that polytope
+(`geometry.vertex_enumeration`).  A cell's vertices are 0 and the coset
+minima e whose inequality is tight at its hole: every vertex e of a Delaunay
+polytope through 0 is a minimum of its class mod 2, because z and e - z lie
+outside the empty sphere for every lattice z.  Every orbit representative is
+then re-validated by an independent empty-sphere certificate, and the star
+by a local completeness check and the tiling invariant, so the construction
 never silently trusts the enumeration.
 """
 
@@ -14,13 +19,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import isqrt
+from math import factorial, isqrt, lcm
 from typing import Optional, Tuple
 
 from .exact import (
     QuadraticForm,
     SingularMatrixError,
     determinant,
+    dot,
     evaluate,
     is_positive_definite,
     ldl,
@@ -29,7 +35,13 @@ from .exact import (
     solve_overdetermined,
     vec_sub,
 )
-from .geometry import affine_dimension, polytope_facets, vertex_enumeration
+from .geometry import (
+    _int_scaled,
+    affine_dimension,
+    normalized_volume,
+    polytope_facets,
+    vertex_enumeration,
+)
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -190,52 +202,59 @@ def voronoi_inequalities(form: QuadraticForm):
 def cell_center(form: QuadraticForm, vertices):
     """Center and squared radius of the sphere through the given vertices.
 
-    Vertices must contain 0 and affinely span the full rank; inconsistent
-    (non-cospherical) systems raise NotCospherical.
+    Vertices must affinely span the full rank; inconsistent (non-cospherical)
+    systems raise NotCospherical.  The sphere is solved through the smallest
+    vertex, so 0 need not be a vertex.
     """
     verts = [tuple(v) for v in vertices]
+    base = min(verts)
     rows = []
     rhs = []
     for v in verts:
-        if all(c == 0 for c in v):
+        w = vec_sub(v, base)
+        if not any(w):
             continue
-        rows.append(tuple(2 * c for c in mat_vec(form.entries, v)))
-        rhs.append(norm(form, v))
+        rows.append(tuple(2 * c for c in mat_vec(form.entries, w)))
+        rhs.append(norm(form, w))
     try:
         center = solve_overdetermined(rows, rhs)
     except SingularMatrixError:
         raise SingularMatrixError("vertices are not full-dimensional")
     except ValueError:
         raise NotCospherical("vertices are not cospherical")
-    return center, norm(form, center)
+    return tuple(c + b for c, b in zip(center, base)), norm(form, center)
 
 
 def certify_cell(form: QuadraticForm, cell: DelaunayCell) -> EmptySphereCertificate:
-    """Exhaustive empty-sphere check for a cell with 0 as a vertex.
+    """Exhaustive empty-sphere check for a cell.
 
-    Any violator e of B(e,e) - 2B(e,c) >= 0 satisfies B(e-c,e-c) < r^2 and
-    hence B(e,e) < 4 r^2, so sweeping the ball of squared radius 4 r^2 is
-    sound.  Equality must hold exactly at the vertices.
+    The check runs on the translate with the smallest vertex at 0, and the
+    violations are translated back.  There, any violator e of
+    B(e,e) - 2B(e,c) >= 0 satisfies B(e-c,e-c) < r^2 and hence
+    B(e,e) < 4 r^2, so sweeping the ball of squared radius 4 r^2 is sound.
+    Equality must hold exactly at the vertices.
     """
-    center, sq_radius = cell.center, cell.sq_radius
-    violations = []
+    shift = min(cell.vertices)
+    local = canonical_orbit_rep(cell)
+    center, sq_radius = local.center, local.sq_radius
     if center is None or sq_radius is None:
         try:
-            center, sq_radius = cell_center(form, cell.vertices)
+            center, sq_radius = cell_center(form, local.vertices)
         except (SingularMatrixError, NotCospherical):
             # report the vertices that break the sphere through a spanning subset
             return EmptySphereCertificate(cell, Fraction(0), tuple(cell.vertices))
     bound = 4 * sq_radius
-    vertex_set = cell.vertex_set()
+    vertex_set = local.vertex_set()
+    violations = set()
     for e in points_within(form, (0,) * form.rank, bound):
         slack = norm(form, e) - 2 * evaluate(form, e, center)
         if slack < 0 or (slack == 0) != (e in vertex_set):
-            violations.append(e)
-    for v in cell.vertices:
+            violations.add(e)
+    for v in local.vertices:
         if norm(form, v) - 2 * evaluate(form, v, center) != 0:
-            if v not in violations:
-                violations.append(v)
-    return EmptySphereCertificate(cell, bound, tuple(sorted(violations)))
+            violations.add(v)
+    violations = sorted(tuple(a + b for a, b in zip(e, shift)) for e in violations)
+    return EmptySphereCertificate(cell, bound, tuple(violations))
 
 
 def canonical_orbit_rep(cell: DelaunayCell) -> DelaunayCell:
@@ -275,23 +294,41 @@ def check_star_completeness(cells) -> bool:
     return all(c == 2 for c in counts.values())
 
 
+def check_tiling(g: int, cells, reps):
+    """The tiling invariant of a star: raises CertificationError unless it holds.
+
+    The translates of the orbit representatives tile space with one cell per
+    fundamental domain, so their normalized volumes add up to g!; and a cell
+    lies in the star once for each of its vertices that a translation moves
+    to 0, so |cells| is the sum of the representatives' vertex counts.
+    """
+    volume = sum(normalized_volume(list(rep.vertices)) for rep in reps)
+    placements = sum(len(rep.vertices) for rep in reps)
+    if volume != factorial(g) or placements != len(cells):
+        raise CertificationError(
+            "star fails the tiling invariant: normalized volume %d of the orbit "
+            "representatives, expected %d; %d cells, expected %d from their "
+            "vertex counts" % (volume, factorial(g), len(cells), placements)
+        )
+
+
 def delaunay_star(form: QuadraticForm) -> DelaunayStar:
     """All maximal Delaunay cells containing the origin, certified."""
     if not is_positive_definite(form):
         raise NotPositiveDefiniteError("delaunay_star needs a definite form")
     if form.rank > 4:
         raise UnsupportedRankError("only ranks up to 4 are supported")
-    ineqs = [(row, rhs) for row, rhs, _ in voronoi_inequalities(form)]
-    centers = vertex_enumeration(ineqs)
+    ineqs = voronoi_inequalities(form)
+    centers = vertex_enumeration([(row, rhs) for row, rhs, _ in ineqs])
+    # the tight test in integers: primitive rows against c = nums / den
+    scaled = [(_int_scaled(row, rhs), e) for row, rhs, e in ineqs]
+    zero = (0,) * form.rank
     cells = []
     for c in centers:
-        sq = norm(form, c)
-        verts = [
-            e
-            for e in points_within(form, c, sq)
-            if norm(form, vec_sub(e, c)) == sq
-        ]
-        cells.append(make_cell(verts, tuple(c), sq))
+        den = lcm(*(x.denominator for x in c))
+        nums = [x.numerator * (den // x.denominator) for x in c]
+        verts = [zero] + [e for (a, b), e in scaled if dot(a, nums) == b * den]
+        cells.append(make_cell(verts, tuple(c), norm(form, c)))
     cells.sort(key=lambda cell: cell.vertices)
     reps = sorted(
         {canonical_orbit_rep(cell).vertices: canonical_orbit_rep(cell) for cell in cells}.values(),
@@ -307,4 +344,5 @@ def delaunay_star(form: QuadraticForm) -> DelaunayStar:
             raise CertificationError("star cell is not full-dimensional")
     if not check_star_completeness(cells):
         raise CertificationError("star of the origin is not locally complete")
+    check_tiling(form.rank, cells, reps)
     return DelaunayStar(form, tuple(cells), tuple(reps))

@@ -50,11 +50,21 @@ SIGNED_PAIRS: Tuple[SignedPair, ...] = tuple(
 )
 
 
+def _pair_vector(p: int, q: int, sign: int):
+    """The vector e_p + sign * e_q, whose square is the ray (x_p + sign * x_q)^2."""
+    v = [0] * 4
+    v[p - 1], v[q - 1] = 1, sign
+    return tuple(v)
+
+
+_PAIR_OF_VECTOR = {
+    tuple(e * c for c in _pair_vector(*k)): k for k in SIGNED_PAIRS for e in (1, -1)
+}
+
+
 def pm_form(p: int, q: int, sign: int) -> QuadraticForm:
     """(x_p + sign * x_q)^2 as a rank-4 matrix."""
-    coeffs = [0] * 4
-    coeffs[p - 1] = 1
-    coeffs[q - 1] = sign
+    coeffs = _pair_vector(p, q, sign)
     return QuadraticForm(
         tuple(tuple(Fraction(coeffs[i] * coeffs[j]) for j in range(4)) for i in range(4))
     )
@@ -219,10 +229,18 @@ def group_G(limit: int = 10000):
 
 
 def pair_permutation(element) -> Dict[SignedPair, SignedPair]:
-    """How a group element (or a positive multiple) permutes the twelve rays."""
+    """How a group element (or a positive multiple) permutes the twelve rays.
+
+    M^T (v v^T) M = (M^T v)(M^T v)^T, so the image of the ray of v = e_p +- e_q
+    is the ray of M^T v, row p +- row q of M, read as a primitive integer
+    vector up to sign.
+    """
     perm = {}
-    for key, form in PM_FORMS.items():
-        image = identify_pm(congruence_act(element, form))
+    for key in SIGNED_PAIRS:
+        p, q, sign = key
+        w = [Fraction(a) + sign * Fraction(b) for a, b in zip(element[p - 1], element[q - 1])]
+        scale = lcm(*(c.denominator for c in w))
+        image = _PAIR_OF_VECTOR.get(primitive([c * scale for c in w])) if any(w) else None
         if image is None:
             raise RuntimeError("group element does not preserve the ray set")
         perm[key] = image

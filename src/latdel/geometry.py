@@ -1,12 +1,12 @@
 """Exact polyhedral helpers: vertex enumeration, facets, triangulation.
 
 Everything here works over the rationals.  Dimensions are tiny (g <= 4), so
-the algorithms are the simple combinatorial ones: vertices of a bounded
-polyhedron are found by solving all d-subsets of its defining inequalities,
-and membership in a pointed cone by Caratheodory over independent ray
-subsets.  Facets and pulling triangulations are computed once, for pointed
-cones of any dimension; a polytope is handled as the cone over its lifted
-points (p, 1).
+the algorithms are the simple combinatorial ones: the vertices of a bounded
+polyhedron are found by walking its edges from a first vertex, and
+membership in a pointed cone by Caratheodory over independent ray subsets.
+Facets and pulling triangulations are computed once, for pointed cones of
+any dimension; a polytope is handled as the cone over its lifted points
+(p, 1).
 """
 
 from __future__ import annotations
@@ -29,10 +29,78 @@ from .exact import (
 
 
 def _int_scaled(a, b):
-    """Scale inequality a.x <= b to integer coefficients."""
+    """Inequality a.x <= b as a primitive integer row (a, b)."""
     row = [Fraction(v) for v in a] + [Fraction(b)]
     m = _row_scale(row)
-    return tuple(int(v * m) for v in row[:-1]), int(row[-1] * m)
+    row = [int(v * m) for v in row]
+    if any(row):
+        row = list(primitive(row))
+    return tuple(row[:-1]), row[-1]
+
+
+def _lowest_terms(nums, den):
+    """The point nums / den as (integer numerators, positive denominator)."""
+    if den < 0:
+        nums, den = [-v for v in nums], -den
+    g = gcd(den, *nums)
+    return tuple(v // g for v in nums), den // g
+
+
+def _first_vertex(ineqs, d):
+    """Some vertex, from the first feasible nonsingular d-subset; or None."""
+    nonsingular = list(range(d))
+    for subset in combinations([a + (b,) for a, b in ineqs], d):
+        reduced, pivots, den, _ = _echelon(subset)
+        if pivots != nonsingular:
+            continue
+        nums, den = _lowest_terms([row[d] for row in reduced], den)
+        if all(dot(a, nums) <= b * den for a, b in ineqs):
+            return nums, den
+    return None
+
+
+def _edge_directions(tight, d):
+    """Extreme rays of the cone {u : a.u <= 0 for the tight rows a}.
+
+    A ray is extreme when the rows vanishing on it have rank d - 1, so each
+    (d-1)-subset of rank d - 1 gives its kernel line, kept with the sign
+    (if any) that satisfies every tight row.
+    """
+    directions = set()
+    for subset in combinations(tight, d - 1):
+        reduced, pivots, p, _ = _echelon(subset)
+        if len(pivots) != d - 1:
+            continue
+        free = next(c for c in range(d) if c not in pivots)
+        u = [0] * d
+        u[free] = p
+        for i, pc in enumerate(pivots):
+            u[pc] = -reduced[i][free]
+        values = [dot(a, u) for a in tight]
+        if all(v <= 0 for v in values):
+            directions.add(primitive(u))
+        elif all(v >= 0 for v in values):
+            directions.add(primitive([-c for c in u]))
+    return directions
+
+
+def _step(ineqs, nums, den, u):
+    """The vertex at the far end of the edge from nums / den along u.
+
+    Exact ratio test: the first row to become tight as x moves along u.
+    Returns None when no row bounds the direction.
+    """
+    best = None
+    for a, b in ineqs:
+        rate = dot(a, u)
+        if rate > 0:
+            slack = b * den - dot(a, nums)
+            if best is None or slack * best[1] < best[0] * rate:
+                best = (slack, rate)
+    if best is None:
+        return None
+    slack, rate = best
+    return _lowest_terms([rate * x + slack * c for x, c in zip(nums, u)], den * rate)
 
 
 def vertex_enumeration(inequalities):
@@ -40,28 +108,33 @@ def vertex_enumeration(inequalities):
 
     The polyhedron must be bounded.  Returns a sorted list of rational
     coordinate tuples.  Inequalities may be rational; they are rescaled to
-    integers, and each d-subset of the rows [a | b] is reduced once by the
-    fraction-free `_echelon`.  A nonsingular subset gives its vertex as
-    integer numerators over the common pivot, so the feasibility test stays
-    in integer arithmetic.
+    primitive integer rows.  The d-subsets of the rows [a | b] are reduced by
+    the fraction-free `_echelon` only until one feasible vertex is found (all
+    of them when the polyhedron is empty).  From there the walk follows the
+    edges: at each vertex the extreme rays of the cone of its tight rows are
+    the edge directions, and an exact ratio test gives the vertex at the far
+    end.  The graph of a polytope is connected (Balinski), so the walk
+    reaches every vertex.  Points stay integer numerators over a positive
+    denominator in lowest terms until the end.
     """
     if not inequalities:
         return []
     d = len(inequalities[0][0])
-    ineqs = [_int_scaled(a, b) for a, b in inequalities]
-    rows = [a + (b,) for a, b in ineqs]
-    nonsingular = list(range(d))
-    seen = set()
-    for subset in combinations(rows, d):
-        reduced, pivots, den, _ = _echelon(subset)
-        if pivots != nonsingular:
-            continue
-        nums = [row[d] for row in reduced]
-        if den < 0:
-            den, nums = -den, [-v for v in nums]
-        if all(dot(a, nums) <= b * den for a, b in ineqs):
-            seen.add(tuple(Fraction(v, den) for v in nums))
-    return sorted(seen)
+    ineqs = sorted({_int_scaled(a, b) for a, b in inequalities})
+    start = _first_vertex(ineqs, d)
+    if start is None:
+        return []
+    seen = {start}
+    stack = [start]
+    while stack:
+        nums, den = stack.pop()
+        tight = [a for a, b in ineqs if dot(a, nums) == b * den]
+        for u in _edge_directions(tight, d):
+            nxt = _step(ineqs, nums, den, u)
+            if nxt is not None and nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return sorted(tuple(Fraction(v, den) for v in nums) for nums, den in seen)
 
 
 def affine_dimension(points) -> int:

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, byte-stable output."""
 
 import json
+from itertools import product
 
 import pytest
 
@@ -161,6 +162,63 @@ def test_gen_rejects_non_refining_pieces(tmp_path, capsys):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_gen_cell_without_origin(tmp_path, capsys):
+    # the unit square shifted by (1, 0) is a Delaunay cell of the identity form
+    fpath = write_form(tmp_path, "id2.json", [[1, 0], [0, 1]])
+    cpath = tmp_path / "cell.json"
+    cpath.write_text(
+        formats.dumps({"vertices": [[1, 0], [1, 1], [2, 0], [2, 1]]})
+    )
+    code, out, err = invoke(capsys, "gen", "--cell", str(cpath), "--form", fpath)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["totally_generating"] is True
+    # pieces are decided with the cell and reported where they were given
+    ppath = tmp_path / "pieces.json"
+    pieces = [
+        {"vertices": [[1, 0], [2, 0], [2, 1]]},
+        {"vertices": [[1, 0], [1, 1], [2, 1]]},
+    ]
+    ppath.write_text(formats.dumps(pieces))
+    code, out, err = invoke(
+        capsys, "gen", "--cell", str(cpath), "--form", fpath, "--pieces", str(ppath)
+    )
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["totally_generating"] is True
+    assert sorted(p["vertices"] for p in report["pieces"]) == sorted(
+        p["vertices"] for p in pieces
+    )
+
+
+def test_gen_semigroup_bound_exceeded(tmp_path, capsys, monkeypatch):
+    from latdel import generation
+
+    # the unit cube cut into the tetrahedron on (1,1,0), (1,0,1), (0,1,1) and
+    # its four corners; the cone of the tetrahedron at 0 has the
+    # parallelepiped point (1, 1, 1), which degree 0 cannot decide
+    monkeypatch.setattr(generation, "DEGREE_BOUND_FACTOR", 0)
+    fpath = write_form(tmp_path, "id3.json", [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    cube = [list(v) for v in product((0, 1), repeat=3)]
+    cpath = tmp_path / "cube.json"
+    cpath.write_text(formats.dumps({"vertices": cube}))
+    even = [v for v in cube if sum(v) == 2]
+    pieces = [{"vertices": [[0, 0, 0]] + even}]
+    for corner in cube:
+        if sum(corner) % 2 == 0:
+            continue
+        near = [v for v in cube if sum(abs(a - b) for a, b in zip(v, corner)) == 1]
+        pieces.append({"vertices": [corner] + near})
+    ppath = tmp_path / "pieces.json"
+    ppath.write_text(formats.dumps(pieces))
+    code, out, err = invoke(
+        capsys, "gen", "--cell", str(cpath), "--form", fpath, "--pieces", str(ppath)
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "(1, 1, 1)" in err
 
 
 def test_tables(capsys):

@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 
 from latdel.catalog import catalog, sample_interior
 from latdel.delaunay import (
+    CertificationError,
     NotCospherical,
     NotPositiveDefiniteError,
     canonical_orbit_rep,
     cell_center,
     certify_cell,
+    check_tiling,
     delaunay_star,
     is_basic_simplex,
     make_cell,
@@ -98,6 +100,34 @@ def test_certify_cell_failures():
     # interior lattice point breaks equality-only-at-vertices
     cert = certify_cell(form([[1]]), make_cell([(0,), (2,)]))
     assert not cert.ok
+
+
+def test_cells_without_origin():
+    square = make_cell([(1, 0), (2, 0), (1, 1), (2, 1)])
+    assert cell_center(ID2, square.vertices) == (
+        (Fraction(3, 2), Fraction(1, 2)),
+        Fraction(1, 2),
+    )
+    assert certify_cell(ID2, square).ok
+    # violations are reported where the cell is, not at its translate
+    shift = (3, -2)
+    bad = make_cell([(0, 0), (2, 0), (0, 2), (2, 2)])
+    moved = bad.translate(shift)
+    cert = certify_cell(ID2, moved)
+    assert cert.cell == moved
+    assert cert.violations == tuple(
+        tuple(a + b for a, b in zip(v, shift)) for v in certify_cell(ID2, bad).violations
+    )
+    assert (4, -1) in cert.violations
+
+
+def test_tiling_invariant():
+    star = delaunay_star(HEX)
+    check_tiling(2, star.cells, star.orbit_reps)
+    with pytest.raises(CertificationError, match="normalized volume 1 .* expected 2"):
+        check_tiling(2, star.cells, star.orbit_reps[:1])
+    with pytest.raises(CertificationError, match="7 cells, expected 6"):
+        check_tiling(2, star.cells + star.cells[:1], star.orbit_reps)
 
 
 def test_canonical_orbit_rep():

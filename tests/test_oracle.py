@@ -1,23 +1,33 @@
 """Independent oracles: brute force for stars and generation in rank ≤ 2,
-the whole symmetry group G for the faces of K, and a plain `Fraction`
-Gauss-Jordan elimination and principal minors for the exact kernel."""
+the whole symmetry group G for the faces of K, a plain `Fraction`
+Gauss-Jordan elimination and principal minors for the exact kernel, and a
+solve of every d-subset of the inequalities for the vertex walk."""
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
+from math import lcm
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latdel.delaunay import delaunay_star, make_cell, nearest_points
+from latdel.catalog import catalog, catalog_names, sample_interior
+from latdel.delaunay import (
+    delaunay_star,
+    make_cell,
+    nearest_points,
+    voronoi_inequalities,
+)
 from latdel.exact import (
     INDEFINITE,
     POSITIVE_DEFINITE,
     POSITIVE_SEMIDEFINITE,
     QuadraticForm,
     SingularMatrixError,
+    _echelon,
     definiteness,
     determinant,
+    dot,
     identity_matrix,
     mat_mul,
     matrix_rank,
@@ -32,7 +42,7 @@ from latdel.faces import (
     pair_permutation,
 )
 from latdel.generation import cone_rays, is_totally_generating
-from latdel.geometry import affine_dimension, cone_contains
+from latdel.geometry import affine_dimension, cone_contains, vertex_enumeration
 
 # (matrix, grid denominator): the grid {i/D : |i| <= D}^g contains every
 # hole of every star cell, asserted below before the comparison
@@ -327,3 +337,95 @@ def symmetric_matrices(draw):
 @given(symmetric_matrices())
 def test_definiteness_matches_principal_minors(entries):
     assert definiteness(QuadraticForm(entries)) == principal_minor_class(entries)
+
+
+def oracle_vertices(inequalities):
+    """Vertices of {x : a.x <= b} from every nonsingular d-subset of the rows.
+
+    Each subset of [a | b], scaled to integers, is reduced once by the
+    fraction-free `_echelon`; its solution is kept when it satisfies every
+    inequality.
+    """
+    if not inequalities:
+        return []
+    d = len(inequalities[0][0])
+    ineqs = []
+    for a, b in inequalities:
+        row = [Fraction(v) for v in a] + [Fraction(b)]
+        scale = lcm(*(v.denominator for v in row))
+        row = [int(v * scale) for v in row]
+        ineqs.append((tuple(row[:-1]), row[-1]))
+    nonsingular = list(range(d))
+    seen = set()
+    for subset in combinations([a + (b,) for a, b in ineqs], d):
+        reduced, pivots, den, _ = _echelon(subset)
+        if pivots != nonsingular:
+            continue
+        nums = [row[d] for row in reduced]
+        if den < 0:
+            den, nums = -den, [-v for v in nums]
+        if all(dot(a, nums) <= b * den for a, b in ineqs):
+            seen.add(tuple(Fraction(v, den) for v in nums))
+    return sorted(seen)
+
+
+def unit_vectors(d):
+    return [tuple(int(i == j) for j in range(d)) for i in range(d)]
+
+
+@st.composite
+def bounded_polyhedra(draw):
+    """A box or a cross-polytope cut by random rows, in dimension 1 to 4.
+
+    Cross-polytopes (d >= 3) and rows through box corners give degenerate
+    vertices; copies, positive multiples and far-away rows give duplicate
+    and redundant rows; a row with its negation flattens the polytope; and
+    random offsets may leave it empty.
+    """
+    d = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        rows = [(tuple(s * c for c in e), k) for e in unit_vectors(d) for s in (1, -1)]
+    else:
+        rows = [(signs, k) for signs in product((1, -1), repeat=d)]
+    coeffs = st.lists(st.integers(-2, 2), min_size=d, max_size=d)
+    for a in draw(st.lists(coeffs, max_size=4)):
+        rows.append((tuple(a), draw(st.integers(-2, 2 * k))))
+    if draw(st.booleans()):
+        a = tuple(draw(coeffs))
+        b = draw(st.integers(-k, k))
+        rows += [(a, b), (tuple(-c for c in a), -b)]
+    for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=3)):
+        a, b = rows[i]
+        m = draw(st.sampled_from([Fraction(1), Fraction(2), Fraction(1, 3)]))
+        rows.append((tuple(m * c for c in a), m * b))
+    if draw(st.booleans()):
+        rows.append((tuple(draw(coeffs)), 100))
+    return draw(st.permutations(rows))
+
+
+def test_walk_on_empty_and_degenerate_inputs():
+    assert vertex_enumeration([]) == oracle_vertices([]) == []
+    for d in range(1, 5):
+        cube = [(tuple(s * c for c in e), 1) for e in unit_vectors(d) for s in (1, -1)]
+        cross = [(signs, 1) for signs in product((1, -1), repeat=d)]
+        for rows in (cube, cross, cube + cross, cube + cube):
+            assert vertex_enumeration(rows) == oracle_vertices(rows)
+        # the single point 0, and the empty set
+        point = [(a, 0) for a, _ in cube]
+        assert vertex_enumeration(point) == [(Fraction(0),) * d]
+        empty = point + [(cube[0][0], -1)]
+        assert vertex_enumeration(empty) == oracle_vertices(empty) == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(bounded_polyhedra())
+def test_walk_matches_all_subsets(rows):
+    assert vertex_enumeration(rows) == oracle_vertices(rows)
+
+
+def test_walk_matches_all_subsets_on_voronoi_cells():
+    for name in catalog_names():
+        form = sample_interior(catalog(name))
+        rows = [(row, rhs) for row, rhs, _ in voronoi_inequalities(form)]
+        assert vertex_enumeration(rows) == oracle_vertices(rows), name
