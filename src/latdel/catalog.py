@@ -123,12 +123,6 @@ def _pairs4():
     ]
 
 
-def _e4(i, j):
-    if j == 5:
-        return square_form(4, i)
-    return difference_form(4, i, j)
-
-
 def _ename(i, j):
     return "e_%d%d" % (i, j)
 
@@ -155,7 +149,7 @@ def _build_catalog():
     add("dim3.V", 3, gens3)
 
     # rank 4
-    all4 = [(_ename(i, j), _e4(i, j)) for i, j in _pairs4()]
+    all4 = [(_ename(i, j), e_generator(4, i, j)) for i, j in _pairs4()]
     not12 = [(n, g) for n, g in all4 if n != "e_12"]
     not12_34 = [(n, g) for n, g in not12 if n != "e_34"]
     add("dim4.V1", 4, all4)
@@ -241,12 +235,9 @@ def verify_matrix_identities():
       split_sum     : e_12345 + e_34125 = f_1234 + sum_{(i,j) != (1,2),(3,4)} e_ij
       v3_cap_v4     : the W0 generator set equals the V3 and V4 common part
     """
-    not12 = [
-        _e4(i, j) for i, j in _pairs4() if (i, j) != (1, 2)
-    ]
-    not12_34 = [
-        _e4(i, j) for i, j in _pairs4() if (i, j) not in ((1, 2), (3, 4))
-    ]
+    pairs = _pairs4()
+    not12 = [e_generator(4, i, j) for i, j in pairs if (i, j) != (1, 2)]
+    not12_34 = [e_generator(4, i, j) for i, j in pairs if (i, j) not in ((1, 2), (3, 4))]
     omega_rhs = form_scale(
         Fraction(1, 3), form_add(*(not12 + [F_1234, G_123, G_124]))
     )
@@ -266,7 +257,7 @@ def verify_matrix_identities():
 def _chamber_cone(a, b, c, d) -> NamedCone:
     """The Voronoi-type cone whose union with its mirror fills G_abcd."""
     gens = [
-        (_ename(i, j), _e4(i, j))
+        (_ename(i, j), e_generator(4, i, j))
         for i, j in _pairs4()
         if (i, j) not in (tuple(sorted((a, b))), tuple(sorted((c, d))))
     ]

@@ -107,6 +107,10 @@ def _cmd_fuse(args) -> int:
 def _cmd_gen(args) -> int:
     cell = formats.load_cell(args.cell)
     form = formats.load_form(args.form)
+    pieces = formats.load_cells(args.pieces) if args.pieces else []
+    for path, c in [(args.cell, cell)] + [(args.pieces, p) for p in pieces]:
+        if len(c.vertices[0]) != form.rank:
+            return _fail_usage("%s: vertex length is not the form's rank %d" % (path, form.rank))
     cert = certify_cell(form, cell)
     if not cert.ok:
         print(
@@ -121,7 +125,7 @@ def _cmd_gen(args) -> int:
     shift = zero if zero in cell.vertices else min(cell.vertices)
     back = tuple(-c for c in shift)
     if args.pieces:
-        pieces = [p.translate(back) for p in formats.load_cells(args.pieces)]
+        pieces = [p.translate(back) for p in pieces]
         try:
             report = is_simplicially_generating(cell.translate(back), pieces)
         except ValueError as exc:  # the pieces do not refine the cell
@@ -131,7 +135,13 @@ def _cmd_gen(args) -> int:
     else:
         report = is_totally_generating(cell.translate(back))
     _emit(formats.encode_generation_report(report))
-    return 0 if report.totally_generating else 1
+    if report.totally_generating:
+        return 0
+    why = "the piece cones at 0 overlap or leave a gap"
+    if report.witness is not None:
+        why = "%r of the cone at 0 is no sum of lattice points" % (report.witness,)
+    print("error: not generating: " + why, file=sys.stderr)
+    return 1
 
 
 def _cmd_tables(args) -> int:

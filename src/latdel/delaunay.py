@@ -10,8 +10,8 @@ minima e whose inequality is tight at its hole: every vertex e of a Delaunay
 polytope through 0 is a minimum of its class mod 2, because z and e - z lie
 outside the empty sphere for every lattice z.  Every orbit representative is
 then re-validated by an independent empty-sphere certificate, and the star
-by a local completeness check and the tiling invariant, so the construction
-never silently trusts the enumeration.
+by facet pairing around 0 (`check_star_completeness`) and the tiling
+invariant, so the construction never silently trusts the enumeration.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .geometry import (
     _int_scaled,
     affine_dimension,
     normalized_volume,
-    polytope_facets,
+    unpaired_facets,
     vertex_enumeration,
 )
 
@@ -229,20 +229,20 @@ def certify_cell(form: QuadraticForm, cell: DelaunayCell) -> EmptySphereCertific
     """Exhaustive empty-sphere check for a cell.
 
     The check runs on the translate with the smallest vertex at 0, and the
-    violations are translated back.  There, any violator e of
-    B(e,e) - 2B(e,c) >= 0 satisfies B(e-c,e-c) < r^2 and hence
-    B(e,e) < 4 r^2, so sweeping the ball of squared radius 4 r^2 is sound.
-    Equality must hold exactly at the vertices.
+    violations are translated back.  There the sphere is solved through the
+    vertices (`cell_center`), never taken from the cell's own sphere data, so
+    every vertex lies on it.  Any violator e of B(e,e) - 2B(e,c) >= 0
+    satisfies B(e-c,e-c) < r^2 and hence B(e,e) < 4 r^2, so sweeping the ball
+    of squared radius 4 r^2 is sound; equality must hold exactly at the
+    vertices.
     """
     shift = min(cell.vertices)
     local = canonical_orbit_rep(cell)
-    center, sq_radius = local.center, local.sq_radius
-    if center is None or sq_radius is None:
-        try:
-            center, sq_radius = cell_center(form, local.vertices)
-        except (SingularMatrixError, NotCospherical):
-            # report the vertices that break the sphere through a spanning subset
-            return EmptySphereCertificate(cell, Fraction(0), tuple(cell.vertices))
+    try:
+        center, sq_radius = cell_center(form, local.vertices)
+    except (SingularMatrixError, NotCospherical):
+        # report the vertices that break the sphere through a spanning subset
+        return EmptySphereCertificate(cell, Fraction(0), tuple(cell.vertices))
     bound = 4 * sq_radius
     vertex_set = local.vertex_set()
     violations = set()
@@ -250,9 +250,6 @@ def certify_cell(form: QuadraticForm, cell: DelaunayCell) -> EmptySphereCertific
         slack = norm(form, e) - 2 * evaluate(form, e, center)
         if slack < 0 or (slack == 0) != (e in vertex_set):
             violations.add(e)
-    for v in local.vertices:
-        if norm(form, v) - 2 * evaluate(form, v, center) != 0:
-            violations.add(v)
     violations = sorted(tuple(a + b for a, b in zip(e, shift)) for e in violations)
     return EmptySphereCertificate(cell, bound, tuple(violations))
 
@@ -273,25 +270,18 @@ def is_basic_simplex(cell: DelaunayCell) -> bool:
     return abs(determinant(rows)) == 1
 
 
-def cell_facets_through_origin(cell: DelaunayCell):
-    """Vertex sets of the (g-1)-faces of the cell that contain 0."""
-    facets = polytope_facets(list(cell.vertices))
-    zero = tuple(0 for _ in cell.vertices[0])
-    out = []
-    for members, _, _ in facets:
-        pts = tuple(cell.vertices[i] for i in members)
-        if zero in pts:
-            out.append(frozenset(pts))
-    return out
+def _unpaired_star_facets(cells):
+    # a facet without the vertex 0 bounds the star away from 0
+    return unpaired_facets([c.vertices for c in cells], lambda f: all(map(any, f)))
 
 
 def check_star_completeness(cells) -> bool:
-    """Every (g-1)-face through 0 must be shared by exactly two star cells."""
-    counts = {}
-    for cell in cells:
-        for face in cell_facets_through_origin(cell):
-            counts[face] = counts.get(face, 0) + 1
-    return all(c == 2 for c in counts.values())
+    """The cells cover a neighbourhood of 0: every facet through 0 is shared
+    by two cells on opposite sides (`geometry.unpaired_facets`), so the
+    number of cells over a point near 0 does not change across a facet, and
+    off codimension 2 it is constant, hence at least 1.  `check_tiling`
+    makes it exactly 1."""
+    return bool(cells) and not _unpaired_star_facets(cells)
 
 
 def check_tiling(g: int, cells, reps):
@@ -343,6 +333,9 @@ def delaunay_star(form: QuadraticForm) -> DelaunayStar:
         if rep.dim != form.rank:
             raise CertificationError("star cell is not full-dimensional")
     if not check_star_completeness(cells):
-        raise CertificationError("star of the origin is not locally complete")
+        raise CertificationError(
+            "star of the origin is not locally complete: facets %r are not "
+            "shared by two cells on opposite sides" % (_unpaired_star_facets(cells),)
+        )
     check_tiling(form.rank, cells, reps)
     return DelaunayStar(form, tuple(cells), tuple(reps))

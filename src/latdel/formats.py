@@ -75,14 +75,18 @@ def decode_cell(obj, where: str = "cell") -> DelaunayCell:
     parsed = []
     for i, v in enumerate(verts):
         _expect(
-            isinstance(v, list) and all(isinstance(c, int) for c in v),
+            isinstance(v, list)
+            and len(v) == len(verts[0])
+            and all(isinstance(c, int) and not isinstance(c, bool) for c in v),
             "%s.vertices[%d]" % (where, i),
-            "expected a list of integers",
+            "expected a list of integers as long as vertices[0]",
         )
         parsed.append(tuple(v))
     center = None
     sq_radius = None
     if obj.get("center") is not None:
+        shape_ok = isinstance(obj["center"], list) and len(obj["center"]) == len(verts[0])
+        _expect(shape_ok, where + ".center", "expected one rational per coordinate")
         try:
             center = tuple(parse_rational(c) for c in obj["center"])
             sq_radius = parse_rational(obj["sq_radius"])

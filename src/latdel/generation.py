@@ -5,6 +5,11 @@ of its cone at 0 are exactly the nonnegative integer combinations of the
 cell's lattice points.  The decision triangulates the cone into simplicial
 subcones, collects the half-open parallelepiped points of each, and settles
 each of those finitely many points by a bounded exact semigroup search.
+Simplicial generation also needs the cones at 0 of the pieces through 0 to
+tile C(0, cell): facet pairing (`cone_cover_check`) puts at least one piece
+cone over a generic point, disjoint interiors (`_interiors_overlap`) at most
+one.  The pairing needs pieces that meet face to face at 0, as the cells of
+a Delaunay refinement do.
 """
 
 from __future__ import annotations
@@ -18,18 +23,17 @@ from .exact import (
     SingularMatrixError,
     dot,
     matrix_rank,
-    nullspace,
     solve_overdetermined,
     vec_sub,
 )
 from .geometry import (
     affine_dimension,
     cone_contains,
-    cone_facets,
     extremal_rays,
     normalized_volume,
     polytope_facets,
     triangulate_cone,
+    unpaired_facets,
     vertex_enumeration,
 )
 
@@ -137,6 +141,8 @@ def is_totally_generating(cell: DelaunayCell) -> GenerationReport:
     _require_origin(cell)
     g = len(cell.vertices[0])
     cone = cone_rays(cell)
+    if not cone.rays:  # the cell is the point 0
+        return GenerationReport(True)
     gens = [p for p in cone.lattice_points if any(p)]
     bound = DEGREE_BOUND_FACTOR * g
     for simplex in triangulate_cone(cone.rays):
@@ -175,41 +181,27 @@ def _is_refinement(cell: DelaunayCell, pieces) -> bool:
 def cone_cover_check(coarse_cell: DelaunayCell, pieces) -> bool:
     """C(0, coarse) equals the union of the cones over pieces containing 0.
 
-    Both inclusions are checked exactly: piece rays must lie in the coarse
-    cone, and every lattice point of the coarse cone within a height bound
-    must lie in some piece cone.
+    The piece rays must lie in the coarse cone.  Every facet through 0 of a
+    piece, unless it lies in a facet of the coarse cell, must be shared by
+    two pieces on opposite sides (`geometry.unpaired_facets`); then the
+    number of piece cones over a point of the coarse cone does not change
+    across a facet, so off codimension 2 it is constant, hence at least 1:
+    the closed cones cover.  Full-dimensional pieces that do not meet face
+    to face at 0 count as not covering; Delaunay refinements always do.
     """
     zero = _require_origin(coarse_cell)
     pieces0 = [p for p in pieces if zero in p.vertices]
     if not pieces0:
         return False
     coarse = cone_rays(coarse_cell)
-    piece_cones = [cone_rays(p) for p in pieces0]
-    for pc in piece_cones:
-        for ray in pc.rays:
+    for piece in pieces0:
+        for ray in cone_rays(piece).rays:
             if cone_contains(list(coarse.rays), ray) is None:
                 return False
-    g = len(zero)
-    height = 2 * max(abs(c) for v in coarse_cell.vertices for c in v)
-    piece_ineqs = [_cone_inequalities(pc.rays) for pc in piece_cones]
-    coarse_ineqs = _cone_inequalities(coarse.rays)
-    for x in product(range(-height, height + 1), repeat=g):
-        if not _satisfies(coarse_ineqs, x):
-            continue
-        if not any(_satisfies(qi, x) for qi in piece_ineqs):
-            return False
-    return True
-
-
-def _cone_inequalities(rays):
-    """Halfspace description of a pointed cone: facet normals, span equations."""
-    return [normal for _, normal in cone_facets(rays)], nullspace(rays)
-
-
-def _satisfies(inequalities, x):
-    normals, equations = inequalities
-    return all(dot(v, x) >= 0 for v in normals) and all(
-        dot(v, x) == 0 for v in equations
+    walls = [n for _, n, offset in polytope_facets(list(coarse_cell.vertices)) if offset == 0]
+    return not unpaired_facets(
+        [p.vertices for p in pieces0],
+        lambda f: zero not in f or any(all(dot(n, v) == 0 for v in f) for n in walls),
     )
 
 

@@ -198,6 +198,26 @@ def polytope_facets(points):
     ]
 
 
+def unpaired_facets(polytopes, on_boundary):
+    """Sorted vertex tuples of the facets of full-dimensional polytopes that
+    are not shared by exactly two of them on opposite sides (outward normals
+    with a negative dot product), skipping facets with `on_boundary(facet)`.
+
+    `polytope_facets` runs once per translation class of the polytopes.
+    """
+    local, normals = {}, {}
+    for points in polytopes:
+        points = sorted(tuple(p) for p in points)
+        key = tuple(vec_sub(p, points[0]) for p in points)
+        if key not in local:
+            local[key] = polytope_facets(key)
+        for members, normal, _ in local[key]:
+            facet = tuple(points[i] for i in members)
+            if not on_boundary(facet):
+                normals.setdefault(facet, []).append(normal)
+    return sorted(f for f, ns in normals.items() if len(ns) != 2 or dot(*ns) >= 0)
+
+
 def triangulate_cone(rays):
     """A pulling triangulation of a pointed cone, as ray-index simplices.
 

@@ -385,20 +385,24 @@ def reproduce_table(which: int, weights=None) -> TableDiff:
     )
 
 
+class _Checks:
+    """Collects "PASS label" / "FAIL label" lines and whether all passed."""
+
+    def __init__(self):
+        self.details, self.ok = [], True
+
+    def __call__(self, label, condition):
+        self.details.append("%s %s" % ("PASS" if condition else "FAIL", label))
+        self.ok = self.ok and condition
+
+
 def _canon_set(cells):
     return {canonical_orbit_rep(c).vertices for c in cells}
 
 
 def verify_lowdim() -> dict:
     """Rank 1, 2 and 3 sanity: the decompositions and fusions of the text."""
-    details = []
-    ok = True
-
-    def check(label, condition):
-        nonlocal ok
-        details.append("%s %s" % ("PASS" if condition else "FAIL", label))
-        ok = ok and condition
-
+    check = _Checks()
     star1 = star_for("dim1.V1")
     check(
         "dim1: Del(0) = {[-1,0], [0,1]}",
@@ -448,7 +452,7 @@ def verify_lowdim() -> dict:
         _canon_set(star_for("dim3.V").orbit_reps)
         == _canon_set([sigma3_cell(order) for order in permutations((1, 2, 3))]),
     )
-    return {"suite": "lowdim", "pass": ok, "details": details}
+    return {"suite": "lowdim", "pass": check.ok, "details": check.details}
 
 
 def sigma3_cell(order) -> DelaunayCell:
@@ -460,14 +464,7 @@ def sigma3_cell(order) -> DelaunayCell:
 
 def verify_main_theorem(weights=None) -> dict:
     """Simplicial generation of every rank-4 decomposition in the catalog."""
-    details = []
-    ok = True
-
-    def check(label, condition):
-        nonlocal ok
-        details.append("%s %s" % ("PASS" if condition else "FAIL", label))
-        ok = ok and condition
-
+    check = _Checks()
     for name in ("dim4.V1", "dim4.V2", "dim4.V3", "dim4.V4"):
         star = star_for(name, weights)
         check(
@@ -497,9 +494,9 @@ def verify_main_theorem(weights=None) -> dict:
         )
     return {
         "suite": "theorem",
-        "pass": ok,
-        "details": details,
-        "nilpotency": 1 if ok else "unknown",
+        "pass": check.ok,
+        "details": check.details,
+        "nilpotency": 1 if check.ok else "unknown",
     }
 
 
@@ -520,14 +517,7 @@ def verify_tables(weights=None) -> dict:
 def verify_faces() -> dict:
     from . import faces as face_mod
 
-    details = []
-    ok = True
-
-    def check(label, condition):
-        nonlocal ok
-        details.append("%s %s" % ("PASS" if condition else "FAIL", label))
-        ok = ok and condition
-
+    check = _Checks()
     all_faces, orbits = face_mod._classification()
     shapes = [f.graph.shape for f in all_faces]
     check(
@@ -552,25 +542,20 @@ def verify_faces() -> dict:
         and face_mod.classify_named_cone("dim4.V3") == face_mod.TYPE_III
         and face_mod.classify_named_cone("dim4.V4") == face_mod.TYPE_III,
     )
-    return {"suite": "faces", "pass": ok, "details": details}
+    return {"suite": "faces", "pass": check.ok, "details": check.details}
 
 
 def verify_dim4(weights=None) -> dict:
-    details = []
-    ok = True
-    report = fusion_check("dim4.V1capV2", "dim4.V1", weights)
-    cond = len(report.fusions) == 6 and len(report.unchanged) == 12
-    details.append(
-        "%s V1 → V1∩V2: 6 fusions, 12 unchanged" % ("PASS" if cond else "FAIL")
-    )
-    ok = ok and cond and report.volume_conserved
-    report = fusion_check("dim4.V2capV3", "dim4.V2", weights)
-    cond = len(report.fusions) == 4 and len(report.unchanged) == 16
-    details.append(
-        "%s V2 → V2∩V3: 4 fusions, 16 unchanged" % ("PASS" if cond else "FAIL")
-    )
-    ok = ok and cond and report.volume_conserved
-    return {"suite": "dim4", "pass": ok, "details": details}
+    check = _Checks()
+    for coarse, fine, label, fused, kept in (
+        ("dim4.V1capV2", "dim4.V1", "V1 → V1∩V2", 6, 12),
+        ("dim4.V2capV3", "dim4.V2", "V2 → V2∩V3", 4, 16),
+    ):
+        report = fusion_check(coarse, fine, weights)
+        counts = len(report.fusions) == fused and len(report.unchanged) == kept
+        check("%s: %d fusions, %d unchanged" % (label, fused, kept), counts)
+        check.ok = check.ok and report.volume_conserved
+    return {"suite": "dim4", "pass": check.ok, "details": check.details}
 
 
 SUITES = {

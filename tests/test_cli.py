@@ -1,12 +1,17 @@
 """Command-line interface: subcommands, exit codes, byte-stable output."""
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import product
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from latdel import formats
 from latdel.cli import run
+from latdel.generation import GenerationReport
 
 
 def invoke(capsys, *argv):
@@ -219,6 +224,165 @@ def test_gen_semigroup_bound_exceeded(tmp_path, capsys, monkeypatch):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "(1, 1, 1)" in err
+
+
+def test_gen_rejects_vertex_lengths_other_than_the_rank(tmp_path, capsys):
+    fpath = write_form(tmp_path, "id2.json", [[1, 0], [0, 1]])
+    cells = {
+        "long.json": {"vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+        "mixed.json": {"vertices": [[0, 0], [1, 0], [0, 1, 2]]},
+        "square.json": {"vertices": [[0, 0], [0, 1], [1, 0], [1, 1]]},
+    }
+    for name, cell in cells.items():
+        (tmp_path / name).write_text(formats.dumps(cell))
+    for name in ("long.json", "mixed.json"):
+        code, out, err = invoke(
+            capsys, "gen", "--cell", str(tmp_path / name), "--form", fpath
+        )
+        assert_usage_error(code, err)
+        assert out == ""
+    ppath = tmp_path / "pieces.json"
+    ppath.write_text(formats.dumps([{"vertices": [[0], [1]]}]))
+    code, out, err = invoke(
+        capsys, "gen", "--cell", str(tmp_path / "square.json"), "--form", fpath,
+        "--pieces", str(ppath),
+    )
+    assert_usage_error(code, err)
+    assert "rank 2" in err
+
+
+def test_gen_does_not_trust_a_given_radius(tmp_path, capsys):
+    # (0, 0), (2, 0), (0, 2) is no Delaunay cell of the identity form, whatever
+    # sphere the payload claims for it
+    fpath = write_form(tmp_path, "id2.json", [[1, 0], [0, 1]])
+    cpath = tmp_path / "cell.json"
+    cpath.write_text(
+        formats.dumps(
+            {"vertices": [[0, 0], [2, 0], [0, 2]], "center": ["1", "1"], "sq_radius": "0"}
+        )
+    )
+    code, out, err = invoke(capsys, "gen", "--cell", str(cpath), "--form", fpath)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "(1, 0)" in err
+
+
+def test_gen_failure_names_its_witness(tmp_path, capsys, monkeypatch):
+    from latdel import cli
+
+    fpath = write_form(tmp_path, "id2.json", [[1, 0], [0, 1]])
+    cpath = tmp_path / "cell.json"
+    cpath.write_text(formats.dumps({"vertices": [[0, 0], [0, 1], [1, 0], [1, 1]]}))
+    monkeypatch.setattr(
+        cli, "is_totally_generating", lambda cell: GenerationReport(False, witness=(1, 1))
+    )
+    code, out, err = invoke(capsys, "gen", "--cell", str(cpath), "--form", fpath)
+    assert code == 1
+    assert json.loads(out)["witness"] == [1, 1]
+    assert err.startswith("error: ") and err.count("\n") == 1 and "(1, 1)" in err
+
+
+SCALARS = st.one_of(
+    st.integers(-3, 3),
+    st.floats(),
+    st.booleans(),
+    st.none(),
+    st.sampled_from(["1", "-2", "1/2", "-1/3", "1/0", "x", ""]),
+    st.text(max_size=3),
+)
+JSON = st.recursive(
+    SCALARS,
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=2), kids, max_size=2),
+    max_leaves=8,
+)
+
+
+def form_payload(draw, g):
+    """A symmetric integer matrix of rank g, often definite; or rows of any
+    scalars and lengths; or any JSON."""
+    kind = draw(st.integers(0, 5))
+    if kind == 0:
+        return draw(JSON)
+    if kind == 1:
+        rows = draw(st.lists(st.lists(SCALARS, max_size=g + 1), max_size=g + 1))
+    else:
+        rows = [[0] * g for _ in range(g)]
+        for i in range(g):
+            for j in range(i, g):
+                entry = st.integers(1, 3) if i == j else st.integers(-1, 1)
+                rows[i][j] = rows[j][i] = draw(entry)
+    obj = {"entries": rows}
+    if draw(st.integers(0, 3)) == 0:
+        obj["rank"] = draw(st.integers(0, 4) | JSON)
+    return obj
+
+
+def cell_payload(draw, g):
+    """Points of the cube {0, 1}^g or near it, some of another length or with
+    other scalars, sometimes with a center; or any JSON."""
+    kind = draw(st.integers(0, 5))
+    if kind == 0:
+        return draw(JSON)
+    cube = st.lists(st.integers(0, 1), min_size=g, max_size=g)
+    vertex = cube | st.lists(st.integers(-1, 2), min_size=g, max_size=g)
+    if kind == 1:
+        vertex = vertex | st.lists(SCALARS, max_size=4)
+    obj = {"vertices": draw(st.lists(vertex, min_size=1, max_size=2 ** g))}
+    if draw(st.integers(0, 3)) == 0:
+        obj["center"] = draw(
+            st.lists(st.sampled_from(["0", "1/2", "1"]), min_size=g, max_size=g) | JSON
+        )
+        obj["sq_radius"] = draw(st.sampled_from(["0", "1/2", "3/4"]) | JSON)
+    return obj
+
+
+@st.composite
+def payloads(draw):
+    """A form, a cell and pieces (or None), mostly of one rank g in 1-3."""
+    g = draw(st.integers(1, 3))
+    ranks = st.just(g) | st.integers(1, 3)
+    form = form_payload(draw, draw(ranks))
+    cell = cell_payload(draw, draw(ranks))
+    kind = draw(st.integers(0, 3))
+    if kind == 0:
+        pieces = None
+    elif kind == 1:
+        pieces = cell_payload(draw, draw(ranks))
+    else:
+        pieces = [cell_payload(draw, draw(ranks)) for _ in range(draw(st.integers(0, 4)))]
+    return form, cell, pieces
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(command=st.sampled_from(["del", "gen"]), payload=payloads(), mod=st.booleans())
+def test_malformed_payloads_keep_the_exit_code_contract(tmp_path, command, payload, mod):
+    # small integers keep every run short: the star and the empty-sphere sweep
+    # enumerate lattice points in balls that grow with the entries
+    form, cell, pieces = payload
+    paths = {}
+    for name, obj in (("form", form), ("cell", cell), ("pieces", pieces)):
+        paths[name] = str(tmp_path / (name + ".json"))
+        with open(paths[name], "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(obj))
+    argv = [command, "--form", paths["form"]]
+    if command == "del" and mod:
+        argv.append("--mod-translation")
+    if command == "gen":
+        argv += ["--cell", paths["cell"]]
+        if pieces is not None:
+            argv += ["--pieces", paths["pieces"]]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        # one line: the usage error, or the witness of the failed check
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 def test_tables(capsys):

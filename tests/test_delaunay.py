@@ -14,6 +14,7 @@ from latdel.delaunay import (
     canonical_orbit_rep,
     cell_center,
     certify_cell,
+    check_star_completeness,
     check_tiling,
     delaunay_star,
     is_basic_simplex,
@@ -128,6 +129,38 @@ def test_tiling_invariant():
         check_tiling(2, star.cells, star.orbit_reps[:1])
     with pytest.raises(CertificationError, match="7 cells, expected 6"):
         check_tiling(2, star.cells + star.cells[:1], star.orbit_reps)
+
+
+def test_star_completeness_pairs_facets_on_opposite_sides():
+    assert check_star_completeness(delaunay_star(HEX).cells)
+    assert check_star_completeness(delaunay_star(ID2).cells)
+    # each facet through 0 is in two cells, but (0, s1, s12) and (0, s1, (2, 1))
+    # both lie above the line of s1: the three cells fold over one side of 0
+    folded = [
+        make_cell([(0, 0), (1, 0), (1, 1)]),
+        make_cell([(0, 0), (1, 0), (2, 1)]),
+        make_cell([(0, 0), (1, 1), (2, 1)]),
+    ]
+    assert not check_star_completeness(folded)
+    cells = delaunay_star(HEX).cells
+    assert not check_star_completeness(cells + cells)
+    assert not check_star_completeness(cells[1:])
+    assert not check_star_completeness([])
+
+
+def test_incomplete_star_names_an_unpaired_facet(monkeypatch):
+    from latdel import delaunay
+
+    enumerate_all = delaunay.vertex_enumeration
+    holes = enumerate_all([(row, rhs) for row, rhs, _ in delaunay.voronoi_inequalities(HEX)])
+    dropped = [c for c in delaunay_star(HEX).cells if c.center == holes[0]][0]
+    monkeypatch.setattr(delaunay, "vertex_enumeration", lambda ineqs: enumerate_all(ineqs)[1:])
+    with pytest.raises(CertificationError, match="not locally complete") as info:
+        delaunay_star(HEX)
+    # the two edges of the missing triangle through 0 are the unpaired facets
+    for v in dropped.vertices:
+        if any(v):
+            assert repr(tuple(sorted([(0, 0), v]))) in str(info.value)
 
 
 def test_canonical_orbit_rep():

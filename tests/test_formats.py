@@ -37,8 +37,11 @@ def test_form_decode_errors():
 def test_cell_round_trip():
     cell = make_cell([(0, 0), (1, 0), (1, 1)])
     assert formats.decode_cell(formats.encode_cell(cell)) == cell
-    with pytest.raises(formats.FormatError, match="vertices"):
-        formats.decode_cell({"vertices": [[0, "1"]]})
+    for bad in ([[0, "1"]], [[0, True]], [[0, 0], [1, 0], [0, 1, 2]]):
+        with pytest.raises(formats.FormatError, match="vertices"):
+            formats.decode_cell({"vertices": bad})
+    with pytest.raises(formats.FormatError, match="center"):
+        formats.decode_cell({"vertices": [[0, 0]], "center": ["0"], "sq_radius": "0"})
 
 
 def test_star_round_trip():

@@ -58,6 +58,7 @@ def test_in_semigroup():
 def test_is_totally_generating():
     assert is_totally_generating(SIGMA1) == GenerationReport(True)
     assert is_totally_generating(SIGMA5) == GenerationReport(True)
+    assert is_totally_generating(make_cell([ZERO2])) == GenerationReport(True)
     tau = make_cell([ZERO2, (1, 0), (1, 2)])
     report = is_totally_generating(tau)
     assert not report.totally_generating
@@ -93,3 +94,14 @@ def test_cone_cover_check_fused_dim4():
         [zero, s(1), s(2), s(1, 2), s(1, 2, 3), s(1, 2, 3, 4)]
     )
     assert cone_cover_check(fused, [sigma_1234, sigma_2134])
+
+
+def test_cone_cover_needs_face_to_face_pieces():
+    # the cones of the two triangles cover the quadrant of the square
+    # [0, 2]^2, but the edge [0, s12] of one is not the edge [0, 2 s12] of
+    # the other, so the facets through 0 do not pair up
+    big = make_cell([ZERO2, (2, 0), (0, 2), (2, 2)])
+    half_a = make_cell([ZERO2, (2, 0), (1, 1)])
+    half_b = make_cell([ZERO2, (0, 2), (2, 2)])
+    assert not cone_cover_check(big, [half_a, half_b])
+    assert cone_cover_check(big, [make_cell([ZERO2, (2, 0), (2, 2)]), half_b])

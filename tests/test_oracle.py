@@ -1,7 +1,8 @@
 """Independent oracles: brute force for stars and generation in rank ≤ 2,
 the whole symmetry group G for the faces of K, a plain `Fraction`
-Gauss-Jordan elimination and principal minors for the exact kernel, and a
-solve of every d-subset of the inequalities for the vertex walk."""
+Gauss-Jordan elimination and principal minors for the exact kernel, a
+solve of every d-subset of the inequalities for the vertex walk, and a scan
+of the lattice points in a box for the cone cover."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -41,8 +42,14 @@ from latdel.faces import (
     group_generators,
     pair_permutation,
 )
-from latdel.generation import cone_rays, is_totally_generating
-from latdel.geometry import affine_dimension, cone_contains, vertex_enumeration
+from latdel.generation import cone_cover_check, cone_rays, is_totally_generating
+from latdel.geometry import (
+    affine_dimension,
+    cone_contains,
+    cone_facets,
+    vertex_enumeration,
+)
+from latdel.verify import cells_tiling, star_for
 
 # (matrix, grid denominator): the grid {i/D : |i| <= D}^g contains every
 # hole of every star cell, asserted below before the comparison
@@ -429,3 +436,85 @@ def test_walk_matches_all_subsets_on_voronoi_cells():
         form = sample_interior(catalog(name))
         rows = [(row, rhs) for row, rhs, _ in voronoi_inequalities(form)]
         assert vertex_enumeration(rows) == oracle_vertices(rows), name
+
+
+def _cone_inequalities(rays):
+    """Halfspace description of a pointed cone: facet normals, span equations."""
+    return [normal for _, normal in cone_facets(rays)], nullspace(rays)
+
+
+def _satisfies(inequalities, x):
+    normals, equations = inequalities
+    return all(dot(v, x) >= 0 for v in normals) and all(
+        dot(v, x) == 0 for v in equations
+    )
+
+
+def box_scan_cover(coarse_cell, pieces):
+    """The former cone cover check: piece rays lie in the coarse cone, and
+    every lattice point of the coarse cone in a box of height 2·max|coord|
+    lies in some piece cone.  Sound only for that box."""
+    zero = tuple(0 for _ in coarse_cell.vertices[0])
+    pieces0 = [p for p in pieces if zero in p.vertices]
+    if not pieces0:
+        return False
+    coarse = cone_rays(coarse_cell)
+    piece_cones = [cone_rays(p) for p in pieces0]
+    for pc in piece_cones:
+        for ray in pc.rays:
+            if cone_contains(list(coarse.rays), ray) is None:
+                return False
+    g = len(zero)
+    height = 2 * max(abs(c) for v in coarse_cell.vertices for c in v)
+    piece_ineqs = [_cone_inequalities(pc.rays) for pc in piece_cones]
+    coarse_ineqs = _cone_inequalities(coarse.rays)
+    for x in product(range(-height, height + 1), repeat=g):
+        if not _satisfies(coarse_ineqs, x):
+            continue
+        if not any(_satisfies(qi, x) for qi in piece_ineqs):
+            return False
+    return True
+
+
+def cover_cases():
+    """(coarse, pieces) pairs: every orbit rep of the rank-4 walls with its
+    fine pieces, the same with one piece at 0 left out, and 2-D cases."""
+    zero2 = (0, 0)
+    square = make_cell([zero2, (1, 0), (0, 1), (1, 1)])
+    upper = make_cell([zero2, (1, 0), (1, 1)])
+    lower = make_cell([zero2, (0, 1), (1, 1)])
+    corner = make_cell([zero2, (1, 0), (0, 1)])
+    far = make_cell([(1, 0), (0, 1), (1, 1)])
+    wide = make_cell([zero2, (2, 0), (0, 1), (2, 1)])
+    cases = [
+        (square, [upper, lower]),
+        (square, [corner, far]),
+        (square, [corner]),
+        (square, [upper]),
+        (square, [far]),
+        (wide, [corner, make_cell([(1, 0), (2, 0), (0, 1), (2, 1)])]),
+        (wide, [make_cell([zero2, (2, 0), (2, 1)]), make_cell([zero2, (0, 1), (2, 1)])]),
+        (wide, [make_cell([zero2, (2, 0), (2, 1)])]),
+    ]
+    for coarse_name, fine_name in (
+        ("dim4.V1capV2", "dim4.V1"),
+        ("dim4.V2capV3", "dim4.V2"),
+        ("dim4.W0", "dim4.V3"),
+    ):
+        fine = star_for(fine_name)
+        for rep in star_for(coarse_name).orbit_reps:
+            pieces = cells_tiling(fine, rep)
+            cases.append((rep, pieces))
+            at_zero = [p for p in pieces if rep.vertices[0] in p.vertices]
+            if len(at_zero) > 1:
+                cases.append((rep, [p for p in pieces if p != at_zero[0]]))
+    return cases
+
+
+def test_cone_cover_matches_box_scan():
+    verdicts = []
+    for coarse, pieces in cover_cases():
+        expected = box_scan_cover(coarse, pieces)
+        assert cone_cover_check(coarse, pieces) == expected, coarse.vertices
+        verdicts.append(expected)
+    assert True in verdicts and False in verdicts
