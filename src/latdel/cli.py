@@ -21,7 +21,7 @@ from .delaunay import (
     certify_cell,
     delaunay_star,
 )
-from .exact import parse_rational
+from .exact import parse_rational, shift_points
 from .generation import (
     SemigroupBoundExceeded,
     is_simplicially_generating,
@@ -130,8 +130,12 @@ def _cmd_gen(args) -> int:
             report = is_simplicially_generating(cell.translate(back), pieces)
         except ValueError as exc:  # the pieces do not refine the cell
             return _fail_usage(str(exc))
-        pieces = tuple(p.translate(shift) for p in report.pieces)
-        report = replace(report, pieces=pieces)
+        report = replace(
+            report,
+            pieces=tuple(p.translate(shift) for p in report.pieces),
+            overlap=tuple(shift_points(p, shift) for p in report.overlap),
+            unpaired=tuple(shift_points(f, shift) for f in report.unpaired),
+        )
     else:
         report = is_totally_generating(cell.translate(back))
     _emit(formats.encode_generation_report(report))
@@ -140,6 +144,10 @@ def _cmd_gen(args) -> int:
     why = "the piece cones at 0 overlap or leave a gap"
     if report.witness is not None:
         why = "%r of the cone at 0 is no sum of lattice points" % (report.witness,)
+    elif report.overlap:
+        why = "the pieces %r and %r overlap" % report.overlap
+    elif report.unpaired:
+        why = "no second piece meets the facets %r from the other side" % (report.unpaired,)
     print("error: not generating: " + why, file=sys.stderr)
     return 1
 

@@ -32,6 +32,7 @@ from .exact import (
     ldl,
     mat_vec,
     norm,
+    shift_points,
     solve_overdetermined,
     vec_sub,
 )
@@ -73,14 +74,8 @@ class DelaunayCell:
         center = None
         if self.center is not None:
             center = tuple(c + d for c, d in zip(self.center, t))
-        return DelaunayCell(
-            tuple(
-                sorted(tuple(v + d for v, d in zip(vert, t)) for vert in self.vertices)
-            ),
-            self.dim,
-            center,
-            self.sq_radius,
-        )
+        vertices = tuple(sorted(shift_points(self.vertices, t)))
+        return DelaunayCell(vertices, self.dim, center, self.sq_radius)
 
     def vertex_set(self):
         return set(self.vertices)

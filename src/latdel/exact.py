@@ -65,6 +65,11 @@ def vec_sub(x: Sequence, y: Sequence) -> tuple:
     return tuple(a - b for a, b in zip(x, y))
 
 
+def shift_points(points, t) -> tuple:
+    """The points translated by the vector t, in the same order."""
+    return tuple(tuple(a + b for a, b in zip(p, t)) for p in points)
+
+
 def dot(x: Sequence, y: Sequence):
     if len(x) != len(y):
         raise ValueError("dimension mismatch")

@@ -53,9 +53,15 @@ class ConeAtZero:
 
 @dataclass(frozen=True)
 class GenerationReport:
+    """A decision and its witness: a lattice point of a cone at 0 that is no
+    sum of lattice points, or, when the piece cones at 0 do not tile C(0,
+    cell), two overlapping pieces or the unpaired facets through 0."""
+
     totally_generating: bool
     witness: Optional[Tuple[int, ...]] = None
     pieces: Tuple[DelaunayCell, ...] = ()
+    overlap: tuple = ()
+    unpaired: tuple = ()
 
 
 def _require_origin(cell: DelaunayCell):
@@ -198,8 +204,15 @@ def cone_cover_check(coarse_cell: DelaunayCell, pieces) -> bool:
         for ray in cone_rays(piece).rays:
             if cone_contains(list(coarse.rays), ray) is None:
                 return False
+    return not _unpaired_cone_facets(coarse_cell, pieces0)
+
+
+def _unpaired_cone_facets(coarse_cell: DelaunayCell, pieces0):
+    """Facets through 0 of the pieces, off the coarse cell's facets, that are
+    not shared by two pieces on opposite sides."""
+    zero = _require_origin(coarse_cell)
     walls = [n for _, n, offset in polytope_facets(list(coarse_cell.vertices)) if offset == 0]
-    return not unpaired_facets(
+    return unpaired_facets(
         [p.vertices for p in pieces0],
         lambda f: zero not in f or any(all(dot(n, v) == 0 for v in f) for n in walls),
     )
@@ -219,11 +232,12 @@ def is_simplicially_generating(cell: DelaunayCell, pieces) -> GenerationReport:
     pieces0 = [p for p in pieces if zero in p.vertices]
     for a, b in combinations(pieces0, 2):
         if _interiors_overlap(a, b):
-            return GenerationReport(False, pieces=tuple(pieces0))
+            return GenerationReport(False, pieces=tuple(pieces0), overlap=(a.vertices, b.vertices))
     for piece in pieces0:
         sub = is_totally_generating(piece)
         if not sub.totally_generating:
             return GenerationReport(False, witness=sub.witness, pieces=tuple(pieces0))
     if not cone_cover_check(cell, pieces0):
-        return GenerationReport(False, pieces=tuple(pieces0))
+        unpaired = tuple(_unpaired_cone_facets(cell, pieces0))
+        return GenerationReport(False, pieces=tuple(pieces0), unpaired=unpaired)
     return GenerationReport(True, pieces=tuple(pieces0))

@@ -1,18 +1,22 @@
 """End-to-end verification suites: fusions, the two fusion/division tables,
 the low-dimension decompositions and the simplicial-generation theorems.
 
-The expected tables are hard-coded and the computed side is rebuilt from
-scratch (stars, fusion matching, cell naming), so a run is an exact diff
-against the printed source of truth.
+One matcher, `cells_tiling`, places translates of a fine star's orbit
+representatives inside a coarse cell.  `fusion_check` runs it over the
+orbit representatives of a wall star, and the tables and the theorem read
+their tilings from those fusion maps.  The expected tables are hard-coded
+and the computed side is rebuilt from scratch (stars, fusion maps, cell
+naming), so a run is an exact diff against the printed source of truth.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .catalog import catalog, sample_interior
 from .delaunay import (
@@ -23,7 +27,7 @@ from .delaunay import (
     is_basic_simplex,
     make_cell,
 )
-from .exact import basis_sum, vec_sub
+from .exact import basis_sum, shift_points
 from .generation import (
     cone_rays,
     is_simplicially_generating,
@@ -38,26 +42,11 @@ def sv(rank: int, digits: str) -> Tuple[int, ...]:
 
 def sigma_cell(order) -> DelaunayCell:
     """The simplex sigma_abcd = <0, s_a, s_ab, s_abc, s_1234>."""
-    a, b, c, d = order
-    return make_cell(
-        [
-            (0, 0, 0, 0),
-            basis_sum(4, [a]),
-            basis_sum(4, [a, b]),
-            basis_sum(4, [a, b, c]),
-            (1, 1, 1, 1),
-        ]
-    )
+    return make_cell([basis_sum(4, order[:k]) for k in range(5)])
 
 
 def _cell_from_names(rank: int, names) -> DelaunayCell:
-    verts = []
-    for n in names:
-        if n == "0":
-            verts.append((0,) * rank)
-        else:
-            verts.append(sv(rank, n))
-    return make_cell(verts)
+    return make_cell([sv(rank, "" if n == "0" else n) for n in names])
 
 
 def name_vertex(v) -> str:
@@ -104,24 +93,17 @@ class FusionReport:
     unchanged: Tuple[DelaunayCell, ...]
 
     @property
+    def tilings(self):
+        """(coarse orbit rep, its fine pieces) for every coarse orbit rep."""
+        return self.fusions + tuple((c, (c,)) for c in self.unchanged)
+
+    @property
     def volume_conserved(self) -> bool:
-        for coarse, pieces in self.fusions:
-            total = sum(normalized_volume(list(p.vertices)) for p in pieces)
-            if total != normalized_volume(list(coarse.vertices)):
-                return False
-        return True
-
-
-def _translates(star: DelaunayStar, cell: DelaunayCell):
-    """Translates of the star's orbit reps that share a vertex with the cell.
-
-    One per pair of a cell vertex and a rep vertex, carrying the rep vertex
-    onto the cell vertex.
-    """
-    for rep in star.orbit_reps:
-        for w in cell.vertices:
-            for r in rep.vertices:
-                yield rep.translate(vec_sub(w, r))
+        return all(
+            sum(normalized_volume(list(p.vertices)) for p in pieces)
+            == normalized_volume(list(coarse.vertices))
+            for coarse, pieces in self.fusions
+        )
 
 
 def cells_tiling(star: DelaunayStar, coarse: DelaunayCell):
@@ -129,16 +111,20 @@ def cells_tiling(star: DelaunayStar, coarse: DelaunayCell):
 
     Candidates are lattice translates of the star's orbit representatives;
     a translate qualifies when all its vertices are vertices of the coarse
-    cell.  The result must tile the coarse cell exactly (checked by the
-    lattice-normalized volume).
+    cell.  Then the rep's smallest vertex lands on a coarse vertex, so one
+    candidate per pair of a rep and a coarse vertex is tested, on vertex
+    tuples; only a match becomes a cell.  The result must tile the coarse
+    cell exactly (checked by the lattice-normalized volume).
     """
     coarse_set = set(coarse.vertices)
-    found = {
-        cand.vertices: cand
-        for cand in _translates(star, coarse)
-        if coarse_set.issuperset(cand.vertices)
-    }
-    pieces = sorted(found.values(), key=lambda c: c.vertices)
+    found = {}
+    for rep in star.orbit_reps:
+        for w in coarse.vertices:
+            t = tuple(a - b for a, b in zip(w, rep.vertices[0]))
+            verts = shift_points(rep.vertices, t)
+            if coarse_set.issuperset(verts):
+                found[verts] = rep.translate(t)
+    pieces = [found[v] for v in sorted(found)]
     total = sum(normalized_volume(list(p.vertices)) for p in pieces)
     if total != normalized_volume(list(coarse.vertices)):
         raise ValueError("refinement does not tile the coarse cell")
@@ -155,41 +141,38 @@ def _is_face_of(coarse_name: str, fine_name: str) -> bool:
     )
 
 
-def fusion_check(
-    coarse_name: str, fine_name: str, weights=None
-) -> FusionReport:
-    """Match the fine star's cells into the coarse star's cells.
+@lru_cache(maxsize=None)
+def fusion_check(coarse_name: str, fine_name: str) -> FusionReport:
+    """The fusion map of a wall: the fine cells inside each coarse cell.
 
     `coarse` must be a catalog face of `fine` (generator subset of smaller
-    dimension).  Each coarse star cell is tiled by fine Delaunay cells; a
-    fine star cell landing in no coarse cell would contradict the fusion
-    lemma and raises.
+    dimension).  Each orbit rep of the coarse star is tiled by translates of
+    the fine orbit reps (`cells_tiling`).  The fine cells refine the coarse
+    ones, so each fine orbit rep is placed exactly once among all the
+    pieces; a class placed zero times or twice contradicts the fusion lemma
+    and raises.  Reports are cached per pair of cones.
     """
     if not _is_face_of(coarse_name, fine_name):
         raise ValueError(
             "%s is not a catalog face of %s" % (coarse_name, fine_name)
         )
-    coarse_star = star_for(coarse_name, weights)
-    fine_star = star_for(fine_name, weights)
+    coarse_star = star_for(coarse_name)
+    fine_star = star_for(fine_name)
     fusions = []
     unchanged = []
-    covered = {}
+    placed = Counter()
     for rep in coarse_star.orbit_reps:
         pieces = cells_tiling(fine_star, rep)
         if len(pieces) == 1 and pieces[0].vertices == rep.vertices:
             unchanged.append(rep)
         else:
             fusions.append((rep, tuple(pieces)))
-        for p in pieces:
-            covered.setdefault(canonical_orbit_rep(p).vertices, set()).add(
-                rep.vertices
-            )
-    for cell in fine_star.cells:
-        canon = canonical_orbit_rep(cell).vertices
-        if canon not in covered:
+        placed.update(canonical_orbit_rep(p).vertices for p in pieces)
+    for rep in fine_star.orbit_reps:
+        if placed[rep.vertices] != 1:
             raise ValueError(
-                "fine cell %r is in no coarse cell (fusion lemma violated)"
-                % (cell.vertices,)
+                "fine cell class %r is placed %d times (fusion lemma violated)"
+                % (rep.vertices, placed[rep.vertices])
             )
     return FusionReport(
         coarse_name, fine_name, tuple(fusions), tuple(unchanged)
@@ -294,47 +277,40 @@ def _table_layout(which: int):
     return cones + (rows,)
 
 
-def _containing_cell(star: DelaunayStar, cell: DelaunayCell) -> DelaunayCell:
-    """The unique Delaunay cell of the star's decomposition containing cell."""
-    matches = {
-        cand.vertices: cand
-        for cand in _translates(star, cell)
-        if set(cand.vertices).issuperset(cell.vertices)
-    }
-    if len(matches) != 1:
-        raise ValueError(
-            "cell %r lies in %d maximal cells" % (cell.vertices, len(matches))
-        )
-    return next(iter(matches.values()))
+def reproduce_table(which: int) -> TableDiff:
+    """Recompute a fusion/division table from the fusion maps and diff it.
 
-
-def reproduce_table(which: int, weights=None) -> TableDiff:
-    """Recompute a fusion/division table from scratch and diff it."""
+    A row's coarse cell is the coarse rep that the map of the wall into the
+    fine chamber places its fine cell in, shifted onto the fine cell; its
+    refining cells are that rep's pieces in the map of the wall into the
+    refined chamber, under the same shift.
+    """
     fine_name, coarse_name, refined_name, rows = _table_layout(which)
-    fine_star = star_for(fine_name, weights)
-    coarse_star = star_for(coarse_name, weights)
-    refined_star = star_for(refined_name, weights)
-    fine_cells = {canonical_orbit_rep(c).vertices for c in fine_star.cells}
+    placed = {
+        canonical_orbit_rep(p).vertices: (rep, min(p.vertices))
+        for rep, pieces in fusion_check(coarse_name, fine_name).tilings
+        for p in pieces
+    }
+    refining = dict(fusion_check(coarse_name, refined_name).tilings)
     expected_lines = []
     computed_lines = []
     mismatches = []
-    blocks: Dict[str, set] = {}
-    block_coarse: Dict[str, DelaunayCell] = {}
+    blocks = {}
     for no, fine_cell, block, refined_cell in sorted(rows):
         expected_lines.append(
             "%2d  %s | %s" % (no, name_cell(fine_cell), name_cell(refined_cell))
         )
-        if canonical_orbit_rep(fine_cell).vertices not in fine_cells:
+        canon = canonical_orbit_rep(fine_cell).vertices
+        if canon not in placed:
             mismatches.append(
                 "row %d: %s is not a cell of %s"
                 % (no, name_cell(fine_cell), fine_name)
             )
             continue
-        try:
-            coarse_cell = _containing_cell(coarse_star, fine_cell)
-        except ValueError as exc:
-            mismatches.append("row %d: %s" % (no, exc))
-            continue
+        rep, at = placed[canon]
+        t = tuple(a - b for a, b in zip(min(fine_cell.vertices), at))
+        coarse_cell = rep.translate(t)
+        pieces = {shift_points(p.vertices, t) for p in refining[rep]}
         if block is None:
             if coarse_cell.vertices != fine_cell.vertices:
                 mismatches.append(
@@ -353,11 +329,8 @@ def reproduce_table(which: int, weights=None) -> TableDiff:
                     % (no, name_cell(coarse_cell))
                 )
                 continue
-            blocks.setdefault(block, set())
-            block_coarse[block] = coarse_cell
-        pieces = cells_tiling(refined_star, coarse_cell)
-        piece_sets = {p.vertices for p in pieces}
-        if refined_cell.vertices not in piece_sets:
+            blocks.setdefault(block, (pieces, set()))
+        if refined_cell.vertices not in pieces:
             mismatches.append(
                 "row %d: %s is not among the %s cells refining %s"
                 % (
@@ -369,14 +342,13 @@ def reproduce_table(which: int, weights=None) -> TableDiff:
             )
             continue
         if block is not None:
-            blocks[block].add(refined_cell.vertices)
+            blocks[block][1].add(refined_cell.vertices)
         computed_lines.append(
             "%2d  %s | %s" % (no, name_cell(fine_cell), name_cell(refined_cell))
         )
     # each fused block must be refined by exactly its listed cells
-    for block, expected_pieces in blocks.items():
-        pieces = cells_tiling(refined_star, block_coarse[block])
-        if {p.vertices for p in pieces} != expected_pieces:
+    for block, (pieces, listed) in blocks.items():
+        if pieces != listed:
             mismatches.append(
                 "block %s: refinement differs from the listed cells" % block
             )
@@ -429,18 +401,16 @@ def verify_lowdim() -> dict:
         "dim2: Del_V1capV2 reps {σ5}",
         _canon_set(star_for("dim2.V1capV2").orbit_reps) == _canon_set([sig5]),
     )
-    rep5 = star_for("dim2.V1capV2").cells
-    fused = next(c for c in rep5 if c.vertices == sig5.vertices)
-    check(
-        "dim2: σ5 = σ1 ∪ σ2",
-        {p.vertices for p in cells_tiling(star_for("dim2.V1"), fused)}
-        == {sig1.vertices, sig2.vertices},
-    )
-    check(
-        "dim2: σ5 = σ3 ∪ σ4",
-        {p.vertices for p in cells_tiling(star_for("dim2.V2"), fused)}
-        == {sig3.vertices, sig4.vertices},
-    )
+    for label, fine, pieces in (
+        ("dim2: σ5 = σ1 ∪ σ2", "dim2.V1", {sig1.vertices, sig2.vertices}),
+        ("dim2: σ5 = σ3 ∪ σ4", "dim2.V2", {sig3.vertices, sig4.vertices}),
+    ):
+        tilings = fusion_check("dim2.V1capV2", fine).tilings
+        check(
+            label,
+            [(c.vertices, {p.vertices for p in ps}) for c, ps in tilings]
+            == [(sig5.vertices, pieces)],
+        )
     check(
         "dim2: C(0,σ5) = C(0,σ3) and 0 ∉ σ4",
         cone_rays(sig5).rays == cone_rays(sig3).rays
@@ -456,17 +426,14 @@ def verify_lowdim() -> dict:
 
 
 def sigma3_cell(order) -> DelaunayCell:
-    i, j, k = order
-    return make_cell(
-        [(0, 0, 0), basis_sum(3, [i]), basis_sum(3, [i, j]), (1, 1, 1)]
-    )
+    return make_cell([basis_sum(3, order[:k]) for k in range(4)])
 
 
-def verify_main_theorem(weights=None) -> dict:
+def verify_main_theorem() -> dict:
     """Simplicial generation of every rank-4 decomposition in the catalog."""
     check = _Checks()
     for name in ("dim4.V1", "dim4.V2", "dim4.V3", "dim4.V4"):
-        star = star_for(name, weights)
+        star = star_for(name)
         check(
             "%s: 24 orbit reps, all basic simplices, 120 star cells" % name,
             len(star.orbit_reps) == 24
@@ -478,15 +445,10 @@ def verify_main_theorem(weights=None) -> dict:
         ("dim4.V2capV3", "dim4.V2"),
         ("dim4.W0", "dim4.V3"),
     ):
-        fine_star = star_for(fine_name, weights)
-        star = star_for(coarse_name, weights)
-        all_generating = True
-        for rep in star.orbit_reps:
-            pieces = cells_tiling(fine_star, rep)
-            report = is_simplicially_generating(rep, pieces)
-            if not report.totally_generating:
-                all_generating = False
-                break
+        all_generating = all(
+            is_simplicially_generating(rep, pieces).totally_generating
+            for rep, pieces in fusion_check(coarse_name, fine_name).tilings
+        )
         check(
             "%s: all star cells simplicially generating via %s (nilpotency 1)"
             % (coarse_name, fine_name),
@@ -500,18 +462,13 @@ def verify_main_theorem(weights=None) -> dict:
     }
 
 
-def verify_tables(weights=None) -> dict:
-    details = []
-    ok = True
+def verify_tables() -> dict:
+    check = _Checks()
     for which in (1, 2):
-        diff = reproduce_table(which, weights)
-        details.append(
-            "%s Table %d reproduced (%d rows)"
-            % ("PASS" if diff.ok else "FAIL", which, len(diff.expected))
-        )
-        details.extend(diff.mismatches)
-        ok = ok and diff.ok
-    return {"suite": "tables", "pass": ok, "details": details}
+        diff = reproduce_table(which)
+        check("Table %d reproduced (%d rows)" % (which, len(diff.expected)), diff.ok)
+        check.details.extend(diff.mismatches)
+    return {"suite": "tables", "pass": check.ok, "details": check.details}
 
 
 def verify_faces() -> dict:
@@ -545,13 +502,13 @@ def verify_faces() -> dict:
     return {"suite": "faces", "pass": check.ok, "details": check.details}
 
 
-def verify_dim4(weights=None) -> dict:
+def verify_dim4() -> dict:
     check = _Checks()
     for coarse, fine, label, fused, kept in (
         ("dim4.V1capV2", "dim4.V1", "V1 → V1∩V2", 6, 12),
         ("dim4.V2capV3", "dim4.V2", "V2 → V2∩V3", 4, 16),
     ):
-        report = fusion_check(coarse, fine, weights)
+        report = fusion_check(coarse, fine)
         counts = len(report.fusions) == fused and len(report.unchanged) == kept
         check("%s: %d fusions, %d unchanged" % (label, fused, kept), counts)
         check.ok = check.ok and report.volume_conserved
@@ -559,29 +516,19 @@ def verify_dim4(weights=None) -> dict:
 
 
 SUITES = {
-    "dim2": lambda: verify_lowdim(),
-    "dim3": lambda: verify_lowdim(),
-    "lowdim": lambda: verify_lowdim(),
-    "dim4": lambda: verify_dim4(),
-    "tables": lambda: verify_tables(),
-    "faces": lambda: verify_faces(),
-    "theorem": lambda: verify_main_theorem(),
+    "lowdim": verify_lowdim,
+    "dim4": verify_dim4,
+    "tables": verify_tables,
+    "faces": verify_faces,
+    "theorem": verify_main_theorem,
 }
 
 
+# the names `latdel verify --suite` takes beyond the suites themselves
+_ALIASES = {"all": list(SUITES), "dim2": ["lowdim"], "dim3": ["lowdim"]}
+
+
 def run_suites(names) -> List[dict]:
-    seen = []
-    reports = []
-    for name in names:
-        if name == "all":
-            wanted = ["lowdim", "dim4", "tables", "faces", "theorem"]
-        else:
-            wanted = [name]
-        for w in wanted:
-            if w in ("dim2", "dim3"):
-                w = "lowdim"
-            if w in seen:
-                continue
-            seen.append(w)
-            reports.append(SUITES[w]())
-    return reports
+    """The reports of the named suites, each run once, in order of first mention."""
+    wanted = [suite for name in names for suite in _ALIASES.get(name, [name])]
+    return [SUITES[suite]() for suite in dict.fromkeys(wanted)]

@@ -281,6 +281,43 @@ def test_gen_failure_names_its_witness(tmp_path, capsys, monkeypatch):
     assert err.startswith("error: ") and err.count("\n") == 1 and "(1, 1)" in err
 
 
+def test_gen_names_overlapping_pieces_and_unpaired_facets(tmp_path, capsys):
+    def gen(form, cell, pieces):
+        fpath = write_form(tmp_path, "form.json", form)
+        (tmp_path / "cell.json").write_text(formats.dumps({"vertices": cell}))
+        (tmp_path / "pieces.json").write_text(
+            formats.dumps([{"vertices": p} for p in pieces])
+        )
+        before = invoke(capsys, "gen", "--cell", str(tmp_path / "cell.json"), "--form", fpath)
+        code, out, err = invoke(
+            capsys, "gen", "--cell", str(tmp_path / "cell.json"), "--form", fpath,
+            "--pieces", str(tmp_path / "pieces.json"),
+        )
+        assert before[0] == 0 and code == 1
+        assert err.startswith("error: not generating: ") and err.count("\n") == 1
+        assert json.loads(out)["witness"] is None
+        return err
+
+    # two triangles of the unit square, shifted by (1, 0), share the corner
+    # (1, 0) and overlap; the error names both, where they were given
+    square = [[1, 0], [1, 1], [2, 0], [2, 1]]
+    err = gen([[1, 0], [0, 1]], square, [[[1, 0], [2, 0], [2, 1]], [[1, 0], [2, 0], [1, 1]]])
+    assert "((1, 0), (2, 0), (2, 1)) and ((1, 0), (1, 1), (2, 0)) overlap" in err
+    # the unit cube cut by x = y into a prism and a staircase of three
+    # tetrahedra: the tetrahedron at 0 has the facet <0, s12, s3> where the
+    # prism has <0, s12, s3, s123>, so the facets through 0 do not pair up
+    cube = [list(v) for v in product((0, 1), repeat=3)]
+    prism = [v for v in cube if v[0] >= v[1]]
+    stairs = [
+        [[0, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1]],
+        [[0, 1, 0], [1, 1, 0], [0, 0, 1], [0, 1, 1]],
+        [[1, 1, 0], [0, 0, 1], [0, 1, 1], [1, 1, 1]],
+    ]
+    err = gen([[1, 0, 0], [0, 1, 0], [0, 0, 1]], cube, [prism] + stairs)
+    assert "((0, 0, 0), (0, 0, 1), (1, 1, 0))" in err
+    assert "((0, 0, 0), (0, 0, 1), (1, 1, 0), (1, 1, 1))" in err
+
+
 SCALARS = st.one_of(
     st.integers(-3, 3),
     st.floats(),

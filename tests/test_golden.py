@@ -4,9 +4,11 @@ The files under tests/golden/ hold stdout recorded before the exact kernel
 and the polyhedral primitives were rewritten: `latdel faces`,
 `latdel verify --suite faces`, both tables, the unit sample forms of
 dim2.V1, dim3.V and dim4.V1capV2 (`latdel sample`) and their stars
-(`latdel del`).  verify_all.json is the stdout of `latdel verify --suite
-all`; it is compared in tests/test_verify.py, where that run already
-happens, and by CI.
+(`latdel del`).  The two `latdel fuse` outputs, pieces and sphere data
+included, were recorded before the fusion matcher was anchored at the
+coarse cell's vertices.  verify_all.json is the stdout of `latdel verify
+--suite all`; it is compared in tests/test_verify.py, where that run
+already happens, and by CI.
 """
 
 import hashlib
@@ -33,6 +35,10 @@ SAMPLES = ["dim2.V1", "dim3.V", "dim4.V1capV2"]
     + [
         (["del", "--form", str(GOLDEN / ("form_%s.json" % c))], "del_%s.json" % c)
         for c in SAMPLES
+    ]
+    + [
+        (["fuse", "--coarse", coarse, "--fine", fine], "fuse_%s_%s.json" % (coarse, fine))
+        for coarse, fine in (("dim4.V1capV2", "dim4.V1"), ("dim4.W0", "dim4.V3"))
     ],
 )
 def test_stdout_matches_golden(capsys, argv, name):
