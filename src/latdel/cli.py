@@ -27,7 +27,7 @@ from .generation import (
     is_simplicially_generating,
     is_totally_generating,
 )
-from .verify import fusion_check, reproduce_table, run_suites
+from .verify import FusionError, fusion_check, reproduce_table, run_suites
 
 
 def _emit(obj):
@@ -85,6 +85,9 @@ def _cmd_fuse(args) -> int:
         report = fusion_check(args.coarse, args.fine)
     except KeyError as exc:
         return _fail_usage("unknown catalog cone %s" % exc)
+    except FusionError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 1
     except ValueError as exc:
         return _fail_usage(str(exc))
     _emit(

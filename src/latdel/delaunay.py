@@ -8,10 +8,10 @@ of X/2X.  The holes are found by walking the edges of that polytope
 (`geometry.vertex_enumeration`).  A cell's vertices are 0 and the coset
 minima e whose inequality is tight at its hole: every vertex e of a Delaunay
 polytope through 0 is a minimum of its class mod 2, because z and e - z lie
-outside the empty sphere for every lattice z.  Every orbit representative is
-then re-validated by an independent empty-sphere certificate, and the star
-by facet pairing around 0 (`check_star_completeness`) and the tiling
-invariant, so the construction never silently trusts the enumeration.
+outside the empty sphere for every lattice z.  The star is certified by
+facet pairing around 0, Delaunay's lemma on the paired facets (which also
+verifies each hole) and the tiling invariant, so the construction never
+trusts the enumeration; a lone cell by an empty-sphere sweep (`certify_cell`).
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .exact import (
     SingularMatrixError,
     determinant,
     dot,
-    evaluate,
     is_positive_definite,
     ldl,
     mat_vec,
@@ -39,6 +38,7 @@ from .exact import (
 from .geometry import (
     _int_scaled,
     affine_dimension,
+    facet_map,
     normalized_volume,
     unpaired_facets,
     vertex_enumeration,
@@ -220,6 +220,25 @@ def cell_center(form: QuadraticForm, vertices):
     return tuple(c + b for c, b in zip(center, base)), norm(form, center)
 
 
+def _integer_gram(form: QuadraticForm):
+    """The Gram matrix times the least positive integer that makes it integral."""
+    scale = lcm(*(x.denominator for row in form.entries for x in row))
+    return [[int(x * scale) for x in row] for row in form.entries]
+
+
+def _power(gram, center):
+    """v -> den vᵀGv - 2 (Gv).nums for the center c = nums/den: with G a
+    positive multiple of the form, a positive multiple of Q[v-c] - Q[c]."""
+    den = lcm(*(x.denominator for x in center))
+    nums = [x.numerator * (den // x.denominator) for x in center]
+
+    def power(v):
+        gv = mat_vec(gram, v)
+        return den * dot(v, gv) - 2 * dot(gv, nums)
+
+    return power
+
+
 def certify_cell(form: QuadraticForm, cell: DelaunayCell) -> EmptySphereCertificate:
     """Exhaustive empty-sphere check for a cell.
 
@@ -229,7 +248,7 @@ def certify_cell(form: QuadraticForm, cell: DelaunayCell) -> EmptySphereCertific
     every vertex lies on it.  Any violator e of B(e,e) - 2B(e,c) >= 0
     satisfies B(e-c,e-c) < r^2 and hence B(e,e) < 4 r^2, so sweeping the ball
     of squared radius 4 r^2 is sound; equality must hold exactly at the
-    vertices.
+    vertices.  The slack is tested in integers, through `_power`.
     """
     shift = min(cell.vertices)
     local = canonical_orbit_rep(cell)
@@ -240,9 +259,10 @@ def certify_cell(form: QuadraticForm, cell: DelaunayCell) -> EmptySphereCertific
         return EmptySphereCertificate(cell, Fraction(0), tuple(cell.vertices))
     bound = 4 * sq_radius
     vertex_set = local.vertex_set()
+    power = _power(_integer_gram(form), center)
     violations = set()
     for e in points_within(form, (0,) * form.rank, bound):
-        slack = norm(form, e) - 2 * evaluate(form, e, center)
+        slack = power(e)
         if slack < 0 or (slack == 0) != (e in vertex_set):
             violations.add(e)
     violations = sorted(tuple(a + b for a, b in zip(e, shift)) for e in violations)
@@ -265,18 +285,47 @@ def is_basic_simplex(cell: DelaunayCell) -> bool:
     return abs(determinant(rows)) == 1
 
 
-def _unpaired_star_facets(cells):
+def _star_facets(cells):
     # a facet without the vertex 0 bounds the star away from 0
-    return unpaired_facets([c.vertices for c in cells], lambda f: all(map(any, f)))
+    return facet_map([c.vertices for c in cells], lambda f: all(map(any, f)))
 
 
-def check_star_completeness(cells) -> bool:
+def check_star_completeness(cells, facets=None) -> bool:
     """The cells cover a neighbourhood of 0: every facet through 0 is shared
-    by two cells on opposite sides (`geometry.unpaired_facets`), so the
-    number of cells over a point near 0 does not change across a facet, and
-    off codimension 2 it is constant, hence at least 1.  `check_tiling`
-    makes it exactly 1."""
-    return bool(cells) and not _unpaired_star_facets(cells)
+    by two cells on opposite sides (read from their `geometry.facet_map`,
+    built here unless given), so the number of cells over a point near 0
+    does not change across a facet, and off codimension 2 it is constant,
+    hence at least 1.  `check_tiling` makes it exactly 1."""
+    return bool(cells) and not unpaired_facets(facets or _star_facets(cells))
+
+
+def check_local_delaunay(form: QuadraticForm, cells, facets):
+    """Delaunay's lemma in integers: raises CertificationError unless it holds.
+
+    For a cell's hole c, s = `_power` is a positive multiple of Q[v-c] - Q[c]
+    in integers.  A full-dimensional cell has one equidistant point, so s
+    constant on its vertices verifies the hole.  Each facet of the
+    `facet_map` must have two cells A and B, and s_A(w) must exceed that
+    constant, putting every vertex w of B off A strictly outside A's sphere.
+    """
+    gram = _integer_gram(form)
+    powers = [_power(gram, cell.center) for cell in cells]
+    levels = [{s(v) for v in cell.vertices} for cell, s in zip(cells, powers)]
+    for cell, level in zip(cells, levels):
+        if len(level) != 1:
+            raise CertificationError("cell %r is not cospherical about its hole" % (cell.vertices,))
+    for facet, sides in facets.items():
+        if len(sides) != 2:
+            raise CertificationError("facet %r is not shared by two cells" % (facet,))
+        (a, _), (b, _) = sides
+        (level,) = levels[a]
+        for w in [w for w in cells[b].vertices if w not in cells[a].vertices]:
+            excess = powers[a](w) - level
+            if excess <= 0:
+                raise CertificationError(
+                    "facet %r is not locally Delaunay: the vertex %r across it lies %s the "
+                    "sphere of %r" % (facet, w, "inside" if excess else "on", cells[a].vertices)
+                )
 
 
 def check_tiling(g: int, cells, reps):
@@ -298,7 +347,15 @@ def check_tiling(g: int, cells, reps):
 
 
 def delaunay_star(form: QuadraticForm) -> DelaunayStar:
-    """All maximal Delaunay cells containing the origin, certified."""
+    """All maximal Delaunay cells containing the origin, certified.
+
+    The certificate is Delaunay's lemma ("Sur la sphère vide", 1934).  Every
+    facet of the periodic tiling is a translate of one through 0; pairing
+    those (`check_star_completeness`) and the tiling invariant give a
+    face-to-face tiling.  `check_local_delaunay` makes the piecewise-linear
+    lift of Q strictly convex across every facet, so it is convex, and every
+    lattice point but a cell's vertices lies strictly outside its sphere.
+    """
     if not is_positive_definite(form):
         raise NotPositiveDefiniteError("delaunay_star needs a definite form")
     if form.rank > 4:
@@ -319,18 +376,14 @@ def delaunay_star(form: QuadraticForm) -> DelaunayStar:
         {canonical_orbit_rep(cell).vertices: canonical_orbit_rep(cell) for cell in cells}.values(),
         key=lambda cell: cell.vertices,
     )
-    for rep in reps:
-        cert = certify_cell(form, rep)
-        if not cert.ok:
-            raise CertificationError(
-                "cell %r failed its empty-sphere certificate" % (rep.vertices,)
-            )
-        if rep.dim != form.rank:
-            raise CertificationError("star cell is not full-dimensional")
-    if not check_star_completeness(cells):
+    if any(rep.dim != form.rank for rep in reps):
+        raise CertificationError("star cell is not full-dimensional")
+    facets = _star_facets(cells)
+    if not check_star_completeness(cells, facets):
         raise CertificationError(
             "star of the origin is not locally complete: facets %r are not "
-            "shared by two cells on opposite sides" % (_unpaired_star_facets(cells),)
+            "shared by two cells on opposite sides" % (unpaired_facets(facets),)
         )
+    check_local_delaunay(form, cells, facets)
     check_tiling(form.rank, cells, reps)
     return DelaunayStar(form, tuple(cells), tuple(reps))

@@ -30,6 +30,7 @@ from .geometry import (
     affine_dimension,
     cone_contains,
     extremal_rays,
+    facet_map,
     normalized_volume,
     polytope_facets,
     triangulate_cone,
@@ -189,7 +190,7 @@ def cone_cover_check(coarse_cell: DelaunayCell, pieces) -> bool:
 
     The piece rays must lie in the coarse cone.  Every facet through 0 of a
     piece, unless it lies in a facet of the coarse cell, must be shared by
-    two pieces on opposite sides (`geometry.unpaired_facets`); then the
+    two pieces on opposite sides (`geometry.facet_map`); then the
     number of piece cones over a point of the coarse cone does not change
     across a facet, so off codimension 2 it is constant, hence at least 1:
     the closed cones cover.  Full-dimensional pieces that do not meet face
@@ -213,8 +214,10 @@ def _unpaired_cone_facets(coarse_cell: DelaunayCell, pieces0):
     zero = _require_origin(coarse_cell)
     walls = [n for _, n, offset in polytope_facets(list(coarse_cell.vertices)) if offset == 0]
     return unpaired_facets(
-        [p.vertices for p in pieces0],
-        lambda f: zero not in f or any(all(dot(n, v) == 0 for v in f) for n in walls),
+        facet_map(
+            [p.vertices for p in pieces0],
+            lambda f: zero not in f or any(all(dot(n, v) == 0 for v in f) for n in walls),
+        )
     )
 
 

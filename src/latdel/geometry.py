@@ -198,15 +198,12 @@ def polytope_facets(points):
     ]
 
 
-def unpaired_facets(polytopes, on_boundary):
-    """Sorted vertex tuples of the facets of full-dimensional polytopes that
-    are not shared by exactly two of them on opposite sides (outward normals
-    with a negative dot product), skipping facets with `on_boundary(facet)`.
-
-    `polytope_facets` runs once per translation class of the polytopes.
-    """
-    local, normals = {}, {}
-    for points in polytopes:
+def facet_map(polytopes, on_boundary):
+    """{facet vertex tuple: [(polytope index, outward normal), ...]} for the
+    facets of full-dimensional polytopes, skipping those with
+    `on_boundary(facet)`; `polytope_facets` runs once per translation class."""
+    local, facets = {}, {}
+    for index, points in enumerate(polytopes):
         points = sorted(tuple(p) for p in points)
         key = tuple(vec_sub(p, points[0]) for p in points)
         if key not in local:
@@ -214,8 +211,15 @@ def unpaired_facets(polytopes, on_boundary):
         for members, normal, _ in local[key]:
             facet = tuple(points[i] for i in members)
             if not on_boundary(facet):
-                normals.setdefault(facet, []).append(normal)
-    return sorted(f for f, ns in normals.items() if len(ns) != 2 or dot(*ns) >= 0)
+                facets.setdefault(facet, []).append((index, normal))
+    return facets
+
+
+def unpaired_facets(facets):
+    """Sorted facets of a `facet_map` that are not shared by exactly two
+    polytopes on opposite sides (outward normals with a negative dot
+    product)."""
+    return sorted(f for f, s in facets.items() if len(s) != 2 or dot(s[0][1], s[1][1]) >= 0)
 
 
 def triangulate_cone(rays):

@@ -85,6 +85,10 @@ def ramp_weights(cone_name: str):
     return tuple(range(1, len(catalog(cone_name).generators) + 1))
 
 
+class FusionError(ValueError):
+    """A fine star does not refine a coarse one as the fusion lemma says."""
+
+
 @dataclass(frozen=True)
 class FusionReport:
     coarse_cone: str
@@ -127,7 +131,7 @@ def cells_tiling(star: DelaunayStar, coarse: DelaunayCell):
     pieces = [found[v] for v in sorted(found)]
     total = sum(normalized_volume(list(p.vertices)) for p in pieces)
     if total != normalized_volume(list(coarse.vertices)):
-        raise ValueError("refinement does not tile the coarse cell")
+        raise FusionError("refinement does not tile the coarse cell")
     return pieces
 
 
@@ -170,7 +174,7 @@ def fusion_check(coarse_name: str, fine_name: str) -> FusionReport:
         placed.update(canonical_orbit_rep(p).vertices for p in pieces)
     for rep in fine_star.orbit_reps:
         if placed[rep.vertices] != 1:
-            raise ValueError(
+            raise FusionError(
                 "fine cell class %r is placed %d times (fusion lemma violated)"
                 % (rep.vertices, placed[rep.vertices])
             )

@@ -131,6 +131,36 @@ def test_fuse(capsys):
     assert code == 2
 
 
+def test_fuse_exits_1_on_a_fusion_lemma_violation(monkeypatch, capsys):
+    from dataclasses import replace
+
+    from latdel import cli, verify
+    from latdel.delaunay import make_cell
+
+    stars = {name: verify.star_for(name) for name in ("dim2.V1", "dim2.V1capV2")}
+    fine = stars["dim2.V1"]
+    monkeypatch.setattr(verify, "star_for", lambda name: stars[name])
+    # doctored stars stay out of the cache of fusion maps
+    monkeypatch.setattr(cli, "fusion_check", verify.fusion_check.__wrapped__)
+    argv = ("fuse", "--coarse", "dim2.V1capV2", "--fine", "dim2.V1")
+    # a fine class that lies in no coarse cell: the triangle <0, 2 s1, 2 s2>
+    stray = make_cell([(0, 0), (2, 0), (0, 2)])
+    stars["dim2.V1"] = replace(fine, orbit_reps=fine.orbit_reps + (stray,))
+    assert invoke(capsys, *argv) == (
+        1,
+        "",
+        "error: fine cell class ((0, 0), (0, 2), (2, 0)) is placed 0 times "
+        "(fusion lemma violated)\n",
+    )
+    # without one fine class, the coarse square is not tiled
+    stars["dim2.V1"] = replace(fine, orbit_reps=fine.orbit_reps[1:])
+    assert invoke(capsys, *argv) == (1, "", "error: refinement does not tile the coarse cell\n")
+    # unknown cones and non-faces stay usage errors
+    stars["dim2.V1"] = fine
+    assert invoke(capsys, "fuse", "--coarse", "dim2.nope", "--fine", "dim2.V1")[0] == 2
+    assert invoke(capsys, "fuse", "--coarse", "dim2.V1", "--fine", "dim2.V1capV2")[0] == 2
+
+
 def test_gen(tmp_path, capsys):
     fpath = write_form(tmp_path, "id2.json", [[1, 0], [0, 1]])
     cpath = tmp_path / "cell.json"

@@ -1,5 +1,6 @@
 """Delaunay stars, holes, empty-sphere certificates, canonical reps."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -11,9 +12,11 @@ from latdel.delaunay import (
     CertificationError,
     NotCospherical,
     NotPositiveDefiniteError,
+    _star_facets,
     canonical_orbit_rep,
     cell_center,
     certify_cell,
+    check_local_delaunay,
     check_star_completeness,
     check_tiling,
     delaunay_star,
@@ -161,6 +164,55 @@ def test_incomplete_star_names_an_unpaired_facet(monkeypatch):
     for v in dropped.vertices:
         if any(v):
             assert repr(tuple(sorted([(0, 0), v]))) in str(info.value)
+
+
+def test_local_delaunay_accepts_the_hexagonal_star():
+    star = delaunay_star(HEX)
+    check_local_delaunay(HEX, star.cells, _star_facets(star.cells))
+
+
+def test_local_delaunay_refuses_a_wall_form_with_equality():
+    # V1's triangulation refines the V1capV2 subdivision, so under the wall's
+    # form a fused facet has the vertex across it on the sphere, not outside
+    wall = sample_interior(catalog("dim4.V1capV2"))
+    cells = []
+    for cell in delaunay_star(sample_interior(catalog("dim4.V1"))).cells:
+        center, sq_radius = cell_center(wall, cell.vertices)
+        cells.append(replace(cell, center=center, sq_radius=sq_radius))
+    with pytest.raises(CertificationError) as info:
+        check_local_delaunay(wall, cells, _star_facets(cells))
+    assert str(info.value) == (
+        "facet ((-1, -1, -1, -1), (-1, -1, -1, 0), (-1, -1, 0, 0), (0, 0, 0, 0)) is not "
+        "locally Delaunay: the vertex (0, -1, 0, 0) across it lies on the sphere of "
+        "((-1, -1, -1, -1), (-1, -1, -1, 0), (-1, -1, 0, 0), (-1, 0, 0, 0), (0, 0, 0, 0))"
+    )
+
+
+def test_local_delaunay_refuses_a_moved_hole():
+    star = delaunay_star(HEX)
+    cell = star.cells[0]
+    moved = replace(cell, center=tuple(c + Fraction(1, 97) for c in cell.center))
+    cells = (moved,) + star.cells[1:]
+    with pytest.raises(CertificationError, match="is not cospherical about its hole"):
+        check_local_delaunay(HEX, cells, _star_facets(cells))
+
+
+def test_star_verifies_the_holes_of_the_walk(monkeypatch):
+    from latdel import delaunay
+
+    built = []
+    facet_map = delaunay.facet_map
+    monkeypatch.setattr(delaunay, "facet_map", lambda *a: built.append(1) or facet_map(*a))
+    delaunay_star(HEX)
+    assert built == [1]  # one facet map for completeness and the lemma
+    make = delaunay.make_cell
+
+    def moved(vertices, center, sq_radius):
+        return make(vertices, tuple(x + Fraction(1, 97) for x in center), sq_radius)
+
+    monkeypatch.setattr(delaunay, "make_cell", moved)
+    with pytest.raises(CertificationError, match="is not cospherical about its hole"):
+        delaunay_star(HEX)
 
 
 def test_canonical_orbit_rep():

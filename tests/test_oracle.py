@@ -1,9 +1,12 @@
 """Independent oracles: brute force for stars and generation in rank ≤ 2,
 the whole symmetry group G for the faces of K, a plain `Fraction`
 Gauss-Jordan elimination and principal minors for the exact kernel, a
-solve of every d-subset of the inequalities for the vertex walk, and a scan
-of the lattice points in a box for the cone cover."""
+solve of every d-subset of the inequalities for the vertex walk, a scan
+of the lattice points in a box for the cone cover, and one empty-sphere
+sweep per orbit rep (`certify_cell`) for Delaunay's lemma."""
 
+import random
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
@@ -14,6 +17,12 @@ from hypothesis import strategies as st
 
 from latdel.catalog import catalog, catalog_names, sample_interior
 from latdel.delaunay import (
+    CertificationError,
+    _star_facets,
+    canonical_orbit_rep,
+    cell_center,
+    certify_cell,
+    check_local_delaunay,
     delaunay_star,
     make_cell,
     nearest_points,
@@ -518,3 +527,73 @@ def test_cone_cover_matches_box_scan():
         assert cone_cover_check(coarse, pieces) == expected, coarse.vertices
         verdicts.append(expected)
     assert True in verdicts and False in verdicts
+
+
+def sweep_accepts(form, cells):
+    """The ball sweep: `certify_cell` on every orbit rep of the cells."""
+    reps = {canonical_orbit_rep(c).vertices: canonical_orbit_rep(c) for c in cells}
+    return all(certify_cell(form, rep).ok for rep in reps.values())
+
+
+def lemma_accepts(form, cells):
+    """Delaunay's lemma on the facet map that `delaunay_star` builds."""
+    try:
+        check_local_delaunay(form, cells, _star_facets(cells))
+    except CertificationError:
+        return False
+    return True
+
+
+def lemma_cases():
+    """(form, cells, whether both certificates must accept them)."""
+    rng = random.Random(0)
+    stars = [star_for(name) for name in catalog_names()]
+    for name in ("dim4.K", "dim4.G1234", "dim4.V2capV3"):
+        weights = [rng.randint(1, 5) for _ in catalog(name).generators]
+        stars.append(star_for(name, weights))
+    cases = [(star.form, star.cells, True) for star in stars]
+    # a rep with a vertex dropped from all its translates, where the other
+    # vertices still span
+    for star in stars:
+        g = star.form.rank
+        dropped = [
+            (rep.vertices, v)
+            for rep in star.orbit_reps
+            for v in rep.vertices
+            if affine_dimension([w for w in rep.vertices if w != v]) == g
+        ]
+        if not dropped:
+            continue
+        rep, v = dropped[0]
+        cells = []
+        for cell in star.cells:
+            if canonical_orbit_rep(cell).vertices == rep:
+                gone = tuple(a + b for a, b in zip(v, min(cell.vertices)))
+                cell = replace(cell, vertices=tuple(w for w in cell.vertices if w != gone))
+            cells.append(cell)
+        cases.append((star.form, cells, False))
+    # the fine cells of a wall, re-centred under the wall's form: the fused
+    # facets are cospherical, not strictly locally Delaunay
+    for coarse, fine in (
+        ("dim2.V1capV2", "dim2.V1"),
+        ("dim4.V1capV2", "dim4.V1"),
+        ("dim4.V2capV3", "dim4.V2"),
+        ("dim4.W0", "dim4.V3"),
+    ):
+        form = star_for(coarse).form
+        cells = []
+        for cell in star_for(fine).cells:
+            center, sq_radius = cell_center(form, cell.vertices)
+            cells.append(replace(cell, center=center, sq_radius=sq_radius))
+        cases.append((form, cells, False))
+    return cases
+
+
+def test_local_delaunay_agrees_with_the_ball_sweep():
+    verdicts = []
+    for form, cells, expected in lemma_cases():
+        assert sweep_accepts(form, cells) == expected, cells[0].vertices
+        assert lemma_accepts(form, cells) == expected, cells[0].vertices
+        verdicts.append(expected)
+    assert verdicts.count(True) == len(catalog_names()) + 3
+    assert verdicts.count(False) >= 8
