@@ -27,7 +27,7 @@ from .generation import (
     is_simplicially_generating,
     is_totally_generating,
 )
-from .verify import FusionError, fusion_check, reproduce_table, run_suites
+from .verify import _ALIASES, SUITES, FusionError, fusion_check, reproduce_table, run_suites
 
 
 def _emit(obj):
@@ -240,11 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_faces)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument(
-        "--suite",
-        default="all",
-        choices=["all", "dim2", "dim3", "dim4", "tables", "faces", "theorem"],
-    )
+    p.add_argument("--suite", default="all", choices=[*_ALIASES, *SUITES])
     p.set_defaults(func=_cmd_verify)
     return parser
 

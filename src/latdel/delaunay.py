@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import factorial, isqrt, lcm
+from math import factorial, isqrt
 from typing import Optional, Tuple
 
 from .exact import (
@@ -27,6 +27,7 @@ from .exact import (
     SingularMatrixError,
     determinant,
     dot,
+    integral,
     is_positive_definite,
     ldl,
     mat_vec,
@@ -222,15 +223,15 @@ def cell_center(form: QuadraticForm, vertices):
 
 def _integer_gram(form: QuadraticForm):
     """The Gram matrix times the least positive integer that makes it integral."""
-    scale = lcm(*(x.denominator for row in form.entries for x in row))
-    return [[int(x * scale) for x in row] for row in form.entries]
+    nums, _ = integral([x for row in form.entries for x in row])
+    g = form.rank
+    return [nums[i * g:(i + 1) * g] for i in range(g)]
 
 
 def _power(gram, center):
     """v -> den vᵀGv - 2 (Gv).nums for the center c = nums/den: with G a
     positive multiple of the form, a positive multiple of Q[v-c] - Q[c]."""
-    den = lcm(*(x.denominator for x in center))
-    nums = [x.numerator * (den // x.denominator) for x in center]
+    nums, den = integral(center)
 
     def power(v):
         gv = mat_vec(gram, v)
@@ -367,8 +368,7 @@ def delaunay_star(form: QuadraticForm) -> DelaunayStar:
     zero = (0,) * form.rank
     cells = []
     for c in centers:
-        den = lcm(*(x.denominator for x in c))
-        nums = [x.numerator * (den // x.denominator) for x in c]
+        nums, den = integral(c)
         verts = [zero] + [e for (a, b), e in scaled if dot(a, nums) == b * den]
         cells.append(make_cell(verts, tuple(c), norm(form, c)))
     cells.sort(key=lambda cell: cell.vertices)

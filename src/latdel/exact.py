@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import Iterable, Sequence, Tuple
 
 Rational = Fraction
@@ -204,30 +204,28 @@ def congruence_act(a: Matrix, form: QuadraticForm) -> QuadraticForm:
     return QuadraticForm(mat_mul(transpose(a), mat_mul(form.entries, a)))
 
 
-def _row_scale(row) -> int:
-    """The least common multiple of the denominators of a rational row."""
-    return lcm(*[v.denominator for v in row])
+def integral(values):
+    """Rationals as (integer numerators, d) over their least common
+    denominator d."""
+    den = lcm(*[v.denominator for v in values])
+    if den == 1:
+        return [v.numerator for v in values], 1
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def _echelon(rows):
     """Fraction-free Gauss-Jordan reduction of a rational row list.
 
-    Each row is scaled to integers by the lcm of its denominators, then
-    eliminated over the integers; every update is divided exactly by the
-    previous pivot (Bareiss, Math. Comp. 22, 1968), so the entries stay
-    minors of the scaled matrix.  Returns (a, pivots, p, sign): the integer
+    Each row is scaled to integers by `integral`, then eliminated over the
+    integers; every update is divided exactly by the previous pivot
+    (Bareiss, Math. Comp. 22, 1968), so the entries stay minors of the
+    scaled matrix.  Returns (a, pivots, p, sign): the integer
     rows, whose first len(pivots) rows are p times the reduced row echelon
     form; the pivot columns; the common pivot p; and the sign of the row
     swaps.  For a square scaled matrix of full rank, its determinant is
     sign * p.
     """
-    a = []
-    for row in rows:
-        scale = _row_scale(row)
-        if scale == 1:
-            a.append([v.numerator for v in row])
-        else:
-            a.append([v.numerator * (scale // v.denominator) for v in row])
+    a = [integral(row)[0] for row in rows]
     ncols = len(a[0]) if a else 0
     pivots = []
     prev, sign, r = 1, 1, 0
@@ -250,13 +248,11 @@ def _echelon(rows):
 
 
 def determinant(m: Matrix) -> Fraction:
-    _, pivots, p, sign = _echelon(m)
+    scaled = [integral(row) for row in m]
+    _, pivots, p, sign = _echelon([nums for nums, _ in scaled])
     if len(pivots) < len(m):
         return Fraction(0)
-    scale = 1
-    for row in m:
-        scale *= _row_scale(row)
-    return Fraction(sign * p, scale)
+    return Fraction(sign * p, prod(den for _, den in scaled))
 
 
 def solve_linear(m: Matrix, b: Sequence) -> RationalVector:
@@ -288,6 +284,23 @@ def solve_overdetermined(rows: Sequence[Sequence], rhs: Sequence):
     return tuple(Fraction(a[i][n], p) for i in range(n))
 
 
+def _kernel(rows):
+    """The right kernel of a nonempty row list in integers: (basis, p), the
+    basis of `nullspace` times the common pivot p of `_echelon`."""
+    n = len(rows[0])
+    a, pivots, p, _ = _echelon(rows)
+    basis = []
+    for fc in range(n):
+        if fc in pivots:
+            continue
+        v = [0] * n
+        v[fc] = p
+        for i, pc in enumerate(pivots):
+            v[pc] = -a[i][fc]
+        basis.append(v)
+    return basis, p
+
+
 def nullspace(rows: Sequence[Sequence]) -> list:
     """The reduced basis of the right nullspace of the given row list, exactly.
 
@@ -296,17 +309,8 @@ def nullspace(rows: Sequence[Sequence]) -> list:
     """
     if not rows:
         return []
-    n = len(rows[0])
-    a, pivots, p, _ = _echelon(rows)
-    basis = []
-    for fc in range(n):
-        if fc in pivots:
-            continue
-        v = [Fraction(int(c == fc)) for c in range(n)]
-        for i, pc in enumerate(pivots):
-            v[pc] = Fraction(-a[i][fc], p)
-        basis.append(tuple(v))
-    return basis
+    basis, p = _kernel(rows)
+    return [tuple(Fraction(c, p) for c in v) for v in basis]
 
 
 def matrix_rank(rows: Sequence[Sequence]) -> int:

@@ -1,12 +1,14 @@
 """The 64 codimension-one faces of the perfect cone K and their orbits.
 
 After the change of variables (x1, x2, x3, x4) -> (x1+x2, x1-x2, x1-x3,
-x1-x4) the twelve generators of K become the twelve forms (x_i +- x_j)^2,
-so faces are bookkept by which three of them are absent.  Each absent
-generator (p, q, sign) is an edge of a colored graph on {1,2,3,4}: black
-for a missing (x_p + x_q)^2, red for a missing (x_p - x_q)^2.  The faces
-fall into two orbits, black forks and red triangles, under a group G of
-order 1152 generated by sign flips, coordinate swaps and the extra
+x1-x4) the twelve generators of K become the twelve forms (x_i +- x_j)^2.
+The faces are the facets of the cone over all twelve, flattened, found by
+`geometry.cone_facets` with primitive integer functionals; each has nine
+generators, so it is bookkept by which three of them are absent.  Each
+absent generator (p, q, sign) is an edge of a colored graph on {1,2,3,4}:
+black for a missing (x_p + x_q)^2, red for a missing (x_p - x_q)^2.  The
+faces fall into two orbits, black forks and red triangles, under a group G
+of order 1152 generated by sign flips, coordinate swaps and the extra
 involution x_i -> -x_i + (1/2) sum x_k.
 
 The orbits are computed from the 11 generators alone: the orbits of a group
@@ -18,13 +20,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
-from math import lcm
+from functools import lru_cache
+from itertools import combinations
 from typing import Dict, Optional, Tuple
 
 from .catalog import NamedCone, _flatten, catalog
-from .exact import QuadraticForm, congruence_act, nullspace
-from .geometry import primitive
+from .exact import QuadraticForm, congruence_act, integral
+from .geometry import cone_facets, primitive
 
 BLACK = "black"
 RED = "red"
@@ -74,9 +76,7 @@ PM_FORMS: Dict[SignedPair, QuadraticForm] = {k: pm_form(*k) for k in SIGNED_PAIR
 
 
 def _primitive_form(form: QuadraticForm) -> QuadraticForm:
-    flat = [v for row in form.entries for v in row]
-    denom = lcm(*(v.denominator for v in flat))
-    ints = primitive([v * denom for v in flat])
+    ints = primitive(integral([v for row in form.entries for v in row])[0])
     g = form.rank
     return QuadraticForm(tuple(ints[i * g:(i + 1) * g] for i in range(g)))
 
@@ -136,7 +136,18 @@ class KFace:
     dropped: Tuple[SignedPair, ...]
     kept: Tuple[SignedPair, ...]
     graph: ColoredGraph
-    functional: Tuple[Fraction, ...]  # supporting functional on flattened forms
+    functional: Tuple[int, ...]  # primitive integer functional on flattened forms
+
+
+@lru_cache(maxsize=None)
+def _k_facets():
+    """{three dropped signed pairs: functional} for the facets of K, read from
+    `cone_facets` over its twelve flattened generators as integer rays."""
+    rays = [integral(_flatten(PM_FORMS[k]))[0] for k in SIGNED_PAIRS]
+    return {
+        tuple(sorted(k for i, k in enumerate(SIGNED_PAIRS) if i not in members)): normal
+        for members, normal in cone_facets(rays)
+    }
 
 
 def facial_certificate(dropped):
@@ -149,32 +160,15 @@ def facial_certificate(dropped):
     dropped = tuple(sorted(dropped))
     if len(dropped) != 3 or len({(p, q) for p, q, _ in dropped}) != 3:
         raise ValueError("need three signed pairs over distinct index pairs")
-    kept = [k for k in SIGNED_PAIRS if k not in dropped]
-    rows = [_flatten(PM_FORMS[k]) for k in kept]
-    kernel = nullspace(rows)
-    if len(kernel) != 1:
-        return None
-    functional = kernel[0]
-    values = [sum(f * v for f, v in zip(functional, _flatten(PM_FORMS[k]))) for k in dropped]
-    if all(v > 0 for v in values):
-        return functional
-    if all(v < 0 for v in values):
-        return tuple(-f for f in functional)
-    return None
+    return _k_facets().get(dropped)
 
 
 def enumerate_faces():
     """All 64 certified codimension-one faces of K, canonically ordered."""
-    faces = []
-    for pairs in combinations(combinations(range(1, 5), 2), 3):
-        for signs in product((1, -1), repeat=3):
-            dropped = tuple(sorted((p, q, s) for (p, q), s in zip(pairs, signs)))
-            functional = facial_certificate(dropped)
-            if functional is None:
-                continue
-            kept = tuple(k for k in SIGNED_PAIRS if k not in dropped)
-            faces.append(KFace(dropped, kept, graph_of(dropped), functional))
-    return sorted(faces, key=lambda f: f.dropped)
+    return [
+        KFace(d, tuple(k for k in SIGNED_PAIRS if k not in d), graph_of(d), functional)
+        for d, functional in sorted(_k_facets().items())
+    ]
 
 
 def _frac_matrix(rows):
@@ -207,7 +201,11 @@ def _doubled_product(a, b):
     return tuple(tuple(v // 2 for v in row) for row in prod)
 
 
-def group_G(limit: int = 10000):
+# the size past which the closure of `group_G` gives up
+GROUP_BOUND = 10000
+
+
+def group_G():
     """Closure of the generators, as the integer matrices 2*M; order 1152."""
     # the generators are half-integral, so 2*M is exact in integers
     gens = [tuple(tuple(int(2 * v) for v in row) for row in g) for g in group_generators()]
@@ -222,7 +220,7 @@ def group_G(limit: int = 10000):
                 if prod not in elements:
                     elements.add(prod)
                     nxt.append(prod)
-                    if len(elements) > limit:
+                    if len(elements) > GROUP_BOUND:
                         raise RuntimeError("group closure exceeded the bound")
         frontier = nxt
     return elements
@@ -238,9 +236,8 @@ def pair_permutation(element) -> Dict[SignedPair, SignedPair]:
     perm = {}
     for key in SIGNED_PAIRS:
         p, q, sign = key
-        w = [Fraction(a) + sign * Fraction(b) for a, b in zip(element[p - 1], element[q - 1])]
-        scale = lcm(*(c.denominator for c in w))
-        image = _PAIR_OF_VECTOR.get(primitive([c * scale for c in w])) if any(w) else None
+        w = [a + sign * b for a, b in zip(element[p - 1], element[q - 1])]
+        image = _PAIR_OF_VECTOR.get(primitive(integral(w)[0])) if any(w) else None
         if image is None:
             raise RuntimeError("group element does not preserve the ray set")
         perm[key] = image
@@ -283,16 +280,10 @@ def orbit_classify(faces, generators):
     return {"BF": bf, "RT": rt}
 
 
-_CLASSIFICATION = None
-
-
+@lru_cache(maxsize=None)
 def _classification():
-    global _CLASSIFICATION
-    if _CLASSIFICATION is None:
-        faces = enumerate_faces()
-        orbits = orbit_classify(faces, group_generators())
-        _CLASSIFICATION = (faces, orbits)
-    return _CLASSIFICATION
+    faces = enumerate_faces()
+    return faces, orbit_classify(faces, group_generators())
 
 
 def classify_face(dropped) -> str:

@@ -1,12 +1,13 @@
 """Exact polyhedral helpers: vertex enumeration, facets, triangulation.
 
 Everything here works over the rationals.  Dimensions are tiny (g <= 4), so
-the algorithms are the simple combinatorial ones: the vertices of a bounded
-polyhedron are found by walking its edges from a first vertex, and
-membership in a pointed cone by Caratheodory over independent ray subsets.
-Facets and pulling triangulations are computed once, for pointed cones of
-any dimension; a polytope is handled as the cone over its lifted points
-(p, 1).
+the algorithms are the simple combinatorial ones.  One facet search,
+`cone_facets`, serves everything: a polytope is handled as the cone over its
+lifted points (p, 1); the vertices of a bounded polyhedron are found by
+walking its edges from a first vertex, the edges at a vertex being the
+negated facet normals of the cone of its tight rows; and the pulling
+triangulations recurse on facets.  Membership in a pointed cone is
+Caratheodory over independent ray subsets.
 """
 
 from __future__ import annotations
@@ -18,11 +19,11 @@ from math import gcd
 from .exact import (
     SingularMatrixError,
     _echelon,
-    _row_scale,
+    _kernel,
     determinant,
     dot,
+    integral,
     matrix_rank,
-    nullspace,
     solve_overdetermined,
     vec_sub,
 )
@@ -30,11 +31,9 @@ from .exact import (
 
 def _int_scaled(a, b):
     """Inequality a.x <= b as a primitive integer row (a, b)."""
-    row = [Fraction(v) for v in a] + [Fraction(b)]
-    m = _row_scale(row)
-    row = [int(v * m) for v in row]
+    row, _ = integral(tuple(a) + (b,))
     if any(row):
-        row = list(primitive(row))
+        row = primitive(row)
     return tuple(row[:-1]), row[-1]
 
 
@@ -57,31 +56,6 @@ def _first_vertex(ineqs, d):
         if all(dot(a, nums) <= b * den for a, b in ineqs):
             return nums, den
     return None
-
-
-def _edge_directions(tight, d):
-    """Extreme rays of the cone {u : a.u <= 0 for the tight rows a}.
-
-    A ray is extreme when the rows vanishing on it have rank d - 1, so each
-    (d-1)-subset of rank d - 1 gives its kernel line, kept with the sign
-    (if any) that satisfies every tight row.
-    """
-    directions = set()
-    for subset in combinations(tight, d - 1):
-        reduced, pivots, p, _ = _echelon(subset)
-        if len(pivots) != d - 1:
-            continue
-        free = next(c for c in range(d) if c not in pivots)
-        u = [0] * d
-        u[free] = p
-        for i, pc in enumerate(pivots):
-            u[pc] = -reduced[i][free]
-        values = [dot(a, u) for a in tight]
-        if all(v <= 0 for v in values):
-            directions.add(primitive(u))
-        elif all(v >= 0 for v in values):
-            directions.add(primitive([-c for c in u]))
-    return directions
 
 
 def _step(ineqs, nums, den, u):
@@ -111,11 +85,12 @@ def vertex_enumeration(inequalities):
     primitive integer rows.  The d-subsets of the rows [a | b] are reduced by
     the fraction-free `_echelon` only until one feasible vertex is found (all
     of them when the polyhedron is empty).  From there the walk follows the
-    edges: at each vertex the extreme rays of the cone of its tight rows are
-    the edge directions, and an exact ratio test gives the vertex at the far
-    end.  The graph of a polytope is connected (Balinski), so the walk
-    reaches every vertex.  Points stay integer numerators over a positive
-    denominator in lowest terms until the end.
+    edges: at each vertex the edge directions are the extreme rays of
+    {u : a.u <= 0 for the tight rows a}, the negated facet normals of the
+    cone over the tight rows (`cone_facets`), and an exact ratio test gives
+    the vertex at the far end.  The graph of a polytope is connected
+    (Balinski), so the walk reaches every vertex.  Points stay integer
+    numerators over a positive denominator in lowest terms until the end.
     """
     if not inequalities:
         return []
@@ -129,8 +104,8 @@ def vertex_enumeration(inequalities):
     while stack:
         nums, den = stack.pop()
         tight = [a for a, b in ineqs if dot(a, nums) == b * den]
-        for u in _edge_directions(tight, d):
-            nxt = _step(ineqs, nums, den, u)
+        for _, normal in cone_facets(tight):
+            nxt = _step(ineqs, nums, den, tuple(-c for c in normal))
             if nxt is not None and nxt not in seen:
                 seen.add(nxt)
                 stack.append(nxt)
@@ -154,30 +129,31 @@ def _lift(points):
 def cone_facets(rays):
     """Facets of a pointed cone, as sorted (member indices, normal) pairs.
 
-    The normal lies in the linear span of the rays, is >= 0 on every ray and
-    vanishes exactly on the members.  Each facet is spanned by rank - 1 of
-    the rays, so every such subset is tried: its normal is the kernel of the
-    subset stacked with the equations of the span, when that is a line.
+    The normal is a primitive integer vector in the linear span of the rays,
+    >= 0 on every ray and vanishing exactly on the members.  Each facet is
+    spanned by rank - 1 of the rays, so every such subset is tried: its
+    normal is the kernel of the subset stacked with the equations of the
+    span, when that is a line, read in integers from `_kernel`.
     """
     rays = [tuple(r) for r in rays]
     g = len(rays[0])
-    span_equations = nullspace(rays)
+    span_equations, _ = _kernel(rays)
     facets = {}
     for subset in combinations(range(len(rays)), g - len(span_equations) - 1):
         stack = [rays[i] for i in subset] + span_equations
         # rank-1 rays in a one-dimensional space leave an empty stack, which
         # imposes nothing
-        kernel = nullspace(stack or [(0,) * g])
+        kernel, _ = _kernel(stack or [(0,) * g])
         if len(kernel) != 1:
             continue
         normal = kernel[0]
         values = [dot(normal, r) for r in rays]
         if all(v <= 0 for v in values):
-            normal, values = tuple(-v for v in normal), [-v for v in values]
+            normal, values = [-c for c in normal], [-v for v in values]
         elif not all(v >= 0 for v in values):
             continue
         members = tuple(i for i, v in enumerate(values) if v == 0)
-        facets[members] = (members, normal)
+        facets[members] = (members, primitive(normal))
     return sorted(facets.values())
 
 

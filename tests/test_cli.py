@@ -479,6 +479,12 @@ def test_verify_dim2(capsys):
     assert any("σ5 = σ1 ∪ σ2" in line for r in reports for line in r["details"])
 
 
+def test_verify_takes_the_suite_names_its_reports_use(capsys):
+    code, out, _ = invoke(capsys, "verify", "--suite", "lowdim")
+    assert code == 0
+    assert [r["suite"] for r in json.loads(out)] == ["lowdim"]
+
+
 def test_identical_invocations_identical_bytes(capsys):
     _, first, _ = invoke(capsys, "catalog", "show", "dim4.K")
     _, second, _ = invoke(capsys, "catalog", "show", "dim4.K")

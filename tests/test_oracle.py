@@ -1,21 +1,24 @@
 """Independent oracles: brute force for stars and generation in rank ≤ 2,
 the whole symmetry group G for the faces of K, a plain `Fraction`
 Gauss-Jordan elimination and principal minors for the exact kernel, a
-solve of every d-subset of the inequalities for the vertex walk, a scan
-of the lattice points in a box for the cone cover, and one empty-sphere
-sweep per orbit rep (`certify_cell`) for Delaunay's lemma."""
+solve of every d-subset of the inequalities for the vertex walk, a
+`Fraction` kernel per ray subset for the cone facets and per drop set for
+the faces of K, a scan of the lattice points in a box for the cone cover,
+and one empty-sphere sweep per orbit rep (`certify_cell`) for Delaunay's
+lemma."""
 
 import random
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import lcm
+from math import gcd, lcm
+from operator import mul
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latdel.catalog import catalog, catalog_names, sample_interior
+from latdel.catalog import _flatten, catalog, catalog_names, sample_interior
 from latdel.delaunay import (
     CertificationError,
     _star_facets,
@@ -45,8 +48,12 @@ from latdel.exact import (
     solve_overdetermined,
 )
 from latdel.faces import (
+    PM_FORMS,
+    SIGNED_PAIRS,
     _classification,
     apply_to_face,
+    enumerate_faces,
+    facial_certificate,
     group_G,
     group_generators,
     pair_permutation,
@@ -358,9 +365,12 @@ def test_definiteness_matches_principal_minors(entries):
 def oracle_vertices(inequalities):
     """Vertices of {x : a.x <= b} from every nonsingular d-subset of the rows.
 
-    Each subset of [a | b], scaled to integers, is reduced once by the
-    fraction-free `_echelon`; its solution is kept when it satisfies every
-    inequality.
+    Each (d-1)-prefix of the rows [a | b], scaled to integers, is reduced
+    once by the fraction-free `_echelon`, to p times its reduced echelon
+    form with rows a_c at the pivot columns c.  Each later row r is
+    eliminated against it, r' = p r - sum r[c] a_c, and the d-subset is
+    nonsingular when r' is nonzero at the free column f.  Cramer's rule
+    then gives its solution, kept when it satisfies every inequality.
     """
     if not inequalities:
         return []
@@ -371,17 +381,30 @@ def oracle_vertices(inequalities):
         scale = lcm(*(v.denominator for v in row))
         row = [int(v * scale) for v in row]
         ineqs.append((tuple(row[:-1]), row[-1]))
-    nonsingular = list(range(d))
+    rows = [a + (b,) for a, b in ineqs]
     seen = set()
-    for subset in combinations([a + (b,) for a, b in ineqs], d):
-        reduced, pivots, den, _ = _echelon(subset)
-        if pivots != nonsingular:
+    for prefix in combinations(range(len(rows)), d - 1):
+        reduced, pivots, p, _ = _echelon([rows[i] for i in prefix])
+        if len(pivots) != d - 1 or d in pivots:
             continue
-        nums = [row[d] for row in reduced]
-        if den < 0:
-            den, nums = -den, [-v for v in nums]
-        if all(dot(a, nums) <= b * den for a, b in ineqs):
-            seen.add(tuple(Fraction(v, den) for v in nums))
+        (f,) = [c for c in range(d) if c not in pivots]
+        # r'[k] = r.w_k, with p at k and -a_c[k] at each pivot column c
+        wf, wd = [0] * (d + 1), [0] * (d + 1)
+        wf[f] = wd[d] = p
+        for c, a in zip(pivots, reduced):
+            wf[c], wd[c] = -a[f], -a[d]
+        for r in rows[prefix[-1] + 1 if prefix else 0:]:
+            rf, rd = sum(map(mul, r, wf)), sum(map(mul, r, wd))
+            if rf == 0:
+                continue
+            nums = [0] * d
+            nums[f], den = p * rd, p * rf
+            for c, a in zip(pivots, reduced):
+                nums[c] = a[d] * rf - a[f] * rd
+            if den < 0:
+                den, nums = -den, [-v for v in nums]
+            if all(sum(map(mul, a, nums)) <= b * den for a, b in ineqs):
+                seen.add(tuple(Fraction(v, den) for v in nums))
     return sorted(seen)
 
 
@@ -445,6 +468,110 @@ def test_walk_matches_all_subsets_on_voronoi_cells():
         form = sample_interior(catalog(name))
         rows = [(row, rhs) for row, rhs, _ in voronoi_inequalities(form)]
         assert vertex_enumeration(rows) == oracle_vertices(rows), name
+
+
+def oracle_cone_facets(rays):
+    """Facets of a pointed cone, as sorted (member indices, normal) pairs.
+
+    The normal lies in the linear span of the rays, is >= 0 on every ray and
+    vanishes exactly on the members.  Each facet is spanned by rank - 1 of
+    the rays, so every such subset is tried: its normal is the kernel of the
+    subset stacked with the equations of the span, when that is a line.
+    The kernels come from the plain `Fraction` Gauss-Jordan of
+    `oracle_nullspace`, so no elimination code is shared with `cone_facets`.
+    """
+    rays = [tuple(r) for r in rays]
+    g = len(rays[0])
+    span_equations = oracle_nullspace(rays)
+    facets = {}
+    for subset in combinations(range(len(rays)), g - len(span_equations) - 1):
+        stack = [rays[i] for i in subset] + span_equations
+        # rank-1 rays in a one-dimensional space leave an empty stack, which
+        # imposes nothing
+        kernel = oracle_nullspace(stack or [(0,) * g])
+        if len(kernel) != 1:
+            continue
+        normal = kernel[0]
+        values = [dot(normal, r) for r in rays]
+        if all(v <= 0 for v in values):
+            normal, values = tuple(-v for v in normal), [-v for v in values]
+        elif not all(v >= 0 for v in values):
+            continue
+        members = tuple(i for i, v in enumerate(values) if v == 0)
+        facets[members] = (members, normal)
+    return sorted(facets.values())
+
+
+def positive_multiple(u, v):
+    """u = t v for some rational t > 0."""
+    i = next(i for i, c in enumerate(v) if c)
+    t = Fraction(u[i]) / v[i]
+    return t > 0 and all(a == t * b for a, b in zip(u, v))
+
+
+@st.composite
+def pointed_cones(draw):
+    """Integer rays of a pointed cone in dimension 1 to 4.
+
+    Rays with a positive last coordinate in Z^k span a pointed cone, of rank
+    k or less; an injective integer map carries it into Z^g, of full rank
+    when k = g.  Copies and positive multiples of some rays are appended.
+    """
+    g = draw(st.integers(1, 4))
+    k = draw(st.integers(1, g))
+    base = st.tuples(*[st.integers(-2, 2)] * (k - 1), st.integers(1, 3))
+    rays = draw(st.lists(base, min_size=1, max_size=7))
+    column = st.lists(st.integers(-2, 2), min_size=g, max_size=g)
+    embedding = draw(st.lists(column, min_size=k, max_size=k).filter(lambda m: matrix_rank(m) == k))
+    rays = [tuple(sum(c * e[j] for c, e in zip(r, embedding)) for j in range(g)) for r in rays]
+    for i in draw(st.lists(st.integers(0, len(rays) - 1), max_size=3)):
+        rays.append(tuple(draw(st.integers(1, 3)) * c for c in rays[i]))
+    return draw(st.permutations(rays))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pointed_cones())
+def test_cone_facets_match_fraction_nullspace(rays):
+    expected = oracle_cone_facets(rays)
+    got = cone_facets(rays)
+    assert [m for m, _ in got] == [m for m, _ in expected]
+    for (_, normal), (_, oracle_normal) in zip(got, expected):
+        assert all(type(c) is int for c in normal) and gcd(*normal) == 1
+        assert positive_multiple(normal, oracle_normal)
+
+
+def oracle_k_faces():
+    """{dropped: functional or None} by the drop-set search over the 160 sets
+    of three signed pairs on distinct index pairs: a face when the kernel of
+    the nine kept generators is a line of one sign on the three dropped."""
+    faces = {}
+    for pairs in combinations(combinations(range(1, 5), 2), 3):
+        for signs in product((1, -1), repeat=3):
+            dropped = tuple(sorted((p, q, s) for (p, q), s in zip(pairs, signs)))
+            kept = [k for k in SIGNED_PAIRS if k not in dropped]
+            kernel = oracle_nullspace([_flatten(PM_FORMS[k]) for k in kept])
+            faces[dropped] = None
+            if len(kernel) == 1:
+                values = [dot(kernel[0], _flatten(PM_FORMS[k])) for k in dropped]
+                if all(v > 0 for v in values):
+                    faces[dropped] = kernel[0]
+                elif all(v < 0 for v in values):
+                    faces[dropped] = tuple(-f for f in kernel[0])
+    return faces
+
+
+def test_faces_of_k_match_the_drop_set_search():
+    candidates = oracle_k_faces()
+    assert len(candidates) == 160
+    expected = {d: f for d, f in candidates.items() if f is not None}
+    faces = enumerate_faces()
+    assert len(expected) == 64
+    assert [f.dropped for f in faces] == sorted(expected)
+    for face in faces:
+        assert len(face.kept) == 9
+        assert positive_multiple(face.functional, expected[face.dropped])
+    for dropped, functional in candidates.items():
+        assert (facial_certificate(dropped) is None) == (functional is None)
 
 
 def _cone_inequalities(rays):
