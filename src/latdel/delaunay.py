@@ -67,7 +67,6 @@ class DelaunayCell:
     """A Delaunay cell: sorted lattice vertices plus cached sphere data."""
 
     vertices: Tuple[Tuple[int, ...], ...]
-    dim: int
     center: Optional[Tuple[Fraction, ...]] = None
     sq_radius: Optional[Fraction] = None
 
@@ -76,7 +75,7 @@ class DelaunayCell:
         if self.center is not None:
             center = tuple(c + d for c, d in zip(self.center, t))
         vertices = tuple(sorted(shift_points(self.vertices, t)))
-        return DelaunayCell(vertices, self.dim, center, self.sq_radius)
+        return DelaunayCell(vertices, center, self.sq_radius)
 
     def vertex_set(self):
         return set(self.vertices)
@@ -84,7 +83,7 @@ class DelaunayCell:
 
 def make_cell(vertices, center=None, sq_radius=None) -> DelaunayCell:
     verts = tuple(sorted(set(tuple(int(c) for c in v) for v in vertices)))
-    return DelaunayCell(verts, affine_dimension(verts), center, sq_radius)
+    return DelaunayCell(verts, center, sq_radius)
 
 
 @dataclass(frozen=True)
@@ -376,7 +375,7 @@ def delaunay_star(form: QuadraticForm) -> DelaunayStar:
         {canonical_orbit_rep(cell).vertices: canonical_orbit_rep(cell) for cell in cells}.values(),
         key=lambda cell: cell.vertices,
     )
-    if any(rep.dim != form.rank for rep in reps):
+    if any(affine_dimension(rep.vertices) != form.rank for rep in reps):
         raise CertificationError("star cell is not full-dimensional")
     facets = _star_facets(cells)
     if not check_star_completeness(cells, facets):

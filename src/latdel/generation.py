@@ -3,8 +3,11 @@
 A cell containing the origin is totally generating when the lattice points
 of its cone at 0 are exactly the nonnegative integer combinations of the
 cell's lattice points.  The decision triangulates the cone into simplicial
-subcones, collects the half-open parallelepiped points of each, and settles
-each of those finitely many points by a bounded exact semigroup search.
+subcones, collects the half-open parallelepiped points of each by residues
+modulo a maximal minor p of its rays (p^k candidates for k rays, no box
+scan), and settles each of those finitely many points by an exact semigroup
+search whose depth the height of the cone bounds (Bruns and Gubeladze,
+Polytopes, Rings, and K-Theory, 2009, ch. 2).
 Simplicial generation also needs the cones at 0 of the pieces through 0 to
 tile C(0, cell): facet pairing (`cone_cover_check`) puts at least one piece
 cone over a generic point, disjoint interiors (`_interiors_overlap`) at most
@@ -19,16 +22,11 @@ from itertools import combinations, product
 from typing import Optional, Tuple
 
 from .delaunay import DelaunayCell
-from .exact import (
-    SingularMatrixError,
-    dot,
-    matrix_rank,
-    solve_overdetermined,
-    vec_sub,
-)
+from .exact import _echelon, dot, vec_sub
 from .geometry import (
     affine_dimension,
     cone_contains,
+    cone_facets,
     extremal_rays,
     facet_map,
     normalized_volume,
@@ -37,14 +35,6 @@ from .geometry import (
     unpaired_facets,
     vertex_enumeration,
 )
-
-# total-degree cap for the bounded semigroup search, per ambient rank
-DEGREE_BOUND_FACTOR = 4
-
-
-class SemigroupBoundExceeded(RuntimeError):
-    """The bounded membership search hit its degree cap; never passed silently."""
-
 
 @dataclass(frozen=True)
 class ConeAtZero:
@@ -87,77 +77,69 @@ def cone_rays(cell: DelaunayCell) -> ConeAtZero:
 def parallelepiped_points(rays):
     """Lattice points of the half-open parallelepiped of independent rays.
 
-    Points x = sum lambda_i v_i with 0 <= lambda_i < 1, found by exact
-    enumeration of the bounding box followed by an exact coefficient solve.
+    Points x = sum lambda_i r_i with 0 <= lambda_i < 1.  The common pivot p
+    of `_echelon` is a nonzero maximal minor of the rays, so Cramer's rule
+    puts every lambda_i in (1/p)Z: the points are the integral ones among
+    the p^k candidates sum c_i r_i / p, 0 <= c_i < p, for k rays.
     """
     rays = [tuple(r) for r in rays]
-    k = len(rays)
-    if matrix_rank(rays) != k:
+    _, pivots, p, _ = _echelon(rays)
+    if len(pivots) != len(rays):
         raise ValueError("rays must be linearly independent")
-    g = len(rays[0])
-    lo = [sum(min(r[i], 0) for r in rays) for i in range(g)]
-    hi = [sum(max(r[i], 0) for r in rays) for i in range(g)]
-    cols = list(zip(*rays))
-    out = []
-    for p in product(*[range(a, b + 1) for a, b in zip(lo, hi)]):
-        try:
-            coeffs = solve_overdetermined(cols, p)
-        except (SingularMatrixError, ValueError):
-            continue
-        if all(0 <= c < 1 for c in coeffs):
-            out.append(p)
-    return set(out)
+    p = abs(p)
+    out = set()
+    for coeffs in product(range(p), repeat=len(rays)):
+        point = [sum(c * v for c, v in zip(coeffs, col)) for col in zip(*rays)]
+        if all(v % p == 0 for v in point):
+            out.add(tuple(v // p for v in point))
+    return out
 
 
-def in_semigroup(x, generators, degree_bound: int) -> bool:
-    """Bounded exact search for x in the semigroup of the generators.
+def in_semigroup(x, generators) -> bool:
+    """Exact search for x in the semigroup of the generators.
 
-    Raises SemigroupBoundExceeded when the search is cut off by the degree
-    cap while branches remain; a False answer is always certified within the
-    bound.
+    Depth first, subtracting generators in index order, and expanding only
+    points of the cone of the remaining generators.  The height h, the sum
+    of the primitive facet normals of the cone, is an integer >= 1 on every
+    generator and >= 0 on the cone, so a branch ends within h(x) steps and
+    the search decides.  Raises ValueError when some generator has h <= 0,
+    that is when the cone is not pointed.
     """
     gens = sorted(set(tuple(g) for g in generators if any(g)))
-    memo = {}
-
-    def search(point, start, budget):
+    if not gens:
+        return not any(x)
+    normals = [n for _, n in cone_facets(gens)]
+    height = [sum(n[i] for n in normals) for i in range(len(gens[0]))]
+    if any(dot(height, g) <= 0 for g in gens):
+        raise ValueError("the generators do not span a pointed cone")
+    stack, seen = [(tuple(x), 0)], set()
+    while stack:
+        point, start = stack.pop()
         if not any(point):
             return True
-        if budget == 0:
-            raise SemigroupBoundExceeded(
-                "membership of %r undecided within degree %d" % (x, degree_bound)
-            )
-        key = (point, start)
-        if key in memo:
-            return memo[key]
-        result = False
-        for i in range(start, len(gens)):
-            rest = vec_sub(point, gens[i])
-            if cone_contains(gens[i:], rest) is None:
-                continue
-            if search(rest, i, budget - 1):
-                result = True
-                break
-        memo[key] = result
-        return result
-
-    return search(tuple(x), 0, degree_bound)
+        if cone_contains(gens[start:], point) is None:
+            continue
+        for i in reversed(range(start, len(gens))):
+            state = (vec_sub(point, gens[i]), i)
+            if state not in seen:
+                seen.add(state)
+                stack.append(state)
+    return False
 
 
 def is_totally_generating(cell: DelaunayCell) -> GenerationReport:
     """Decide C(0, cell) Z-cap X == Semi(0, cell Z-cap X), with witness."""
     _require_origin(cell)
-    g = len(cell.vertices[0])
     cone = cone_rays(cell)
     if not cone.rays:  # the cell is the point 0
         return GenerationReport(True)
     gens = [p for p in cone.lattice_points if any(p)]
-    bound = DEGREE_BOUND_FACTOR * g
     for simplex in triangulate_cone(cone.rays):
         sel = [cone.rays[i] for i in simplex]
         for p in sorted(parallelepiped_points(sel)):
             if not any(p):
                 continue
-            if not in_semigroup(p, gens, bound):
+            if not in_semigroup(p, gens):
                 return GenerationReport(False, witness=tuple(p))
     return GenerationReport(True)
 

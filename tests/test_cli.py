@@ -227,13 +227,10 @@ def test_gen_cell_without_origin(tmp_path, capsys):
     )
 
 
-def test_gen_semigroup_bound_exceeded(tmp_path, capsys, monkeypatch):
-    from latdel import generation
-
+def test_gen_cube_tetrahedron_is_not_generating(tmp_path, capsys):
     # the unit cube cut into the tetrahedron on (1,1,0), (1,0,1), (0,1,1) and
     # its four corners; the cone of the tetrahedron at 0 has the
-    # parallelepiped point (1, 1, 1), which degree 0 cannot decide
-    monkeypatch.setattr(generation, "DEGREE_BOUND_FACTOR", 0)
+    # parallelepiped point (1, 1, 1), which no sum of its vertices reaches
     fpath = write_form(tmp_path, "id3.json", [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     cube = [list(v) for v in product((0, 1), repeat=3)]
     cpath = tmp_path / "cube.json"
@@ -251,8 +248,10 @@ def test_gen_semigroup_bound_exceeded(tmp_path, capsys, monkeypatch):
         capsys, "gen", "--cell", str(cpath), "--form", fpath, "--pieces", str(ppath)
     )
     assert code == 1
-    assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+    report = json.loads(out)
+    assert report["totally_generating"] is False
+    assert report["witness"] == [1, 1, 1]
+    assert err.startswith("error: not generating: ") and err.count("\n") == 1
     assert "(1, 1, 1)" in err
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from latdel import formats
-from latdel.catalog import catalog, sample_interior
+from latdel.catalog import catalog
 from latdel.delaunay import delaunay_star, make_cell
 from latdel.exact import QuadraticForm
 from latdel.generation import GenerationReport

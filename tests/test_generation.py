@@ -48,11 +48,31 @@ def test_parallelepiped_points():
 
 def test_in_semigroup():
     gens = [S1, S12]
-    assert in_semigroup((3, 2), gens, 8)
-    assert not in_semigroup((0, 1), gens, 8)
+    assert in_semigroup((3, 2), gens)
+    assert not in_semigroup((0, 1), gens)
     # monotone: sums of members are members
-    assert in_semigroup((2, 1), gens, 8) and in_semigroup((1, 1), gens, 8)
-    assert in_semigroup((3, 2), gens, 8)
+    assert in_semigroup((2, 1), gens) and in_semigroup((1, 1), gens)
+    assert in_semigroup((3, 2), gens)
+
+
+def test_in_semigroup_needs_a_pointed_cone():
+    # the height, the sum of the facet normals, must be >= 1 on every
+    # generator: a line has no facets, a half-plane one normal that is 0 on
+    # (1, 0) and (-1, 0)
+    for gens in ([S1, (-1, 0)], [S1, (-1, 0), S2]):
+        with pytest.raises(ValueError):
+            in_semigroup(S12, gens)
+    # with no nonzero generators only 0 is a sum
+    assert in_semigroup(ZERO2, [])
+    assert not in_semigroup(S1, [])
+    assert not in_semigroup(S1, [ZERO2])
+
+
+def test_in_semigroup_decides_deep_points():
+    # the depth of the search is the height, 2000 here: no cap to hit and no
+    # recursion limit
+    assert in_semigroup((2000, 0), [S1])
+    assert not in_semigroup((2000, 1), [S1, (1, 2)])
 
 
 def test_is_totally_generating():

@@ -1,0 +1,52 @@
+"""Every imported name in the package and the tests is used.
+
+A name counts as used when it is read anywhere in its module or listed in
+the module's `__all__`; `from __future__` imports are skipped.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted((ROOT / "src" / "latdel").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+
+
+def unused_imports(source):
+    tree = ast.parse(source)
+    imported = {}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_the_checker_finds_unused_names():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "from math import gcd, lcm as least\n"
+        "from .x import kept\n"
+        "__all__ = ['kept']\n"
+        "print(least(2, 3))\n"
+    )
+    assert unused_imports(source) == [(2, "os"), (3, "gcd")]
+
+
+def test_no_unused_imports():
+    unused = [
+        "%s:%d %s" % (path.relative_to(ROOT), line, name)
+        for path in MODULES
+        for line, name in unused_imports(path.read_text(encoding="utf-8"))
+    ]
+    assert unused == []

@@ -1,7 +1,8 @@
 """Independent oracles: brute force for stars and generation in rank ≤ 2,
 the whole symmetry group G for the faces of K, a plain `Fraction`
 Gauss-Jordan elimination and principal minors for the exact kernel, a
-solve of every d-subset of the inequalities for the vertex walk, a
+solve per box point for parallelepiped points and a degree-capped search
+for semigroup membership, a solve of every d-subset of the inequalities for the vertex walk, a
 `Fraction` kernel per ray subset for the cone facets and per drop set for
 the faces of K, a scan of the lattice points in a box for the cone cover,
 and one empty-sphere sweep per orbit rep (`certify_cell`) for Delaunay's
@@ -15,7 +16,7 @@ from itertools import combinations, product
 from math import gcd, lcm
 from operator import mul
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from latdel.catalog import _flatten, catalog, catalog_names, sample_interior
@@ -46,6 +47,7 @@ from latdel.exact import (
     matrix_rank,
     nullspace,
     solve_overdetermined,
+    vec_sub,
 )
 from latdel.faces import (
     PM_FORMS,
@@ -58,7 +60,13 @@ from latdel.faces import (
     group_generators,
     pair_permutation,
 )
-from latdel.generation import cone_cover_check, cone_rays, is_totally_generating
+from latdel.generation import (
+    cone_cover_check,
+    cone_rays,
+    in_semigroup,
+    is_totally_generating,
+    parallelepiped_points,
+)
 from latdel.geometry import (
     affine_dimension,
     cone_contains,
@@ -172,6 +180,112 @@ def generation_oracle_agrees() -> bool:
 
 def test_generation_matches_naive_oracle():
     assert generation_oracle_agrees()
+
+
+def oracle_parallelepiped_points(rays):
+    """Lattice points of the half-open parallelepiped of independent rays.
+
+    Points x = sum lambda_i v_i with 0 <= lambda_i < 1, found by exact
+    enumeration of the bounding box followed by an exact coefficient solve.
+    """
+    rays = [tuple(r) for r in rays]
+    k = len(rays)
+    if matrix_rank(rays) != k:
+        raise ValueError("rays must be linearly independent")
+    g = len(rays[0])
+    lo = [sum(min(r[i], 0) for r in rays) for i in range(g)]
+    hi = [sum(max(r[i], 0) for r in rays) for i in range(g)]
+    cols = list(zip(*rays))
+    out = []
+    for p in product(*[range(a, b + 1) for a, b in zip(lo, hi)]):
+        try:
+            coeffs = solve_overdetermined(cols, p)
+        except (SingularMatrixError, ValueError):
+            continue
+        if all(0 <= c < 1 for c in coeffs):
+            out.append(p)
+    return set(out)
+
+
+@st.composite
+def independent_rays(draw):
+    """k <= g <= 4 independent integer rays, k < g included."""
+    g = draw(st.integers(1, 4))
+    k = draw(st.integers(1, g))
+    entries = st.integers(-2, 2)
+    rays = draw(st.lists(st.tuples(*[entries] * g), min_size=k, max_size=k))
+    assume(matrix_rank(rays) == k)
+    return rays
+
+
+@settings(max_examples=150, deadline=None)
+@given(independent_rays())
+def test_parallelepiped_points_match_the_box_scan(rays):
+    # the residue enumeration tries p^k candidates and the box scan solves
+    # one system per box point; |p| <= 4 keeps both fast
+    assume(abs(_echelon(rays)[2]) <= 4)
+    assert parallelepiped_points(rays) == oracle_parallelepiped_points(rays)
+
+
+class SemigroupBoundExceeded(RuntimeError):
+    """The bounded membership search hit its degree cap; never passed silently."""
+
+
+def oracle_in_semigroup(x, generators, degree_bound: int) -> bool:
+    """Bounded exact search for x in the semigroup of the generators.
+
+    Raises SemigroupBoundExceeded when the search is cut off by the degree
+    cap while branches remain; a False answer is always certified within the
+    bound.
+    """
+    gens = sorted(set(tuple(g) for g in generators if any(g)))
+    memo = {}
+
+    def search(point, start, budget):
+        if not any(point):
+            return True
+        if budget == 0:
+            raise SemigroupBoundExceeded(
+                "membership of %r undecided within degree %d" % (x, degree_bound)
+            )
+        key = (point, start)
+        if key in memo:
+            return memo[key]
+        result = False
+        for i in range(start, len(gens)):
+            rest = vec_sub(point, gens[i])
+            if cone_contains(gens[i:], rest) is None:
+                continue
+            if search(rest, i, budget - 1):
+                result = True
+                break
+        memo[key] = result
+        return result
+
+    return search(tuple(x), 0, degree_bound)
+
+
+@st.composite
+def semigroup_cases(draw):
+    """Up to 4 generators with first coordinate >= 1, so their cone is
+    pointed, and a point; a first coordinate above the cap of 6 can leave
+    the capped search undecided."""
+    g = draw(st.integers(1, 3))
+    rest = [st.integers(-2, 2)] * (g - 1)
+    gens = draw(st.lists(st.tuples(st.integers(1, 2), *rest), min_size=1, max_size=4))
+    x = draw(st.tuples(st.integers(0, 8), *[st.integers(-4, 4)] * (g - 1)))
+    return x, gens
+
+
+@settings(max_examples=200, deadline=None)
+@given(semigroup_cases())
+def test_in_semigroup_matches_the_capped_search(case):
+    x, gens = case
+    try:
+        expected = oracle_in_semigroup(x, gens, 6)
+    except SemigroupBoundExceeded:
+        assume(False)
+    assert in_semigroup(x, gens) == expected
 
 
 @lru_cache(maxsize=None)
