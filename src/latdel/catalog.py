@@ -22,7 +22,6 @@ from .exact import (
     form_scale,
     matrix_rank,
     solve_overdetermined,
-    SingularMatrixError,
 )
 from .geometry import cone_contains
 
@@ -45,26 +44,6 @@ def _flatten(form: QuadraticForm):
     return tuple(form.entries[i][j] for i in range(n) for j in range(i, n))
 
 
-def _sym(n, pairs, diag):
-    m = [[Fraction(0)] * n for _ in range(n)]
-    for i, v in diag.items():
-        m[i - 1][i - 1] = Fraction(v)
-    for (i, j), v in pairs.items():
-        m[i - 1][j - 1] = Fraction(v)
-        m[j - 1][i - 1] = Fraction(v)
-    return QuadraticForm(tuple(tuple(row) for row in m))
-
-
-def difference_form(n: int, i: int, j: int) -> QuadraticForm:
-    """(x_i - x_j)^2 as an n x n matrix (1-based indices)."""
-    return _sym(n, {(i, j): -1}, {i: 1, j: 1})
-
-
-def square_form(n: int, i: int) -> QuadraticForm:
-    """x_i^2 as an n x n matrix (1-based index)."""
-    return _sym(n, {}, {i: 1})
-
-
 def _vector_square(n: int, coeffs) -> QuadraticForm:
     """(sum_i coeffs[i] x_{i+1})^2."""
     return QuadraticForm(
@@ -73,6 +52,16 @@ def _vector_square(n: int, coeffs) -> QuadraticForm:
             for i in range(n)
         )
     )
+
+
+def difference_form(n: int, i: int, j: int) -> QuadraticForm:
+    """(x_i - x_j)^2 as an n x n matrix (1-based indices)."""
+    return _vector_square(n, [(k == i) - (k == j) for k in range(1, n + 1)])
+
+
+def square_form(n: int, i: int) -> QuadraticForm:
+    """x_i^2 as an n x n matrix (1-based index)."""
+    return _vector_square(n, [int(k == i) for k in range(1, n + 1)])
 
 
 # --- rank 2 (printed 2x2 matrices; e_13 is x_1^2, e_23 is x_2^2) -------------
@@ -282,13 +271,9 @@ def chamber_side(split, form: QuadraticForm) -> str:
     (in both, i.e. y_ab = y_cd) or "outside".
     """
     a, b, c, d = split
-    pair1, pair2 = sorted([tuple(sorted((a, b))), tuple(sorted((c, d)))])
-    cone = catalog("dim4.G%d%d%d%d" % (pair1 + pair2))
-    gens = [_flatten(g) for g in cone.generators]
-    cols = list(zip(*gens))
     try:
-        solve_overdetermined(cols, _flatten(form))
-    except (SingularMatrixError, ValueError):
+        chamber_coordinates(split, form)
+    except ValueError:
         raise ValueError("form is not in the span of G_%d%d%d%d" % (a, b, c, d))
     in_abcd = contains(_chamber_cone(a, b, c, d), form) is not None
     in_cdab = contains(_chamber_cone(c, d, a, b), form) is not None

@@ -20,6 +20,7 @@ from .delaunay import (
     UnsupportedRankError,
     certify_cell,
     delaunay_star,
+    make_cell,
 )
 from .exact import parse_rational, shift_points
 from .generation import is_simplicially_generating, is_totally_generating
@@ -106,7 +107,8 @@ def _cmd_fuse(args) -> int:
 def _cmd_gen(args) -> int:
     cell = formats.load_cell(args.cell)
     form = formats.load_form(args.form)
-    pieces = formats.load_cells(args.pieces) if args.pieces else []
+    # the pieces' sphere data is never checked, so it is not echoed back
+    pieces = [make_cell(p.vertices) for p in formats.load_cells(args.pieces)] if args.pieces else []
     for path, c in [(args.cell, cell)] + [(args.pieces, p) for p in pieces]:
         if len(c.vertices[0]) != form.rank:
             return _fail_usage("%s: vertex length is not the form's rank %d" % (path, form.rank))

@@ -248,6 +248,9 @@ def _echelon(rows):
 
 
 def determinant(m: Matrix) -> Fraction:
+    """The determinant of a nonempty square matrix; ValueError otherwise."""
+    if not m or any(len(row) != len(m) for row in m):
+        raise ValueError("determinant of a matrix that is not square")
     scaled = [integral(row) for row in m]
     _, pivots, p, sign = _echelon([nums for nums, _ in scaled])
     if len(pivots) < len(m):

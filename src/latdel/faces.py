@@ -24,7 +24,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Dict, Optional, Tuple
 
-from .catalog import NamedCone, _flatten, catalog
+from .catalog import NamedCone, _flatten, _vector_square, catalog
 from .exact import QuadraticForm, congruence_act, integral
 from .geometry import cone_facets, primitive
 
@@ -66,10 +66,7 @@ _PAIR_OF_VECTOR = {
 
 def pm_form(p: int, q: int, sign: int) -> QuadraticForm:
     """(x_p + sign * x_q)^2 as a rank-4 matrix."""
-    coeffs = _pair_vector(p, q, sign)
-    return QuadraticForm(
-        tuple(tuple(Fraction(coeffs[i] * coeffs[j]) for j in range(4)) for i in range(4))
-    )
+    return _vector_square(4, _pair_vector(p, q, sign))
 
 
 PM_FORMS: Dict[SignedPair, QuadraticForm] = {k: pm_form(*k) for k in SIGNED_PAIRS}

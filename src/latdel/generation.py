@@ -9,10 +9,15 @@ scan), and settles each of those finitely many points by an exact semigroup
 search whose depth the height of the cone bounds (Bruns and Gubeladze,
 Polytopes, Rings, and K-Theory, 2009, ch. 2).
 Simplicial generation also needs the cones at 0 of the pieces through 0 to
-tile C(0, cell): facet pairing (`cone_cover_check`) puts at least one piece
-cone over a generic point, disjoint interiors (`_interiors_overlap`) at most
-one.  The pairing needs pieces that meet face to face at 0, as the cells of
-a Delaunay refinement do.
+tile C(0, cell).  Every test of that reads walls, the outward normals n of
+a cell's facets through 0: the facets through a vertex cut out the tangent
+cone there, so C(0, cell) = {x : n.x <= 0 for every wall}.  The cover is a
+facet pairing (`cone_cover_check`).  The vertex sum of a full-dimensional
+piece P is interior to its cone, so if it satisfies every wall of a piece
+Q, the cone interiors meet, and so do P and Q near 0.  Once the cover
+holds, the number k of piece cones over a generic point is constant; if
+k >= 2, points near that sum lie in a second, closed cone, which then holds
+the sum.  So this overlap test misses an overlap only when the cover fails.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ from typing import Optional, Tuple
 from .delaunay import DelaunayCell
 from .exact import _echelon, dot, vec_sub
 from .geometry import (
-    affine_dimension,
     cone_contains,
     cone_facets,
     extremal_rays,
@@ -33,7 +37,6 @@ from .geometry import (
     polytope_facets,
     triangulate_cone,
     unpaired_facets,
-    vertex_enumeration,
 )
 
 @dataclass(frozen=True)
@@ -144,85 +147,82 @@ def is_totally_generating(cell: DelaunayCell) -> GenerationReport:
     return GenerationReport(True)
 
 
-def _interiors_overlap(cell_a: DelaunayCell, cell_b: DelaunayCell) -> bool:
-    """Exact full-dimensional intersection test for two lattice polytopes."""
-    g = len(cell_a.vertices[0])
-    ineqs = []
-    for cell in (cell_a, cell_b):
-        for _, normal, offset in polytope_facets(list(cell.vertices)):
-            ineqs.append((normal, offset))
-    common = vertex_enumeration(ineqs)
-    if not common:
-        return False
-    return affine_dimension(common) == g
+def _overlap(pieces0, facets):
+    """The first pair of pieces, in `combinations` order, where the vertex sum
+    of one satisfies every wall of the other in the facet map; or ()."""
+    walls = [[n for s in facets.values() for k, n in s if k == i] for i, _ in enumerate(pieces0)]
+    sums = [tuple(map(sum, zip(*p.vertices))) for p in pieces0]
+    for i, j in combinations(range(len(pieces0)), 2):
+        for a, b in ((i, j), (j, i)):
+            if all(dot(n, sums[a]) <= 0 for n in walls[b]):
+                return pieces0[i].vertices, pieces0[j].vertices
+    return ()
 
 
-def _is_refinement(cell: DelaunayCell, pieces) -> bool:
-    facets = polytope_facets(list(cell.vertices))
+def _is_refinement(cell: DelaunayCell, facets, pieces) -> bool:
     for piece in pieces:
         for v in piece.vertices:
             if any(dot(normal, v) > offset for _, normal, offset in facets):
                 return False
-    total = sum(normalized_volume(list(p.vertices)) for p in pieces)
+    try:
+        total = sum(normalized_volume(list(p.vertices)) for p in pieces)
+    except ValueError:  # a piece that is not full-dimensional
+        return False
     return total == normalized_volume(list(cell.vertices))
 
 
 def cone_cover_check(coarse_cell: DelaunayCell, pieces) -> bool:
     """C(0, coarse) equals the union of the cones over pieces containing 0.
 
-    The piece rays must lie in the coarse cone.  Every facet through 0 of a
-    piece, unless it lies in a facet of the coarse cell, must be shared by
-    two pieces on opposite sides (`geometry.facet_map`); then the
-    number of piece cones over a point of the coarse cone does not change
-    across a facet, so off codimension 2 it is constant, hence at least 1:
-    the closed cones cover.  Full-dimensional pieces that do not meet face
-    to face at 0 count as not covering; Delaunay refinements always do.
+    A piece cone lies in the coarse cone exactly when the piece vertices
+    satisfy the coarse walls.  Every facet through 0 of a piece, unless it
+    lies in a coarse wall, must be shared by two pieces on opposite sides
+    (`geometry.facet_map`); then the number of piece cones over a point of
+    the coarse cone does not change across a facet, so off codimension 2 it
+    is constant, hence at least 1: the closed cones cover.  Pieces that do
+    not meet face to face at 0 count as not covering.
     """
     zero = _require_origin(coarse_cell)
     pieces0 = [p for p in pieces if zero in p.vertices]
-    if not pieces0:
-        return False
-    coarse = cone_rays(coarse_cell)
-    for piece in pieces0:
-        for ray in cone_rays(piece).rays:
-            if cone_contains(list(coarse.rays), ray) is None:
-                return False
-    return not _unpaired_cone_facets(coarse_cell, pieces0)
-
-
-def _unpaired_cone_facets(coarse_cell: DelaunayCell, pieces0):
-    """Facets through 0 of the pieces, off the coarse cell's facets, that are
-    not shared by two pieces on opposite sides."""
-    zero = _require_origin(coarse_cell)
     walls = [n for _, n, offset in polytope_facets(list(coarse_cell.vertices)) if offset == 0]
-    return unpaired_facets(
-        facet_map(
-            [p.vertices for p in pieces0],
-            lambda f: zero not in f or any(all(dot(n, v) == 0 for v in f) for n in walls),
-        )
-    )
+    if not pieces0 or any(dot(n, v) > 0 for n in walls for p in pieces0 for v in p.vertices):
+        return False
+    return not _unpaired_cone_facets(walls, _facets_at_zero(pieces0))
+
+
+def _facets_at_zero(pieces0):
+    """The `geometry.facet_map` of the pieces' facets through 0."""
+    return facet_map([p.vertices for p in pieces0], lambda f: all(map(any, f)))
+
+
+def _unpaired_cone_facets(walls, facets):
+    """Facets of the map, off the walls, not shared by two pieces on opposite sides."""
+    in_wall = lambda f: any(all(dot(n, v) == 0 for v in f) for n in walls)
+    return unpaired_facets({f: s for f, s in facets.items() if not in_wall(f)})
 
 
 def is_simplicially_generating(cell: DelaunayCell, pieces) -> GenerationReport:
     """Decide simplicial generation of a cell from a refining decomposition.
 
-    Only the pieces containing 0 enter: they must have pairwise disjoint
-    interiors, each must be totally generating, and their cones at 0 must
-    cover C(0, cell).
+    Only the pieces containing 0 enter: no vertex sum of one may satisfy
+    the walls of another, each must be totally generating, and their cones
+    at 0 must cover C(0, cell).
     """
     zero = _require_origin(cell)
     pieces = list(pieces)
-    if not _is_refinement(cell, pieces):
+    facets = polytope_facets(list(cell.vertices))
+    if not _is_refinement(cell, facets, pieces):
         raise ValueError("pieces are not a refinement of the cell")
-    pieces0 = [p for p in pieces if zero in p.vertices]
-    for a, b in combinations(pieces0, 2):
-        if _interiors_overlap(a, b):
-            return GenerationReport(False, pieces=tuple(pieces0), overlap=(a.vertices, b.vertices))
+    pieces0 = tuple(p for p in pieces if zero in p.vertices)
+    at_zero = _facets_at_zero(pieces0)
+    overlap = _overlap(pieces0, at_zero)
+    if overlap:
+        return GenerationReport(False, pieces=pieces0, overlap=overlap)
     for piece in pieces0:
         sub = is_totally_generating(piece)
         if not sub.totally_generating:
-            return GenerationReport(False, witness=sub.witness, pieces=tuple(pieces0))
-    if not cone_cover_check(cell, pieces0):
-        unpaired = tuple(_unpaired_cone_facets(cell, pieces0))
-        return GenerationReport(False, pieces=tuple(pieces0), unpaired=unpaired)
-    return GenerationReport(True, pieces=tuple(pieces0))
+            return GenerationReport(False, witness=sub.witness, pieces=pieces0)
+    # the pieces lie in the cell, so their cones cover C(0, cell) if they pair
+    walls = [n for _, n, offset in facets if offset == 0]
+    unpaired = tuple(_unpaired_cone_facets(walls, at_zero))
+    return GenerationReport(bool(pieces0) and not unpaired, pieces=pieces0, unpaired=unpaired)

@@ -230,7 +230,7 @@ def triangulate_polytope(points):
 
 
 def normalized_volume(points):
-    """g! times the Euclidean volume of a full-dimensional lattice polytope."""
+    """g! times the Euclidean volume of a lattice polytope; ValueError if not full-dimensional."""
     points = list(points)
     d = len(points[0])
     total = 0

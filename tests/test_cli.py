@@ -199,6 +199,42 @@ def test_gen_rejects_non_refining_pieces(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_gen_rejects_lower_dimensional_pieces(tmp_path, capsys):
+    # the triangle and the segment <(0, 1), (1, 1)> are no refinement of the
+    # unit square, any more than the triangle alone
+    fpath = write_form(tmp_path, "id2.json", [[1, 0], [0, 1]])
+    cpath = tmp_path / "cell.json"
+    cpath.write_text(formats.dumps({"vertices": [[0, 0], [0, 1], [1, 0], [1, 1]]}))
+    triangle = {"vertices": [[0, 0], [1, 0], [1, 1]]}
+    for extra in ([], [{"vertices": [[0, 1], [1, 1]]}], [{"vertices": [[0, 0]]}]):
+        ppath = tmp_path / "pieces.json"
+        ppath.write_text(formats.dumps([triangle] + extra))
+        code, out, err = invoke(
+            capsys, "gen", "--cell", str(cpath), "--form", fpath, "--pieces", str(ppath)
+        )
+        assert_usage_error(code, err)
+        assert out == "" and "not a refinement of the cell" in err
+
+
+def test_gen_reports_pieces_without_unchecked_sphere_data(tmp_path, capsys):
+    fpath = write_form(tmp_path, "id2.json", [[1, 0], [0, 1]])
+    cpath = tmp_path / "cell.json"
+    cpath.write_text(formats.dumps({"vertices": [[0, 0], [0, 1], [1, 0], [1, 1]]}))
+    pieces = [
+        {"vertices": [[0, 0], [1, 0], [1, 1]], "center": ["9000000000", "0"], "sq_radius": "7"},
+        {"vertices": [[0, 0], [0, 1], [1, 1]]},
+    ]
+    ppath = tmp_path / "pieces.json"
+    ppath.write_text(formats.dumps(pieces))
+    code, out, err = invoke(
+        capsys, "gen", "--cell", str(cpath), "--form", fpath, "--pieces", str(ppath)
+    )
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["pieces"] == [{"vertices": p["vertices"]} for p in pieces]
+    assert "9000000000" not in out
+
+
 def test_gen_cell_without_origin(tmp_path, capsys):
     # the unit square shifted by (1, 0) is a Delaunay cell of the identity form
     fpath = write_form(tmp_path, "id2.json", [[1, 0], [0, 1]])

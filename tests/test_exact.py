@@ -107,6 +107,14 @@ def test_determinant_and_rank():
     assert matrix_rank([(1, 0), (2, 0), (0, 0)]) == 1
 
 
+def test_determinant_refuses_matrices_that_are_not_square():
+    # a row of a 1 x 2 matrix is no minor to report, and an empty row list
+    # has no shape: a point or a segment has no normalized volume in the plane
+    for m in ([(1, 0)], [(1, 0, 0), (0, 1, 0)], [(1, 0), (0,)], []):
+        with pytest.raises(ValueError):
+            determinant(m)
+
+
 def test_solve_linear():
     assert solve_linear(((2, 0), (0, 3)), (4, 9)) == (Fraction(2), Fraction(3))
     with pytest.raises(SingularMatrixError):

@@ -98,6 +98,14 @@ def test_is_simplicially_generating():
         is_simplicially_generating(SIGMA5, [SIGMA1])
 
 
+def test_lower_dimensional_pieces_are_no_refinement():
+    # a segment or a point does not make up the half of the square that
+    # SIGMA1 leaves, whatever volume a minor would give it
+    for extra in ([S2, S12], [S2], [ZERO2]):
+        with pytest.raises(ValueError, match="not a refinement"):
+            is_simplicially_generating(SIGMA5, [SIGMA1, make_cell(extra)])
+
+
 def test_cone_cover_check():
     assert cone_cover_check(SIGMA5, [SIGMA1, SIGMA2])
     assert cone_cover_check(SIGMA5, [SIGMA3])

@@ -5,8 +5,10 @@ solve per box point for parallelepiped points and a degree-capped search
 for semigroup membership, a solve of every d-subset of the inequalities for the vertex walk, a
 `Fraction` kernel per ray subset for the cone facets and per drop set for
 the faces of K, a scan of the lattice points in a box for the cone cover,
-and one empty-sphere sweep per orbit rep (`certify_cell`) for Delaunay's
-lemma."""
+pairwise polytope intersections (a vertex enumeration of the joined facet
+systems) and a ray-by-ray cover for the tiling at 0 of simplicial
+generation, and one empty-sphere sweep per orbit rep (`certify_cell`) for
+Delaunay's lemma."""
 
 import random
 from dataclasses import replace
@@ -60,10 +62,16 @@ from latdel.faces import (
     group_generators,
     pair_permutation,
 )
+from latdel import delaunay, generation, geometry
 from latdel.generation import (
+    GenerationReport,
+    _facets_at_zero,
+    _overlap,
+    _require_origin,
     cone_cover_check,
     cone_rays,
     in_semigroup,
+    is_simplicially_generating,
     is_totally_generating,
     parallelepiped_points,
 )
@@ -71,6 +79,11 @@ from latdel.geometry import (
     affine_dimension,
     cone_contains,
     cone_facets,
+    facet_map,
+    normalized_volume,
+    polytope_facets,
+    triangulate_polytope,
+    unpaired_facets,
     vertex_enumeration,
 )
 from latdel.verify import cells_tiling, star_for
@@ -704,7 +717,7 @@ def box_scan_cover(coarse_cell, pieces):
     """The former cone cover check: piece rays lie in the coarse cone, and
     every lattice point of the coarse cone in a box of height 2·max|coord|
     lies in some piece cone.  Sound only for that box."""
-    zero = tuple(0 for _ in coarse_cell.vertices[0])
+    zero = _require_origin(coarse_cell)
     pieces0 = [p for p in pieces if zero in p.vertices]
     if not pieces0:
         return False
@@ -768,6 +781,202 @@ def test_cone_cover_matches_box_scan():
         assert cone_cover_check(coarse, pieces) == expected, coarse.vertices
         verdicts.append(expected)
     assert True in verdicts and False in verdicts
+
+
+def oracle_interiors_overlap(cell_a, cell_b) -> bool:
+    """Exact full-dimensional intersection test for two lattice polytopes."""
+    g = len(cell_a.vertices[0])
+    ineqs = []
+    for cell in (cell_a, cell_b):
+        for _, normal, offset in polytope_facets(list(cell.vertices)):
+            ineqs.append((normal, offset))
+    common = vertex_enumeration(ineqs)
+    if not common:
+        return False
+    return affine_dimension(common) == g
+
+
+def oracle_is_refinement(cell, pieces) -> bool:
+    facets = polytope_facets(list(cell.vertices))
+    for piece in pieces:
+        for v in piece.vertices:
+            if any(dot(normal, v) > offset for _, normal, offset in facets):
+                return False
+    total = sum(normalized_volume(list(p.vertices)) for p in pieces)
+    return total == normalized_volume(list(cell.vertices))
+
+
+def oracle_cone_cover_check(coarse_cell, pieces) -> bool:
+    """The cover by extremal rays: each piece ray in the coarse cone by one
+    `cone_contains`, then the facet pairing."""
+    zero = _require_origin(coarse_cell)
+    pieces0 = [p for p in pieces if zero in p.vertices]
+    if not pieces0:
+        return False
+    coarse = cone_rays(coarse_cell)
+    for piece in pieces0:
+        for ray in cone_rays(piece).rays:
+            if cone_contains(list(coarse.rays), ray) is None:
+                return False
+    return not oracle_unpaired_cone_facets(coarse_cell, pieces0)
+
+
+def oracle_unpaired_cone_facets(coarse_cell, pieces0):
+    zero = _require_origin(coarse_cell)
+    walls = [n for _, n, offset in polytope_facets(list(coarse_cell.vertices)) if offset == 0]
+    return unpaired_facets(
+        facet_map(
+            [p.vertices for p in pieces0],
+            lambda f: zero not in f or any(all(dot(n, v) == 0 for v in f) for n in walls),
+        )
+    )
+
+
+def oracle_is_simplicially_generating(cell, pieces) -> GenerationReport:
+    """Simplicial generation with overlaps found by intersecting the piece
+    polytopes pairwise (a vertex enumeration of the joined facet systems)."""
+    zero = _require_origin(cell)
+    pieces = list(pieces)
+    if not oracle_is_refinement(cell, pieces):
+        raise ValueError("pieces are not a refinement of the cell")
+    pieces0 = [p for p in pieces if zero in p.vertices]
+    for a, b in combinations(pieces0, 2):
+        if oracle_interiors_overlap(a, b):
+            return GenerationReport(False, pieces=tuple(pieces0), overlap=(a.vertices, b.vertices))
+    for piece in pieces0:
+        sub = is_totally_generating(piece)
+        if not sub.totally_generating:
+            return GenerationReport(False, witness=sub.witness, pieces=tuple(pieces0))
+    if not oracle_cone_cover_check(cell, pieces0):
+        unpaired = tuple(oracle_unpaired_cone_facets(cell, pieces0))
+        return GenerationReport(False, pieces=tuple(pieces0), unpaired=unpaired)
+    return GenerationReport(True, pieces=tuple(pieces0))
+
+
+def _verdict(decide, cell, pieces):
+    try:
+        return decide(cell, pieces).totally_generating
+    except ValueError:  # the pieces do not refine the cell
+        return None
+
+
+def check_generation_at_zero(cell, pieces):
+    """The walls at 0 against the polytope intersections and the ray-by-ray
+    cover: the same verdict, a reported overlap is an overlap, and when the
+    facets through 0 pair up, an overlap is reported if there is one.
+    Returns (whether they pair up, the reported pair, the first overlapping
+    pair in `combinations` order)."""
+    assert _verdict(is_simplicially_generating, cell, pieces) == _verdict(
+        oracle_is_simplicially_generating, cell, pieces
+    )
+    zero = (0,) * len(cell.vertices[0])
+    pieces0 = [p for p in pieces if zero in p.vertices]
+    pair = _overlap(pieces0, _facets_at_zero(pieces0))
+    if pair:
+        assert oracle_interiors_overlap(make_cell(pair[0]), make_cell(pair[1]))
+    overlapping = [
+        (a.vertices, b.vertices) for a, b in combinations(pieces0, 2) if oracle_interiors_overlap(a, b)
+    ]
+    first = overlapping[0] if overlapping else ()
+    paired = bool(pieces0) and not oracle_unpaired_cone_facets(cell, pieces0)
+    if paired:
+        assert bool(pair) == bool(first)
+    return paired, pair, first
+
+
+@st.composite
+def split_cells(draw):
+    """A lattice polytope at 0 in dimension 2 or 3, cut by a pulling
+    triangulation, as it is or with one change: a piece dropped, a piece
+    doubled, a piece replaced by a copy of another, an extra simplex at 0,
+    or a simplex cut at a lattice point of an edge through 0, which leaves
+    the split not face to face."""
+    g = draw(st.integers(2, 3))
+    box = st.tuples(*[st.integers(0, 5 - g)] * g)
+    points = [(0,) * g] + draw(st.lists(box.filter(any), min_size=g, max_size=6, unique=True))
+    assume(affine_dimension(points) == g)
+    points = draw(st.permutations(points))
+    pieces = [make_cell([points[i] for i in s]) for s in triangulate_polytope(points)]
+    index = st.integers(0, len(pieces) - 1)
+    variant = draw(st.sampled_from(["tiling", "drop", "double", "swap", "extra", "cut"]))
+    if variant == "drop":
+        del pieces[draw(index)]
+    elif variant == "double":
+        pieces.insert(draw(index), pieces[draw(index)])
+    elif variant == "swap":
+        i, j = draw(index), draw(index)
+        if normalized_volume(pieces[i].vertices) == normalized_volume(pieces[j].vertices):
+            pieces[i] = pieces[j]
+    elif variant == "extra":
+        simplex = [(0,) * g] + draw(st.lists(st.sampled_from(points), min_size=g, max_size=g))
+        if affine_dimension(simplex) == g:
+            pieces.insert(draw(index), make_cell(simplex))
+    elif variant == "cut":
+        at_zero = [k for k, p in enumerate(pieces) if (0,) * g in p.vertices]
+        cuts = [(k, v) for k in at_zero for v in pieces[k].vertices if gcd(*v) > 1]
+        if cuts:
+            k, v = draw(st.sampled_from(cuts))
+            mid = tuple(c // gcd(*v) for c in v)
+            rest = [w for w in pieces[k].vertices if w != v and any(w)]
+            pieces[k : k + 1] = [make_cell([(0,) * g, mid] + rest), make_cell([mid, v] + rest)]
+    return make_cell(points), pieces
+
+
+@settings(max_examples=150, deadline=None)
+@given(split_cells())
+def test_generation_at_zero_matches_polytope_intersections(case):
+    paired, pair, first = check_generation_at_zero(*case)
+    # every overlap here involves the one changed piece, and a paired cover
+    # makes its vertex sum or the other's a hit: the same first pair
+    if paired:
+        assert pair == first
+
+
+def test_generation_at_zero_matches_on_the_walls_and_fixed_cases():
+    zero2 = (0, 0)
+    square = make_cell([zero2, (1, 0), (0, 1), (1, 1)])
+    corner = make_cell([zero2, (1, 0), (0, 1)])
+    upper = make_cell([zero2, (1, 0), (1, 1)])
+    lower = make_cell([zero2, (0, 1), (1, 1)])
+    cases = cover_cases() + [
+        (square, [corner, corner]),
+        (square, [upper, corner]),
+        (square, [lower, upper, corner]),
+        (square, [corner, upper, lower]),
+    ]
+    outcomes = set()
+    for cell, pieces in cases:
+        paired, pair, first = check_generation_at_zero(cell, pieces)
+        outcomes.add((paired, bool(first)))
+        assert pair == first
+    # paired and overlapping: the corner twice covers the square's cone twice
+    assert (True, True) in outcomes and (True, False) in outcomes and (False, True) in outcomes
+    # two face-to-face fans of the same cone, {a, d} and {c, b}: a and b
+    # overlap first, but neither vertex sum lies in the other cone, so the
+    # walls report a and c, the first pair with a hit
+    edges = (((1, 0), (1, 1)), ((3, 2), (1, 3)), ((1, 0), (3, 2)), ((1, 1), (1, 3)))
+    a, b, c, d = (make_cell([zero2, u, v]) for u, v in edges)
+    cell = make_cell([zero2, (1, 0), (1, 3), (2, 4), (4, 2)])
+    paired, pair, first = check_generation_at_zero(cell, [a, b, c, d])
+    assert paired and first == (a.vertices, b.vertices) and pair == (a.vertices, c.vertices)
+
+
+def test_wall_reps_make_no_vertex_enumeration(monkeypatch):
+    walls = (("dim4.V1capV2", "dim4.V1"), ("dim4.V2capV3", "dim4.V2"), ("dim4.W0", "dim4.V3"))
+    items = [(star_for(fine), rep) for coarse, fine in walls for rep in star_for(coarse).orbit_reps]
+    assert len(items) == 58
+    calls = []
+
+    def counted(inequalities):
+        calls.append(len(inequalities))
+        return vertex_enumeration(inequalities)
+
+    for module in (geometry, delaunay, generation):
+        if hasattr(module, "vertex_enumeration"):
+            monkeypatch.setattr(module, "vertex_enumeration", counted)
+    reports = [is_simplicially_generating(rep, cells_tiling(fine, rep)) for fine, rep in items]
+    assert all(r.totally_generating for r in reports)
+    assert calls == []
 
 
 def sweep_accepts(form, cells):
