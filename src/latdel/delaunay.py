@@ -285,8 +285,9 @@ def is_basic_simplex(cell: DelaunayCell) -> bool:
     return abs(determinant(rows)) == 1
 
 
-def _star_facets(cells):
-    # a facet without the vertex 0 bounds the star away from 0
+def facets_at_zero(cells):
+    """The `geometry.facet_map` of the cells' facets through 0; a facet
+    without the vertex 0 bounds the cells away from 0."""
     return facet_map([c.vertices for c in cells], lambda f: all(map(any, f)))
 
 
@@ -296,7 +297,7 @@ def check_star_completeness(cells, facets=None) -> bool:
     built here unless given), so the number of cells over a point near 0
     does not change across a facet, and off codimension 2 it is constant,
     hence at least 1.  `check_tiling` makes it exactly 1."""
-    return bool(cells) and not unpaired_facets(facets or _star_facets(cells))
+    return bool(cells) and not unpaired_facets(facets or facets_at_zero(cells))
 
 
 def check_local_delaunay(form: QuadraticForm, cells, facets):
@@ -377,7 +378,7 @@ def delaunay_star(form: QuadraticForm) -> DelaunayStar:
     )
     if any(affine_dimension(rep.vertices) != form.rank for rep in reps):
         raise CertificationError("star cell is not full-dimensional")
-    facets = _star_facets(cells)
+    facets = facets_at_zero(cells)
     if not check_star_completeness(cells, facets):
         raise CertificationError(
             "star of the origin is not locally complete: facets %r are not "

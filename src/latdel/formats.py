@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 
-from .catalog import NamedCone, catalog, catalog_names
+from .catalog import catalog, catalog_names
 from .delaunay import DelaunayCell, DelaunayStar, make_cell
 from .exact import QuadraticForm, format_rational, parse_rational
 from .generation import GenerationReport
@@ -52,7 +52,8 @@ def decode_form(obj, where: str = "form") -> QuadraticForm:
                 raise FormatError("%s.entries[%d][%d]: %s" % (where, i, j, exc))
         entries.append(tuple(parsed))
     if "rank" in obj:
-        _expect(obj["rank"] == g, where + ".rank", "rank does not match the matrix")
+        rank_ok = type(obj["rank"]) is int and obj["rank"] == g  # not True, not 1.0
+        _expect(rank_ok, where + ".rank", "rank is not the integer %d, the matrix size" % g)
     try:
         return QuadraticForm(tuple(entries))
     except ValueError as exc:
@@ -87,10 +88,11 @@ def decode_cell(obj, where: str = "cell") -> DelaunayCell:
     if obj.get("center") is not None:
         shape_ok = isinstance(obj["center"], list) and len(obj["center"]) == len(verts[0])
         _expect(shape_ok, where + ".center", "expected one rational per coordinate")
+        _expect("sq_radius" in obj, where, 'missing "sq_radius"')
         try:
             center = tuple(parse_rational(c) for c in obj["center"])
             sq_radius = parse_rational(obj["sq_radius"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (TypeError, ValueError) as exc:
             raise FormatError("%s.center: %s" % (where, exc))
     try:
         return make_cell(parsed, center=center, sq_radius=sq_radius)
@@ -106,45 +108,12 @@ def encode_star(star: DelaunayStar) -> dict:
     }
 
 
-def decode_star(obj, where: str = "star") -> DelaunayStar:
-    _expect(isinstance(obj, dict), where, "expected an object")
-    for key in ("form", "cells", "orbit_reps"):
-        _expect(key in obj, where, 'missing "%s"' % key)
-    form = decode_form(obj["form"], where + ".form")
-    cells = tuple(
-        decode_cell(c, "%s.cells[%d]" % (where, i)) for i, c in enumerate(obj["cells"])
-    )
-    reps = tuple(
-        decode_cell(c, "%s.orbit_reps[%d]" % (where, i))
-        for i, c in enumerate(obj["orbit_reps"])
-    )
-    return DelaunayStar(form, cells, reps)
-
-
 def encode_generation_report(report: GenerationReport) -> dict:
     return {
         "totally_generating": report.totally_generating,
         "witness": list(report.witness) if report.witness is not None else None,
         "pieces": [encode_cell(p) for p in report.pieces],
     }
-
-
-def decode_generation_report(obj, where: str = "report") -> GenerationReport:
-    _expect(isinstance(obj, dict), where, "expected an object")
-    _expect("totally_generating" in obj, where, 'missing "totally_generating"')
-    witness = obj.get("witness")
-    if witness is not None:
-        _expect(
-            isinstance(witness, list) and all(isinstance(c, int) for c in witness),
-            where + ".witness",
-            "expected a list of integers or null",
-        )
-        witness = tuple(witness)
-    pieces = tuple(
-        decode_cell(p, "%s.pieces[%d]" % (where, i))
-        for i, p in enumerate(obj.get("pieces", []))
-    )
-    return GenerationReport(bool(obj["totally_generating"]), witness, pieces)
 
 
 def encode_face_report(faces_with_orbits) -> list:
@@ -177,36 +146,6 @@ def encode_catalog() -> list:
             }
         )
     return out
-
-
-def decode_catalog(obj, where: str = "catalog"):
-    _expect(isinstance(obj, list), where, "expected a list")
-    cones = []
-    for i, entry in enumerate(obj):
-        here = "%s[%d]" % (where, i)
-        _expect(isinstance(entry, dict), here, "expected an object")
-        for key in ("name", "rank", "generator_names", "generators"):
-            _expect(key in entry, here, 'missing "%s"' % key)
-        gens = tuple(
-            decode_form({"entries": m}, "%s.generators[%d]" % (here, j))
-            for j, m in enumerate(entry["generators"])
-        )
-        cones.append(
-            NamedCone(
-                entry["name"],
-                entry["rank"],
-                tuple(entry["generator_names"]),
-                gens,
-            )
-        )
-    return cones
-
-
-def catalog_data_text() -> str:
-    """The shipped catalog data file; must equal dumps(encode_catalog())."""
-    from importlib.resources import files
-
-    return files("latdel").joinpath("data/catalog.json").read_text(encoding="utf-8")
 
 
 def dumps(obj) -> str:

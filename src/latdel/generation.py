@@ -26,23 +26,17 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Optional, Tuple
 
-from .delaunay import DelaunayCell
+from .delaunay import DelaunayCell, facets_at_zero
 from .exact import _echelon, dot, vec_sub
 from .geometry import (
     cone_contains,
     cone_facets,
     extremal_rays,
-    facet_map,
     normalized_volume,
     polytope_facets,
     triangulate_cone,
     unpaired_facets,
 )
-
-@dataclass(frozen=True)
-class ConeAtZero:
-    rays: Tuple[Tuple[int, ...], ...]
-    lattice_points: Tuple[Tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -65,16 +59,10 @@ def _require_origin(cell: DelaunayCell):
     return zero
 
 
-def cone_rays(cell: DelaunayCell) -> ConeAtZero:
-    """Primitive extremal rays of C(0, cell), with the generating set.
-
-    By the cell invariant the lattice points of the hull are exactly the
-    listed vertices, so those are the semigroup generators.
-    """
+def cone_rays(cell: DelaunayCell) -> Tuple[Tuple[int, ...], ...]:
+    """The sorted primitive extremal rays of C(0, cell)."""
     _require_origin(cell)
-    nonzero = [v for v in cell.vertices if any(v)]
-    rays = tuple(sorted(extremal_rays(nonzero)))
-    return ConeAtZero(rays, tuple(cell.vertices))
+    return tuple(extremal_rays([v for v in cell.vertices if any(v)]))
 
 
 def parallelepiped_points(rays):
@@ -102,7 +90,8 @@ def in_semigroup(x, generators) -> bool:
     """Exact search for x in the semigroup of the generators.
 
     Depth first, subtracting generators in index order, and expanding only
-    points of the cone of the remaining generators.  The height h, the sum
+    points of the cone of the remaining generators (`cone_contains`, by the
+    cached triangulation of that suffix cone).  The height h, the sum
     of the primitive facet normals of the cone, is an integer >= 1 on every
     generator and >= 0 on the cone, so a branch ends within h(x) steps and
     the search decides.  Raises ValueError when some generator has h <= 0,
@@ -132,13 +121,14 @@ def in_semigroup(x, generators) -> bool:
 
 def is_totally_generating(cell: DelaunayCell) -> GenerationReport:
     """Decide C(0, cell) Z-cap X == Semi(0, cell Z-cap X), with witness."""
-    _require_origin(cell)
-    cone = cone_rays(cell)
-    if not cone.rays:  # the cell is the point 0
+    rays = cone_rays(cell)
+    if not rays:  # the cell is the point 0
         return GenerationReport(True)
-    gens = [p for p in cone.lattice_points if any(p)]
-    for simplex in triangulate_cone(cone.rays):
-        sel = [cone.rays[i] for i in simplex]
+    # by the cell invariant the lattice points of the hull are exactly the
+    # listed vertices, so those are the semigroup generators
+    gens = [p for p in cell.vertices if any(p)]
+    for simplex in triangulate_cone(rays):
+        sel = [rays[i] for i in simplex]
         for p in sorted(parallelepiped_points(sel)):
             if not any(p):
                 continue
@@ -187,12 +177,7 @@ def cone_cover_check(coarse_cell: DelaunayCell, pieces) -> bool:
     walls = [n for _, n, offset in polytope_facets(list(coarse_cell.vertices)) if offset == 0]
     if not pieces0 or any(dot(n, v) > 0 for n in walls for p in pieces0 for v in p.vertices):
         return False
-    return not _unpaired_cone_facets(walls, _facets_at_zero(pieces0))
-
-
-def _facets_at_zero(pieces0):
-    """The `geometry.facet_map` of the pieces' facets through 0."""
-    return facet_map([p.vertices for p in pieces0], lambda f: all(map(any, f)))
+    return not _unpaired_cone_facets(walls, facets_at_zero(pieces0))
 
 
 def _unpaired_cone_facets(walls, facets):
@@ -214,7 +199,7 @@ def is_simplicially_generating(cell: DelaunayCell, pieces) -> GenerationReport:
     if not _is_refinement(cell, facets, pieces):
         raise ValueError("pieces are not a refinement of the cell")
     pieces0 = tuple(p for p in pieces if zero in p.vertices)
-    at_zero = _facets_at_zero(pieces0)
+    at_zero = facets_at_zero(pieces0)
     overlap = _overlap(pieces0, at_zero)
     if overlap:
         return GenerationReport(False, pieces=pieces0, overlap=overlap)

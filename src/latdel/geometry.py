@@ -6,18 +6,19 @@ the algorithms are the simple combinatorial ones.  One facet search,
 lifted points (p, 1); the vertices of a bounded polyhedron are found by
 walking its edges from a first vertex, the edges at a vertex being the
 negated facet normals of the cone of its tight rows; and the pulling
-triangulations recurse on facets.  Membership in a pointed cone is
-Caratheodory over independent ray subsets.
+triangulations recurse on facets.  A pointed cone is read from its facets
+too: membership is one solve per simplex of its pulling triangulation, and a
+ray is extreme when the facets through it meet in a line.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import gcd
 
 from .exact import (
-    SingularMatrixError,
     _echelon,
     _kernel,
     determinant,
@@ -250,41 +251,46 @@ def primitive(v):
     return tuple(int(c) // g for c in v)
 
 
-def cone_contains(rays, x):
-    """Exact membership of x in the cone spanned by the rays.
+@lru_cache(maxsize=1024)
+def _simplicial_pieces(rays):
+    """(ray indices, columns) of each simplex of `triangulate_cone(rays)`."""
+    return [(s, list(zip(*(rays[i] for i in s)))) for s in triangulate_cone(rays)]
 
-    Returns the coefficient witness (full length, zeros for unused rays) or
-    None.  Linearly independent rays have unique coefficients, so one solve
-    decides.  Otherwise, by Caratheodory, it suffices to search nonnegative
-    combinations over linearly independent ray subsets; a dependent subset
-    fails its solve.
+
+def cone_contains(rays, x):
+    """Exact membership of x in the pointed cone spanned by the rays.
+
+    Returns the coefficient witness (full length, zeros for rays outside
+    the simplex that holds x) or None.  The simplicial cones of the pulling
+    triangulation, cached per ray tuple, cover the cone, and each has
+    unique coefficients, so one solve per simplex decides.  Every simplex
+    spans the cone's span, so a point off it fails the first solve.
     """
-    n = len(rays)
-    if all(v == 0 for v in x):
-        return tuple(Fraction(0) for _ in rays)
-    d = matrix_rank(list(rays))
-    for k in (n,) if d == n else range(1, d + 1):
-        for subset in combinations(range(n), k):
-            cols = list(zip(*(rays[i] for i in subset)))
-            try:
-                coeffs = solve_overdetermined(cols, x)
-            except (SingularMatrixError, ValueError):
-                continue
-            if all(c >= 0 for c in coeffs):
-                full = [Fraction(0)] * n
-                for i, c in zip(subset, coeffs):
-                    full[i] = c
-                return tuple(full)
+    rays = tuple(tuple(r) for r in rays)
+    for simplex, cols in _simplicial_pieces(rays):
+        try:
+            coeffs = solve_overdetermined(cols, x)
+        except ValueError:  # x is off the span
+            return None
+        if all(c >= 0 for c in coeffs):
+            full = [Fraction(0)] * len(rays)
+            for i, c in zip(simplex, coeffs):
+                full[i] = c
+            return tuple(full)
     return None
 
 
 def extremal_rays(vectors):
-    """The inclusion-minimal generator subset of cone(vectors), primitivized."""
-    rays = [primitive(v) for v in vectors]
-    rays = sorted(set(rays))
-    keep = []
-    for i, r in enumerate(rays):
-        others = [s for j, s in enumerate(rays) if j != i]
-        if cone_contains(others, r) is None:
-            keep.append(r)
-    return keep
+    """The primitive generators of the extreme rays of a pointed cone, sorted.
+
+    A ray is extreme exactly when the smallest face holding it, cut out in
+    the span of the cone by the normals of the facets through the ray, is a
+    line: when those normals have rank dim - 1.
+    """
+    rays = sorted({primitive(v) for v in vectors})
+    if not rays:
+        return []
+    facets = cone_facets(rays)
+    rank = matrix_rank(rays)
+    through = [[n for members, n in facets if i in members] for i in range(len(rays))]
+    return [r for r, normals in zip(rays, through) if matrix_rank(normals) == rank - 1]

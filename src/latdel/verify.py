@@ -417,7 +417,7 @@ def verify_lowdim() -> dict:
         )
     check(
         "dim2: C(0,σ5) = C(0,σ3) and 0 ∉ σ4",
-        cone_rays(sig5).rays == cone_rays(sig3).rays
+        cone_rays(sig5) == cone_rays(sig3)
         and zero not in sig4.vertices,
     )
 

@@ -12,7 +12,6 @@ from latdel.delaunay import (
     CertificationError,
     NotCospherical,
     NotPositiveDefiniteError,
-    _star_facets,
     canonical_orbit_rep,
     cell_center,
     certify_cell,
@@ -20,6 +19,7 @@ from latdel.delaunay import (
     check_star_completeness,
     check_tiling,
     delaunay_star,
+    facets_at_zero,
     is_basic_simplex,
     make_cell,
     nearest_points,
@@ -168,7 +168,7 @@ def test_incomplete_star_names_an_unpaired_facet(monkeypatch):
 
 def test_local_delaunay_accepts_the_hexagonal_star():
     star = delaunay_star(HEX)
-    check_local_delaunay(HEX, star.cells, _star_facets(star.cells))
+    check_local_delaunay(HEX, star.cells, facets_at_zero(star.cells))
 
 
 def test_local_delaunay_refuses_a_wall_form_with_equality():
@@ -180,7 +180,7 @@ def test_local_delaunay_refuses_a_wall_form_with_equality():
         center, sq_radius = cell_center(wall, cell.vertices)
         cells.append(replace(cell, center=center, sq_radius=sq_radius))
     with pytest.raises(CertificationError) as info:
-        check_local_delaunay(wall, cells, _star_facets(cells))
+        check_local_delaunay(wall, cells, facets_at_zero(cells))
     assert str(info.value) == (
         "facet ((-1, -1, -1, -1), (-1, -1, -1, 0), (-1, -1, 0, 0), (0, 0, 0, 0)) is not "
         "locally Delaunay: the vertex (0, -1, 0, 0) across it lies on the sphere of "
@@ -194,7 +194,7 @@ def test_local_delaunay_refuses_a_moved_hole():
     moved = replace(cell, center=tuple(c + Fraction(1, 97) for c in cell.center))
     cells = (moved,) + star.cells[1:]
     with pytest.raises(CertificationError, match="is not cospherical about its hole"):
-        check_local_delaunay(HEX, cells, _star_facets(cells))
+        check_local_delaunay(HEX, cells, facets_at_zero(cells))
 
 
 def test_star_verifies_the_holes_of_the_walk(monkeypatch):

@@ -1,14 +1,13 @@
-"""Serialization round-trips, error diagnostics, shipped catalog data."""
+"""Serialization round-trips, error diagnostics, the catalog encoding."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from latdel import formats
-from latdel.catalog import catalog
 from latdel.delaunay import delaunay_star, make_cell
 from latdel.exact import QuadraticForm
-from latdel.generation import GenerationReport
 
 
 def form(rows):
@@ -30,6 +29,9 @@ def test_form_decode_errors():
         formats.decode_form({"entries": [["1", "x/y"], ["0", "1"]]})
     with pytest.raises(formats.FormatError, match="rank"):
         formats.decode_form({"rank": 3, "entries": [["1", "0"], ["0", "1"]]})
+    for rank in (True, 1.0, "1"):
+        with pytest.raises(formats.FormatError, match="rank"):
+            formats.decode_form({"rank": rank, "entries": [["1"]]})
     with pytest.raises(formats.FormatError):
         formats.decode_form({"entries": [["1", "2"], ["0", "1"]]})  # asymmetric
 
@@ -42,34 +44,13 @@ def test_cell_round_trip():
             formats.decode_cell({"vertices": bad})
     with pytest.raises(formats.FormatError, match="center"):
         formats.decode_cell({"vertices": [[0, 0]], "center": ["0"], "sq_radius": "0"})
-
-
-def test_star_round_trip():
-    star = delaunay_star(HEX)
-    again = formats.decode_star(formats.encode_star(star))
-    assert again.form == star.form
-    assert again.cells == star.cells
-    assert again.orbit_reps == star.orbit_reps
-
-
-def test_generation_report_round_trip():
-    for report in (
-        GenerationReport(True),
-        GenerationReport(False, witness=(1, 1)),
-        GenerationReport(True, pieces=(make_cell([(0, 0), (1, 0)]),)),
-    ):
-        obj = formats.encode_generation_report(report)
-        assert formats.decode_generation_report(obj) == report
-
-
-def test_catalog_round_trip():
-    cones = formats.decode_catalog(formats.encode_catalog())
-    for cone in cones:
-        assert catalog(cone.name).generators == cone.generators
+    with pytest.raises(formats.FormatError, match='cell: missing "sq_radius"'):
+        formats.decode_cell({"vertices": [[0, 0]], "center": ["0", "0"]})
 
 
 def test_catalog_data_file_matches_embedded():
-    assert formats.catalog_data_text() == formats.dumps(formats.encode_catalog())
+    golden = Path(__file__).parent / "golden" / "catalog.json"
+    assert golden.read_text(encoding="utf-8") == formats.dumps(formats.encode_catalog())
 
 
 def test_dumps_is_canonical():

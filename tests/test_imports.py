@@ -1,14 +1,17 @@
-"""Every imported name in the package and the tests is used.
+"""Every imported name in the package and the tests is used, and the
+package imports nothing outside the standard library.
 
 A name counts as used when it is read anywhere in its module or listed in
 the module's `__all__`; `from __future__` imports are skipped.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted((ROOT / "src" / "latdel").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "latdel").glob("*.py"))
+MODULES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source):
@@ -50,3 +53,28 @@ def test_no_unused_imports():
         for line, name in unused_imports(path.read_text(encoding="utf-8"))
     ]
     assert unused == []
+
+
+def absolute_imports(source):
+    """The top-level names of the absolute imports in the source."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_the_package_imports_only_the_standard_library():
+    assert absolute_imports("import os.path\nfrom numpy import array\nfrom . import x\n") == {
+        "os",
+        "numpy",
+    }
+    outside = [
+        "%s: %s" % (path.relative_to(ROOT), name)
+        for path in PACKAGE
+        for name in sorted(absolute_imports(path.read_text(encoding="utf-8")))
+        if name not in sys.stdlib_module_names
+    ]
+    assert outside == []

@@ -4,8 +4,9 @@ Gauss-Jordan elimination and principal minors for the exact kernel, a
 solve per box point for parallelepiped points and a degree-capped search
 for semigroup membership, a solve of every d-subset of the inequalities for the vertex walk, a
 `Fraction` kernel per ray subset for the cone facets and per drop set for
-the faces of K, a scan of the lattice points in a box for the cone cover,
-pairwise polytope intersections (a vertex enumeration of the joined facet
+the faces of K, a Carathéodory search over independent ray subsets for cone
+membership and extreme rays, a scan of the lattice points in a box for the
+cone cover, pairwise polytope intersections (a vertex enumeration of the joined facet
 systems) and a ray-by-ray cover for the tiling at 0 of simplicial
 generation, and one empty-sphere sweep per orbit rep (`certify_cell`) for
 Delaunay's lemma."""
@@ -24,12 +25,12 @@ from hypothesis import strategies as st
 from latdel.catalog import _flatten, catalog, catalog_names, sample_interior
 from latdel.delaunay import (
     CertificationError,
-    _star_facets,
     canonical_orbit_rep,
     cell_center,
     certify_cell,
     check_local_delaunay,
     delaunay_star,
+    facets_at_zero,
     make_cell,
     nearest_points,
     voronoi_inequalities,
@@ -65,7 +66,6 @@ from latdel.faces import (
 from latdel import delaunay, generation, geometry
 from latdel.generation import (
     GenerationReport,
-    _facets_at_zero,
     _overlap,
     _require_origin,
     cone_cover_check,
@@ -79,9 +79,11 @@ from latdel.geometry import (
     affine_dimension,
     cone_contains,
     cone_facets,
+    extremal_rays,
     facet_map,
     normalized_volume,
     polytope_facets,
+    primitive,
     triangulate_polytope,
     unpaired_facets,
     vertex_enumeration,
@@ -151,7 +153,7 @@ def test_star_matches_nearest_point_oracle():
 def naive_generating(cell, bound=10):
     """Direct comparison of cone lattice points against semigroup sums."""
     rays = cone_rays(cell)
-    gens = [v for v in rays.lattice_points if any(v)]
+    gens = [v for v in cell.vertices if any(v)]
     g = len(gens[0])
     sums = {(0,) * g}
     frontier = {(0,) * g}
@@ -165,7 +167,7 @@ def naive_generating(cell, bound=10):
     for x in product(range(-bound, bound + 1), repeat=g):
         if sum(abs(c) for c in x) > bound:
             continue
-        if cone_contains(list(rays.rays), x) is None:
+        if oracle_cone_contains(list(rays), x) is None:
             continue
         if x not in sums:
             return False, x
@@ -267,7 +269,7 @@ def oracle_in_semigroup(x, generators, degree_bound: int) -> bool:
         result = False
         for i in range(start, len(gens)):
             rest = vec_sub(point, gens[i])
-            if cone_contains(gens[i:], rest) is None:
+            if oracle_cone_contains(gens[i:], rest) is None:
                 continue
             if search(rest, i, budget - 1):
                 result = True
@@ -629,6 +631,46 @@ def oracle_cone_facets(rays):
     return sorted(facets.values())
 
 
+def oracle_cone_contains(rays, x):
+    """Exact membership of x in the cone spanned by the rays.
+
+    Returns the coefficient witness (full length, zeros for unused rays) or
+    None.  Linearly independent rays have unique coefficients, so one solve
+    decides.  Otherwise, by Caratheodory, it suffices to search nonnegative
+    combinations over linearly independent ray subsets; a dependent subset
+    fails its solve.
+    """
+    n = len(rays)
+    if all(v == 0 for v in x):
+        return tuple(Fraction(0) for _ in rays)
+    d = matrix_rank(list(rays))
+    for k in (n,) if d == n else range(1, d + 1):
+        for subset in combinations(range(n), k):
+            cols = list(zip(*(rays[i] for i in subset)))
+            try:
+                coeffs = solve_overdetermined(cols, x)
+            except (SingularMatrixError, ValueError):
+                continue
+            if all(c >= 0 for c in coeffs):
+                full = [Fraction(0)] * n
+                for i, c in zip(subset, coeffs):
+                    full[i] = c
+                return tuple(full)
+    return None
+
+
+def oracle_extremal_rays(vectors):
+    """The inclusion-minimal generator subset of cone(vectors), primitivized."""
+    rays = [primitive(v) for v in vectors]
+    rays = sorted(set(rays))
+    keep = []
+    for i, r in enumerate(rays):
+        others = [s for j, s in enumerate(rays) if j != i]
+        if oracle_cone_contains(others, r) is None:
+            keep.append(r)
+    return keep
+
+
 def positive_multiple(u, v):
     """u = t v for some rational t > 0."""
     i = next(i for i, c in enumerate(v) if c)
@@ -665,6 +707,22 @@ def test_cone_facets_match_fraction_nullspace(rays):
     for (_, normal), (_, oracle_normal) in zip(got, expected):
         assert all(type(c) is int for c in normal) and gcd(*normal) == 1
         assert positive_multiple(normal, oracle_normal)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pointed_cones(), st.data())
+def test_cone_membership_and_rays_match_the_subset_search(rays, data):
+    # a point of the span, in the cone or not, or one unit step off it
+    g = len(rays[0])
+    coeffs = data.draw(st.lists(st.integers(-1, 2), min_size=len(rays), max_size=len(rays)))
+    step = data.draw(st.tuples(*[st.integers(-1, 1)] * g) | st.just((0,) * g))
+    x = tuple(sum(c * r[j] for c, r in zip(coeffs, rays)) + step[j] for j in range(g))
+    witness = cone_contains(rays, x)
+    assert (witness is None) == (oracle_cone_contains(rays, x) is None)
+    if witness is not None:
+        assert len(witness) == len(rays) and all(c >= 0 for c in witness)
+        assert tuple(sum(c * r[j] for c, r in zip(witness, rays)) for j in range(g)) == x
+    assert extremal_rays(rays) == oracle_extremal_rays(rays)
 
 
 def oracle_k_faces():
@@ -724,13 +782,13 @@ def box_scan_cover(coarse_cell, pieces):
     coarse = cone_rays(coarse_cell)
     piece_cones = [cone_rays(p) for p in pieces0]
     for pc in piece_cones:
-        for ray in pc.rays:
-            if cone_contains(list(coarse.rays), ray) is None:
+        for ray in pc:
+            if oracle_cone_contains(list(coarse), ray) is None:
                 return False
     g = len(zero)
     height = 2 * max(abs(c) for v in coarse_cell.vertices for c in v)
-    piece_ineqs = [_cone_inequalities(pc.rays) for pc in piece_cones]
-    coarse_ineqs = _cone_inequalities(coarse.rays)
+    piece_ineqs = [_cone_inequalities(pc) for pc in piece_cones]
+    coarse_ineqs = _cone_inequalities(coarse)
     for x in product(range(-height, height + 1), repeat=g):
         if not _satisfies(coarse_ineqs, x):
             continue
@@ -808,15 +866,15 @@ def oracle_is_refinement(cell, pieces) -> bool:
 
 def oracle_cone_cover_check(coarse_cell, pieces) -> bool:
     """The cover by extremal rays: each piece ray in the coarse cone by one
-    `cone_contains`, then the facet pairing."""
+    `oracle_cone_contains`, then the facet pairing."""
     zero = _require_origin(coarse_cell)
     pieces0 = [p for p in pieces if zero in p.vertices]
     if not pieces0:
         return False
     coarse = cone_rays(coarse_cell)
     for piece in pieces0:
-        for ray in cone_rays(piece).rays:
-            if cone_contains(list(coarse.rays), ray) is None:
+        for ray in cone_rays(piece):
+            if oracle_cone_contains(list(coarse), ray) is None:
                 return False
     return not oracle_unpaired_cone_facets(coarse_cell, pieces0)
 
@@ -871,7 +929,7 @@ def check_generation_at_zero(cell, pieces):
     )
     zero = (0,) * len(cell.vertices[0])
     pieces0 = [p for p in pieces if zero in p.vertices]
-    pair = _overlap(pieces0, _facets_at_zero(pieces0))
+    pair = _overlap(pieces0, facets_at_zero(pieces0))
     if pair:
         assert oracle_interiors_overlap(make_cell(pair[0]), make_cell(pair[1]))
     overlapping = [
@@ -988,7 +1046,7 @@ def sweep_accepts(form, cells):
 def lemma_accepts(form, cells):
     """Delaunay's lemma on the facet map that `delaunay_star` builds."""
     try:
-        check_local_delaunay(form, cells, _star_facets(cells))
+        check_local_delaunay(form, cells, facets_at_zero(cells))
     except CertificationError:
         return False
     return True
