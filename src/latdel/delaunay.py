@@ -4,14 +4,13 @@ The star Del(0) is computed through the classical duality with the Voronoi
 polytope of the origin: the holes (centers of maximal Delaunay cells through
 0) are exactly the vertices of {y : 2B(e, y) <= B(e, e) for all lattice e},
 and the defining inequalities can be restricted to the minima of the cosets
-of X/2X.  The holes are found by walking the edges of that polytope
-(`geometry.vertex_enumeration`).  A cell's vertices are 0 and the coset
-minima e whose inequality is tight at its hole: every vertex e of a Delaunay
-polytope through 0 is a minimum of its class mod 2, because z and e - z lie
-outside the empty sphere for every lattice z.  The star is certified by
-facet pairing around 0, Delaunay's lemma on the paired facets (which also
-verifies each hole) and the tiling invariant, so the construction never
-trusts the enumeration; a lone cell by an empty-sphere sweep (`certify_cell`).
+of X/2X.  A cell's vertices are 0 and the coset minima e whose inequality is
+tight at its hole: every vertex e of a Delaunay polytope through 0 is a
+minimum of its class mod 2, because z and e - z lie outside the empty sphere
+for every lattice z.  The star is built modulo translation, by a walk over
+its orbit reps, and certified on their facet classes (`star_from_reps`), so
+the construction never trusts the walk; a lone cell by an empty-sphere sweep
+(`certify_cell`).
 """
 
 from __future__ import annotations
@@ -25,6 +24,7 @@ from typing import Optional, Tuple
 from .exact import (
     QuadraticForm,
     SingularMatrixError,
+    _echelon,
     determinant,
     dot,
     integral,
@@ -37,12 +37,13 @@ from .exact import (
     vec_sub,
 )
 from .geometry import (
+    _first_vertex,
     _int_scaled,
-    affine_dimension,
+    _step,
     facet_map,
     normalized_volume,
+    polytope_facets,
     unpaired_facets,
-    vertex_enumeration,
 )
 
 
@@ -292,11 +293,8 @@ def facets_at_zero(cells):
 
 
 def check_star_completeness(cells, facets=None) -> bool:
-    """The cells cover a neighbourhood of 0: every facet through 0 is shared
-    by two cells on opposite sides (read from their `geometry.facet_map`,
-    built here unless given), so the number of cells over a point near 0
-    does not change across a facet, and off codimension 2 it is constant,
-    hence at least 1.  `check_tiling` makes it exactly 1."""
+    """The cells cover a neighbourhood of 0: each facet through 0 of their
+    `facet_map` (built unless given) has two cells on opposite sides."""
     return bool(cells) and not unpaired_facets(facets or facets_at_zero(cells))
 
 
@@ -333,9 +331,8 @@ def check_tiling(g: int, cells, reps):
     """The tiling invariant of a star: raises CertificationError unless it holds.
 
     The translates of the orbit representatives tile space with one cell per
-    fundamental domain, so their normalized volumes add up to g!; and a cell
-    lies in the star once for each of its vertices that a translation moves
-    to 0, so |cells| is the sum of the representatives' vertex counts.
+    fundamental domain, so their normalized volumes add up to g!; a cell lies
+    in the star once per vertex, so |cells| is the sum of their vertex counts.
     """
     volume = sum(normalized_volume(list(rep.vertices)) for rep in reps)
     placements = sum(len(rep.vertices) for rep in reps)
@@ -347,43 +344,83 @@ def check_tiling(g: int, cells, reps):
         )
 
 
-def delaunay_star(form: QuadraticForm) -> DelaunayStar:
-    """All maximal Delaunay cells containing the origin, certified.
+def _walk_reps(form):
+    """The orbit reps of the star, sorted, and their `polytope_facets`.
 
-    The certificate is Delaunay's lemma ("Sur la sphère vide", 1934).  Every
-    facet of the periodic tiling is a translate of one through 0; pairing
-    those (`check_star_completeness`) and the tiling invariant give a
-    face-to-face tiling.  `check_local_delaunay` makes the piecewise-linear
-    lift of Q strictly convex across every facet, so it is convex, and every
-    lattice point but a cell's vertices lies strictly outside its sphere.
-    """
-    if not is_positive_definite(form):
-        raise NotPositiveDefiniteError("delaunay_star needs a definite form")
-    if form.rank > 4:
-        raise UnsupportedRankError("only ranks up to 4 are supported")
-    ineqs = voronoi_inequalities(form)
-    centers = vertex_enumeration([(row, rhs) for row, rhs, _ in ineqs])
-    # the tight test in integers: primitive rows against c = nums / den
-    scaled = [(_int_scaled(row, rhs), e) for row, rhs, e in ineqs]
-    zero = (0,) * form.rank
-    cells = []
-    for c in centers:
-        nums, den = integral(c)
-        verts = [zero] + [e for (a, b), e in scaled if dot(a, nums) == b * den]
-        cells.append(make_cell(verts, tuple(c), norm(form, c)))
-    cells.sort(key=lambda cell: cell.vertices)
-    reps = sorted(
-        {canonical_orbit_rep(cell).vertices: canonical_orbit_rep(cell) for cell in cells}.values(),
-        key=lambda cell: cell.vertices,
-    )
-    if any(affine_dimension(rep.vertices) != form.rank for rep in reps):
-        raise CertificationError("star cell is not full-dimensional")
-    facets = facets_at_zero(cells)
-    if not check_star_completeness(cells, facets):
+    The Voronoi edge dual to a facet F through v of a rep A, outward normal
+    n, leaves the hole of A - v along adj(G) n: the rows of F stay tight and
+    the rest of A goes slack, so one ratio test (`geometry._step`) gives the
+    hole across F.  The cells of a tiling are connected through facets."""
+    g = form.rank
+    rows = sorted((_int_scaled(a, b), e) for a, b, e in voronoi_inequalities(form))
+    ineqs = [ab for ab, _ in rows]
+    # adj(G) = det(G) G^-1: the Bareiss pivot of [G | I] is det(G) up to sign
+    eye = [[int(i == j) for j in range(g)] for i in range(g)]
+    reduced, _, _, sign = _echelon([r + e for r, e in zip(_integer_gram(form), eye)])
+    adj = [[sign * x for x in row[g:]] for row in reduced[:g]]
+
+    def rep_at(nums, den):  # the cell at a hole, moved so its smallest vertex is 0
+        verts = [(0,) * g] + [e for (a, b), e in rows if dot(a, nums) == b * den]
+        v = min(verts)
+        return tuple(sorted(vec_sub(w, v) for w in verts)), vec_sub(nums, [den * c for c in v]), den
+
+    reps, stack = {}, [rep_at(*_first_vertex(ineqs, g))]
+    while stack:
+        vertices, nums, den = stack.pop()
+        if vertices in reps:
+            continue
+        try:
+            facets = polytope_facets(vertices)
+        except ValueError:
+            raise CertificationError("star cell %r is not full-dimensional" % (vertices,))
+        center = tuple(Fraction(x, den) for x in nums)
+        reps[vertices] = make_cell(vertices, center, norm(form, center)), facets
+        for members, normal, _ in facets:
+            hole = vec_sub(nums, [den * c for c in vertices[members[0]]])
+            stack.append(rep_at(*_step(ineqs, hole, den, mat_vec(adj, normal))))
+    return tuple(zip(*[reps[k] for k in sorted(reps)]))
+
+
+def facet_classes(reps, facets):
+    """(map, translates): a `geometry.facet_map` of the facets of the reps up
+    to translation, each moved so its smallest vertex is 0, over the rep
+    translates that hold them; every facet of the tiling is in a class."""
+    classes, index = {}, {}
+    for r, (rep, rep_facets) in enumerate(zip(reps, facets)):
+        for members, normal, _ in rep_facets:
+            v = rep.vertices[members[0]]
+            facet = tuple(vec_sub(rep.vertices[i], v) for i in members)
+            classes.setdefault(facet, []).append((index.setdefault((r, v), len(index)), normal))
+    return classes, [reps[r].translate(tuple(-c for c in v)) for r, v in index]
+
+
+def star_from_reps(form: QuadraticForm, reps, facets) -> DelaunayStar:
+    """The star of 0 of the orbit reps, given their `polytope_facets`, certified.
+
+    With each of the `facet_classes` held twice, on opposite sides, the
+    translates over a point are equally many off codimension 2, and the
+    tiling invariant makes them one.  Delaunay's lemma once per class pair
+    checks each hole and makes the lift of Q convex: every sphere is empty."""
+    classes, translates = facet_classes(reps, facets)
+    unpaired = unpaired_facets(classes)
+    if unpaired:
+        holders = [canonical_orbit_rep(translates[i]).vertices for i, _ in classes[unpaired[0]]]
         raise CertificationError(
-            "star of the origin is not locally complete: facets %r are not "
-            "shared by two cells on opposite sides" % (unpaired_facets(facets),)
+            "star of the origin is not locally complete: the facet class %r is held by "
+            "the reps %r, not by two on opposite sides" % (unpaired[0], holders)
         )
-    check_local_delaunay(form, cells, facets)
+    check_local_delaunay(form, translates, classes)
+    cells = [rep.translate(tuple(-c for c in v)) for rep in reps for v in rep.vertices]
+    cells.sort(key=lambda cell: cell.vertices)
     check_tiling(form.rank, cells, reps)
     return DelaunayStar(form, tuple(cells), tuple(reps))
+
+
+def delaunay_star(form: QuadraticForm) -> DelaunayStar:
+    """All maximal Delaunay cells containing 0: the orbit reps of `_walk_reps`,
+    one ratio test per rep facet, certified on facet classes by `star_from_reps`."""
+    if not is_positive_definite(form):
+        raise NotPositiveDefiniteError("delaunay_star needs a definite form")
+    if not 0 < form.rank <= 4:
+        raise UnsupportedRankError("only ranks up to 4 are supported (and at least 1)")
+    return star_from_reps(form, *_walk_reps(form))

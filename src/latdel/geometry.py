@@ -2,13 +2,12 @@
 
 Everything here works over the rationals.  Dimensions are tiny (g <= 4), so
 the algorithms are the simple combinatorial ones.  One facet search,
-`cone_facets`, serves everything: a polytope is handled as the cone over its
-lifted points (p, 1); the vertices of a bounded polyhedron are found by
-walking its edges from a first vertex, the edges at a vertex being the
-negated facet normals of the cone of its tight rows; and the pulling
-triangulations recurse on facets.  A pointed cone is read from its facets
-too: membership is one solve per simplex of its pulling triangulation, and a
-ray is extreme when the facets through it meet in a line.
+`cone_facets`, serves everything: a polytope is the cone over its lifted
+points (p, 1), and the pulling triangulations recurse on facets.  A pointed
+cone is read from its facets too: membership is one solve per simplex of
+its pulling triangulation, and a ray is extreme when the facets through it
+meet in a line.  The star of 0 walks its Voronoi cell by `_first_vertex` and
+the ratio test `_step`, not by `vertex_enumeration`, which visits every vertex.
 """
 
 from __future__ import annotations
@@ -81,17 +80,10 @@ def _step(ineqs, nums, den, u):
 def vertex_enumeration(inequalities):
     """All vertices of the polyhedron {x : a.x <= b for (a, b) given}.
 
-    The polyhedron must be bounded.  Returns a sorted list of rational
-    coordinate tuples.  Inequalities may be rational; they are rescaled to
-    primitive integer rows.  The d-subsets of the rows [a | b] are reduced by
-    the fraction-free `_echelon` only until one feasible vertex is found (all
-    of them when the polyhedron is empty).  From there the walk follows the
-    edges: at each vertex the edge directions are the extreme rays of
-    {u : a.u <= 0 for the tight rows a}, the negated facet normals of the
-    cone over the tight rows (`cone_facets`), and an exact ratio test gives
-    the vertex at the far end.  The graph of a polytope is connected
-    (Balinski), so the walk reaches every vertex.  Points stay integer
-    numerators over a positive denominator in lowest terms until the end.
+    The polyhedron must be bounded; the vertices are sorted rational tuples.
+    From `_first_vertex` the walk follows the edges, the extreme rays of the
+    tight rows' cone {u : a.u <= 0}, by exact ratio tests; the graph of a
+    polytope is connected (Balinski), so it reaches every vertex.
     """
     if not inequalities:
         return []
@@ -111,15 +103,6 @@ def vertex_enumeration(inequalities):
                 seen.add(nxt)
                 stack.append(nxt)
     return sorted(tuple(Fraction(v, den) for v in nums) for nums, den in seen)
-
-
-def affine_dimension(points) -> int:
-    if not points:
-        return -1
-    diffs = [vec_sub(p, points[0]) for p in points[1:]]
-    if not diffs:
-        return 0
-    return matrix_rank(diffs)
 
 
 def _lift(points):

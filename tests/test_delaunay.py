@@ -1,5 +1,7 @@
 """Delaunay stars, holes, empty-sphere certificates, canonical reps."""
 
+import re
+from ast import literal_eval
 from dataclasses import replace
 from fractions import Fraction
 
@@ -12,6 +14,7 @@ from latdel.delaunay import (
     CertificationError,
     NotCospherical,
     NotPositiveDefiniteError,
+    UnsupportedRankError,
     canonical_orbit_rep,
     cell_center,
     certify_cell,
@@ -23,8 +26,10 @@ from latdel.delaunay import (
     is_basic_simplex,
     make_cell,
     nearest_points,
+    star_from_reps,
 )
-from latdel.exact import QuadraticForm, SingularMatrixError, evaluate
+from latdel.exact import QuadraticForm, SingularMatrixError, evaluate, shift_points
+from latdel.geometry import polytope_facets
 
 
 def form(rows):
@@ -95,6 +100,9 @@ def test_delaunay_star_v1_sample():
 def test_delaunay_star_rejects_semidefinite():
     with pytest.raises(NotPositiveDefiniteError):
         delaunay_star(form([[1, 0], [0, 0]]))
+    # the rank-0 form has no cell with a facet to walk across
+    with pytest.raises(UnsupportedRankError, match="at least 1"):
+        delaunay_star(form([]))
 
 
 def test_certify_cell_failures():
@@ -154,16 +162,13 @@ def test_star_completeness_pairs_facets_on_opposite_sides():
 def test_incomplete_star_names_an_unpaired_facet(monkeypatch):
     from latdel import delaunay
 
-    enumerate_all = delaunay.vertex_enumeration
-    holes = enumerate_all([(row, rhs) for row, rhs, _ in delaunay.voronoi_inequalities(HEX)])
-    dropped = [c for c in delaunay_star(HEX).cells if c.center == holes[0]][0]
-    monkeypatch.setattr(delaunay, "vertex_enumeration", lambda ineqs: enumerate_all(ineqs)[1:])
+    (dropped, kept), (_, facets) = delaunay._walk_reps(HEX)
+    monkeypatch.setattr(delaunay, "_walk_reps", lambda form: ((kept,), (facets,)))
     with pytest.raises(CertificationError, match="not locally complete") as info:
         delaunay_star(HEX)
-    # the two edges of the missing triangle through 0 are the unpaired facets
-    for v in dropped.vertices:
-        if any(v):
-            assert repr(tuple(sorted([(0, 0), v]))) in str(info.value)
+    # every edge class of the missing triangle is held by the other one only
+    assert "class ((0, 0), (0, 1)) is held by the reps [%r]," % (kept.vertices,) in str(info.value)
+    assert {(0, 0), (0, 1)} <= dropped.vertex_set()
 
 
 def test_local_delaunay_accepts_the_hexagonal_star():
@@ -200,11 +205,15 @@ def test_local_delaunay_refuses_a_moved_hole():
 def test_star_verifies_the_holes_of_the_walk(monkeypatch):
     from latdel import delaunay
 
-    built = []
-    facet_map = delaunay.facet_map
-    monkeypatch.setattr(delaunay, "facet_map", lambda *a: built.append(1) or facet_map(*a))
-    delaunay_star(HEX)
-    assert built == [1]  # one facet map for completeness and the lemma
+    built, steps = [], []
+    facets, step = delaunay.polytope_facets, delaunay._step
+    monkeypatch.setattr(delaunay, "polytope_facets", lambda p: built.append(p) or facets(p))
+    monkeypatch.setattr(delaunay, "_step", lambda *a: steps.append(1) or step(*a))
+    star = delaunay_star(HEX)
+    # facets once per rep, for the walk and the certificate, and one ratio
+    # test per facet of a rep
+    assert sorted(built) == [rep.vertices for rep in star.orbit_reps]
+    assert len(steps) == sum(len(facets(p)) for p in built) == 6
     make = delaunay.make_cell
 
     def moved(vertices, center, sq_radius):
@@ -213,6 +222,45 @@ def test_star_verifies_the_holes_of_the_walk(monkeypatch):
     monkeypatch.setattr(delaunay, "make_cell", moved)
     with pytest.raises(CertificationError, match="is not cospherical about its hole"):
         delaunay_star(HEX)
+
+
+def facets_of(reps):
+    return [polytope_facets(rep.vertices) for rep in reps]
+
+
+def test_reps_of_a_wall_form_are_refused_by_the_lemma():
+    # V1's reps re-centred under the V1capV2 form pair up, but a fused facet
+    # has the vertex across it on the sphere
+    wall = sample_interior(catalog("dim4.V1capV2"))
+    reps = [
+        replace(rep, center=center, sq_radius=sq_radius)
+        for rep in delaunay_star(sample_interior(catalog("dim4.V1"))).orbit_reps
+        for center, sq_radius in [cell_center(wall, rep.vertices)]
+    ]
+    with pytest.raises(CertificationError, match="across it lies on the sphere of"):
+        star_from_reps(wall, reps, facets_of(reps))
+
+
+def test_a_dropped_rep_leaves_a_class_seen_once():
+    star = delaunay_star(sample_interior(catalog("dim3.V")))
+    dropped, reps = star.orbit_reps[0], star.orbit_reps[1:]
+    assert star_from_reps(star.form, star.orbit_reps, facets_of(star.orbit_reps)) == star
+    with pytest.raises(CertificationError, match="not locally complete") as info:
+        star_from_reps(star.form, reps, facets_of(reps))
+    # the named class is a facet class of the dropped rep, held by one other rep
+    named = re.search(r"facet class (.*) is held by the reps (.*), not by", str(info.value))
+    facet, holders = literal_eval(named.group(1)), literal_eval(named.group(2))
+    assert len(holders) == 1 and holders[0] in [rep.vertices for rep in reps]
+    assert any(set(shift_points(facet, v)) <= dropped.vertex_set() for v in dropped.vertices)
+
+
+def test_a_doubled_rep_breaks_the_tiling_invariant():
+    # the unit square stretched to [0, 2] x [0, 1] pairs its facet classes and
+    # passes the lemma, but its translates cover the plane twice
+    corners = [(0, 0), (2, 0), (0, 1), (2, 1)]
+    rect = make_cell(corners, *cell_center(ID2, corners))
+    with pytest.raises(CertificationError, match="normalized volume 4 of the orbit .* expected 2"):
+        star_from_reps(ID2, [rect], facets_of([rect]))
 
 
 def test_canonical_orbit_rep():

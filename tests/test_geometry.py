@@ -3,7 +3,6 @@
 from fractions import Fraction
 
 from latdel.geometry import (
-    affine_dimension,
     cone_contains,
     extremal_rays,
     normalized_volume,
@@ -31,12 +30,6 @@ def test_vertex_enumeration_square():
 
 def test_vertex_enumeration_empty():
     assert vertex_enumeration([((1,), -1), ((-1,), -1)]) == []
-
-
-def test_affine_dimension():
-    assert affine_dimension(SQUARE) == 2
-    assert affine_dimension([(0, 0), (2, 2)]) == 1
-    assert affine_dimension([(5, 5)]) == 0
 
 
 def test_polytope_facets_square():

@@ -4,11 +4,12 @@ The files under tests/golden/ hold stdout recorded before the exact kernel
 and the polyhedral primitives were rewritten: `latdel faces`,
 `latdel verify --suite faces`, both tables, the unit sample forms of
 dim2.V1, dim3.V and dim4.V1capV2 (`latdel sample`) and their stars
-(`latdel del`).  The two `latdel fuse` outputs, pieces and sphere data
-included, were recorded before the fusion matcher was anchored at the
-coarse cell's vertices.  verify_all.json is the stdout of `latdel verify
---suite all`; it is compared in tests/test_verify.py, where that run
-already happens, and by CI.
+(`latdel del`).  Their orbit reps (`latdel del --mod-translation`) were
+recorded before the star was built from a walk over the reps.  The two
+`latdel fuse` outputs, pieces and sphere data included, were recorded
+before the fusion matcher was anchored at the coarse cell's vertices.
+verify_all.json is the stdout of `latdel verify --suite all`; it is
+compared in tests/test_verify.py, where that run already happens, and by CI.
 """
 
 import hashlib
@@ -34,6 +35,13 @@ SAMPLES = ["dim2.V1", "dim3.V", "dim4.V1capV2"]
     + [(["sample", "--cone", c], "form_%s.json" % c) for c in SAMPLES]
     + [
         (["del", "--form", str(GOLDEN / ("form_%s.json" % c))], "del_%s.json" % c)
+        for c in SAMPLES
+    ]
+    + [
+        (
+            ["del", "--form", str(GOLDEN / ("form_%s.json" % c)), "--mod-translation"],
+            "del_mod_%s.json" % c,
+        )
         for c in SAMPLES
     ]
     + [

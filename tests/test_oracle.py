@@ -8,8 +8,9 @@ the faces of K, a Carathéodory search over independent ray subsets for cone
 membership and extreme rays, a scan of the lattice points in a box for the
 cone cover, pairwise polytope intersections (a vertex enumeration of the joined facet
 systems) and a ray-by-ray cover for the tiling at 0 of simplicial
-generation, and one empty-sphere sweep per orbit rep (`certify_cell`) for
-Delaunay's lemma."""
+generation, one empty-sphere sweep per orbit rep (`certify_cell`) for
+Delaunay's lemma, and a walk over every vertex of the Voronoi cell
+(`vertex_enumeration`) for the walk over the orbit reps of a star."""
 
 import random
 from dataclasses import replace
@@ -22,9 +23,11 @@ from operator import mul
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from latdel import formats
 from latdel.catalog import _flatten, catalog, catalog_names, sample_interior
 from latdel.delaunay import (
     CertificationError,
+    DelaunayStar,
     canonical_orbit_rep,
     cell_center,
     certify_cell,
@@ -46,8 +49,10 @@ from latdel.exact import (
     determinant,
     dot,
     identity_matrix,
+    integral,
     mat_mul,
     matrix_rank,
+    norm,
     nullspace,
     solve_overdetermined,
     vec_sub,
@@ -76,7 +81,7 @@ from latdel.generation import (
     parallelepiped_points,
 )
 from latdel.geometry import (
-    affine_dimension,
+    _int_scaled,
     cone_contains,
     cone_facets,
     extremal_rays,
@@ -148,6 +153,55 @@ def star_oracle_agrees() -> bool:
 
 def test_star_matches_nearest_point_oracle():
     assert star_oracle_agrees()
+
+
+def affine_dimension(points) -> int:
+    if not points:
+        return -1
+    diffs = [vec_sub(p, points[0]) for p in points[1:]]
+    if not diffs:
+        return 0
+    return matrix_rank(diffs)
+
+
+def test_affine_dimension():
+    assert affine_dimension([(0, 0), (1, 0), (0, 1), (1, 1)]) == 2
+    assert affine_dimension([(0, 0), (2, 2)]) == 1
+    assert affine_dimension([(5, 5)]) == 0
+
+
+def oracle_star(form):
+    """The star from every vertex of the Voronoi cell: the holes by
+    `vertex_enumeration`, each cell 0 plus the coset minima tight at its
+    hole, and the reps as the cells' canonical translates; uncertified."""
+    ineqs = voronoi_inequalities(form)
+    centers = vertex_enumeration([(row, rhs) for row, rhs, _ in ineqs])
+    # the tight test in integers: primitive rows against c = nums / den
+    scaled = [(_int_scaled(row, rhs), e) for row, rhs, e in ineqs]
+    zero = (0,) * form.rank
+    cells = []
+    for c in centers:
+        nums, den = integral(c)
+        verts = [zero] + [e for (a, b), e in scaled if dot(a, nums) == b * den]
+        cells.append(make_cell(verts, tuple(c), norm(form, c)))
+    cells.sort(key=lambda cell: cell.vertices)
+    reps = sorted(
+        {canonical_orbit_rep(cell).vertices: canonical_orbit_rep(cell) for cell in cells}.values(),
+        key=lambda cell: cell.vertices,
+    )
+    return DelaunayStar(form, tuple(cells), tuple(reps))
+
+
+def test_star_of_the_reps_matches_the_walk_over_every_voronoi_vertex():
+    rng = random.Random(0)
+    specs = [(name, None) for name in catalog_names()]
+    for name in ("dim4.K", "dim4.G1234", "dim4.V2capV3", "dim4.W0", "dim4.F12"):
+        for _ in range(3):
+            specs.append((name, [rng.randint(1, 5) for _ in catalog(name).generators]))
+    for name, weights in specs:
+        star = star_for(name, weights)
+        expected = formats.dumps(formats.encode_star(oracle_star(star.form)))
+        assert formats.dumps(formats.encode_star(star)) == expected, (name, weights)
 
 
 def naive_generating(cell, bound=10):
