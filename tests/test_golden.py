@@ -38,15 +38,15 @@ SAMPLES = ["dim2.V1", "dim3.V", "dim4.V1capV2"]
         for c in SAMPLES
     ]
     + [
+        (["fuse", "--coarse", coarse, "--fine", fine], "fuse_%s_%s.json" % (coarse, fine))
+        for coarse, fine in (("dim4.V1capV2", "dim4.V1"), ("dim4.W0", "dim4.V3"))
+    ]
+    + [
         (
             ["del", "--form", str(GOLDEN / ("form_%s.json" % c)), "--mod-translation"],
             "del_mod_%s.json" % c,
         )
         for c in SAMPLES
-    ]
-    + [
-        (["fuse", "--coarse", coarse, "--fine", fine], "fuse_%s_%s.json" % (coarse, fine))
-        for coarse, fine in (("dim4.V1capV2", "dim4.V1"), ("dim4.W0", "dim4.V3"))
     ],
 )
 def test_stdout_matches_golden(capsys, argv, name):
