@@ -8,9 +8,10 @@ of X/2X.  A cell's vertices are 0 and the coset minima e whose inequality is
 tight at its hole: every vertex e of a Delaunay polytope through 0 is a
 minimum of its class mod 2, because z and e - z lie outside the empty sphere
 for every lattice z.  The star is built modulo translation, by a walk over
-its orbit reps, and certified on their facet classes (`star_from_reps`), so
-the construction never trusts the walk; a lone cell by an empty-sphere sweep
-(`certify_cell`).
+its orbit reps in integers, and certified on their facet classes
+(`star_from_reps`), so the construction never trusts the walk; a lone cell
+by an empty-sphere sweep (`certify_cell`).  Every lattice point sweep, the
+coset minima included, is one integer Fincke-Pohst routine, `_sweep`.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import factorial, isqrt
+from math import factorial, floor, isqrt
 from typing import Optional, Tuple
 
 from .exact import (
@@ -28,7 +29,6 @@ from .exact import (
     determinant,
     dot,
     integral,
-    is_positive_definite,
     ldl,
     mat_vec,
     norm,
@@ -38,11 +38,11 @@ from .exact import (
 )
 from .geometry import (
     _first_vertex,
-    _int_scaled,
     _step,
     facet_map,
     normalized_volume,
     polytope_facets,
+    primitive,
     unpaired_facets,
 )
 
@@ -105,94 +105,92 @@ class DelaunayStar:
     orbit_reps: Tuple[DelaunayCell, ...]
 
 
-def _floor(x: Fraction) -> int:
-    return x.numerator // x.denominator
+def _integer_ldl(form: QuadraticForm, message: str):
+    """(scale, weights, rows) in integers, scale * B(e, e) the sum of
+    weights[i] (rows[i] . e)^2: the in-order B = U^T D U of `ldl`, row i of U
+    times its least denominator q_i, so rows[i][i] = q_i, and d_i / q_i^2 over
+    the scale.  NotPositiveDefiniteError(message) unless B is definite."""
+    factor = ldl(form)
+    if factor is None or not all(factor[0]):
+        raise NotPositiveDefiniteError(message)
+    rows = [integral(row) for row in factor[1]]
+    weights, scale = integral([d / (q * q) for d, (_, q) in zip(factor[0], rows)])
+    return scale, weights, [nums for nums, _ in rows]
 
 
-def _int_interval(c: Fraction, t: Fraction):
-    """Inclusive integer range of n with (n - c)^2 <= t, exactly."""
-    if t < 0:
-        return range(0)
-    approx = isqrt(t.numerator // t.denominator) + 2
-    hi = _floor(c) + approx
-    while hi - c > 0 and (hi - c) * (hi - c) > t:
-        hi -= 1
-    lo = -(-c.numerator // c.denominator) - approx  # ceil(c) - approx
-    while c - lo > 0 and (c - lo) * (c - lo) > t:
-        lo += 1
-    return range(lo, hi + 1)
+def _sweep(factor, residues, m, bound):
+    """[(e, scale * B(e, e))] for every integer e = residues (mod m) with
+    B(e, e) <= bound, by the `_integer_ldl` factor: Fincke-Pohst in integers.
+    With e fixed after i, s = rows[i] . e = q_i e_i + t, and weights[i] s^2
+    fits the budget left when |s| <= isqrt(budget // weights[i])."""
+    scale, weights, rows = factor
+    total, out, e = floor(scale * bound), [], [0] * len(rows)
+
+    def descend(i, budget, offsets):  # offsets[k] is t for k <= i
+        w, q, t = weights[i], rows[i][i], offsets[i]
+        r = isqrt(budget // w)
+        lo, column = -((r + t) // q), [row[i] for row in rows[:i]]
+        for x in range(lo + (residues[i] - lo) % m, (r - t) // q + 1, m):
+            e[i], s = x, q * x + t
+            if i:
+                descend(i - 1, budget - w * s * s, [o + c * x for o, c in zip(offsets, column)])
+            else:
+                out.append((tuple(e), total - budget + w * s * s))
+
+    if total < 0 or not e:
+        return [] if total < 0 else [((), 0)]
+    descend(len(e) - 1, total, [0] * len(e))
+    return out
 
 
 def points_within(form: QuadraticForm, alpha, bound: Fraction):
-    """All lattice points x with B(x - alpha, x - alpha) <= bound.
-
-    Fincke-Pohst style enumeration from the exact in-order U^T D U of
-    `ldl`; the returned list is provably exhaustive and sorted.
-    """
-    n = form.rank
-    alpha = tuple(Fraction(a) for a in alpha)
-    bound = Fraction(bound)
+    """All lattice points x with B(x - alpha, x - alpha) <= bound, sorted:
+    e = m x - a by `_sweep`, for alpha = a / m over a common denominator."""
+    alpha, bound = tuple(Fraction(a) for a in alpha), Fraction(bound)
     if bound < 0:
         return []
-    factor = ldl(form)
-    if factor is None or not all(factor[0]):
-        raise NotPositiveDefiniteError("form is not positive definite")
-    d, u = factor
-    out = []
-    x = [0] * n
-
-    def descend(i: int, budget: Fraction):
-        if i < 0:
-            out.append(tuple(x))
-            return
-        # c is where the i-th squared term vanishes given the fixed tail
-        shift = sum(u[i][j] * (x[j] - alpha[j]) for j in range(i + 1, n))
-        c = alpha[i] - shift
-        for xi in _int_interval(c, budget / d[i]):
-            x[i] = xi
-            term = d[i] * (xi - c) * (xi - c)
-            descend(i - 1, budget - term)
-
-    descend(n - 1, bound)
-    return sorted(out)
+    factor = _integer_ldl(form, "form is not positive definite")
+    a, m = integral(alpha)
+    found = _sweep(factor, [-c % m for c in a], m, m * m * bound)
+    return sorted(tuple((c + b) // m for c, b in zip(e, a)) for e, _ in found)
 
 
 def nearest_points(form: QuadraticForm, alpha):
-    """All lattice points attaining the minimum of ||b - alpha|| in B."""
-    if not is_positive_definite(form):
-        raise NotPositiveDefiniteError("nearest_points needs a definite form")
-    alpha = tuple(Fraction(a) for a in alpha)
-    start = tuple(_floor(a + Fraction(1, 2)) for a in alpha)
-    bound = norm(form, vec_sub(start, alpha))
-    candidates = points_within(form, alpha, bound)
-    best = min(norm(form, vec_sub(p, alpha)) for p in candidates)
-    return set(p for p in candidates if norm(form, vec_sub(p, alpha)) == best)
+    """All lattice points attaining the minimum of ||b - alpha|| in B: one
+    `_sweep`, bounded by the rounding floor(alpha + 1/2), gives every
+    candidate's distance in integers."""
+    factor = _integer_ldl(form, "nearest_points needs a definite form")
+    a, m = integral([Fraction(c) for c in alpha])
+    start = [m * ((2 * c + m) // (2 * m)) - c for c in a]
+    found = _sweep(factor, [-c % m for c in a], m, norm(form, start))
+    best = min(v for _, v in found)
+    return {tuple((c + b) // m for c, b in zip(e, a)) for e, v in found if v == best}
+
+
+def _coset_minima(form: QuadraticForm):
+    """(e, Ge, G[e]) for the `_integer_gram` G and the minima e of the nonzero
+    cosets of X/2X, coset by coset in `product` order, each coset's sorted:
+    one `_sweep` modulo 2 per coset, bounded by its 0/1 representative."""
+    factor = _integer_ldl(form, "form is not positive definite")
+    (gram, k), minima = _integer_gram(form), []
+    for parity in filter(any, product((0, 1), repeat=form.rank)):
+        found = _sweep(factor, parity, 2, Fraction(dot(parity, mat_vec(gram, parity)), k))
+        best = min(v for _, v in found)
+        for e in sorted(e for e, v in found if v == best):
+            ge = mat_vec(gram, e)
+            minima.append((e, ge, dot(e, ge)))
+    return minima
 
 
 def voronoi_inequalities(form: QuadraticForm):
     """Inequalities 2B(e, y) <= B(e, e) cutting out the Voronoi cell of 0.
 
     The vectors e run over all minima of the nonzero cosets of X/2X, which
-    suffice to define the cell (and include every facet vector).
+    suffice to define the cell (and include every facet vector): the
+    `_coset_minima`, divided back by the scale of the integer Gram matrix.
     """
-    n = form.rank
-    ineqs = []
-    for parity in product((0, 1), repeat=n):
-        if not any(parity):
-            continue
-        half = tuple(-Fraction(p, 2) for p in parity)
-        bound = Fraction(norm(form, parity), 4)
-        zs = points_within(form, half, bound)
-        values = {}
-        for z in zs:
-            e = tuple(p + 2 * c for p, c in zip(parity, z))
-            values[e] = norm(form, e)
-        best = min(values.values())
-        for e, v in values.items():
-            if v == best:
-                row = tuple(2 * c for c in mat_vec(form.entries, e))
-                ineqs.append((row, v, e))
-    return ineqs
+    (_, k), minima = _integer_gram(form), _coset_minima(form)
+    return [(tuple(Fraction(2 * c, k) for c in ge), Fraction(v, k), e) for e, ge, v in minima]
 
 
 def cell_center(form: QuadraticForm, vertices):
@@ -204,14 +202,9 @@ def cell_center(form: QuadraticForm, vertices):
     """
     verts = [tuple(v) for v in vertices]
     base = min(verts)
-    rows = []
-    rhs = []
-    for v in verts:
-        w = vec_sub(v, base)
-        if not any(w):
-            continue
-        rows.append(tuple(2 * c for c in mat_vec(form.entries, w)))
-        rhs.append(norm(form, w))
+    diffs = [w for w in (vec_sub(v, base) for v in verts) if any(w)]
+    rows = [tuple(2 * c for c in mat_vec(form.entries, w)) for w in diffs]
+    rhs = [norm(form, w) for w in diffs]
     try:
         center = solve_overdetermined(rows, rhs)
     except SingularMatrixError:
@@ -222,10 +215,10 @@ def cell_center(form: QuadraticForm, vertices):
 
 
 def _integer_gram(form: QuadraticForm):
-    """The Gram matrix times the least positive integer that makes it integral."""
-    nums, _ = integral([x for row in form.entries for x in row])
+    """(G, k): G the Gram matrix times the least positive integer k making it integral."""
+    nums, k = integral([x for row in form.entries for x in row])
     g = form.rank
-    return [nums[i * g:(i + 1) * g] for i in range(g)]
+    return [nums[i * g:(i + 1) * g] for i in range(g)], k
 
 
 def _power(gram, center):
@@ -260,9 +253,10 @@ def certify_cell(form: QuadraticForm, cell: DelaunayCell) -> EmptySphereCertific
         return EmptySphereCertificate(cell, Fraction(0), tuple(cell.vertices))
     bound = 4 * sq_radius
     vertex_set = local.vertex_set()
-    power = _power(_integer_gram(form), center)
+    power = _power(_integer_gram(form)[0], center)
+    factor = _integer_ldl(form, "form is not positive definite")
     violations = set()
-    for e in points_within(form, (0,) * form.rank, bound):
+    for e, _ in _sweep(factor, (0,) * form.rank, 1, bound):
         slack = power(e)
         if slack < 0 or (slack == 0) != (e in vertex_set):
             violations.add(e)
@@ -307,7 +301,7 @@ def check_local_delaunay(form: QuadraticForm, cells, facets):
     `facet_map` must have two cells A and B, and s_A(w) must exceed that
     constant, putting every vertex w of B off A strictly outside A's sphere.
     """
-    gram = _integer_gram(form)
+    gram, _ = _integer_gram(form)
     powers = [_power(gram, cell.center) for cell in cells]
     levels = [{s(v) for v in cell.vertices} for cell, s in zip(cells, powers)]
     for cell, level in zip(cells, levels):
@@ -349,22 +343,26 @@ def _walk_reps(form):
 
     The Voronoi edge dual to a facet F through v of a rep A, outward normal
     n, leaves the hole of A - v along adj(G) n: the rows of F stay tight and
-    the rest of A goes slack, so one ratio test (`geometry._step`) gives the
-    hole across F.  The cells of a tiling are connected through facets."""
+    the rest of A goes slack, so one ratio test (`geometry._step`) on the
+    integer rows (2Ge, G[e]) gives the hole across F and its tight rows.  The
+    cells of a tiling are connected through facets; a facet class crossed
+    from one side is not crossed back, as both its cells are known."""
     g = form.rank
-    rows = sorted((_int_scaled(a, b), e) for a, b, e in voronoi_inequalities(form))
+    minima = [(primitive(tuple(2 * c for c in ge) + (v,)), e) for e, ge, v in _coset_minima(form)]
+    rows = sorted(((row[:-1], row[-1]), e) for row, e in minima)
     ineqs = [ab for ab, _ in rows]
     # adj(G) = det(G) G^-1: the Bareiss pivot of [G | I] is det(G) up to sign
     eye = [[int(i == j) for j in range(g)] for i in range(g)]
-    reduced, _, _, sign = _echelon([r + e for r, e in zip(_integer_gram(form), eye)])
+    gram, k = _integer_gram(form)
+    reduced, _, _, sign = _echelon([r + e for r, e in zip(gram, eye)])
     adj = [[sign * x for x in row[g:]] for row in reduced[:g]]
 
-    def rep_at(nums, den):  # the cell at a hole, moved so its smallest vertex is 0
-        verts = [(0,) * g] + [e for (a, b), e in rows if dot(a, nums) == b * den]
+    def rep_at(nums, den, tight):  # the cell at a hole, moved so its smallest vertex is 0
+        verts = [(0,) * g] + [rows[i][1] for i in tight]
         v = min(verts)
         return tuple(sorted(vec_sub(w, v) for w in verts)), vec_sub(nums, [den * c for c in v]), den
 
-    reps, stack = {}, [rep_at(*_first_vertex(ineqs, g))]
+    reps, crossed, stack = {}, {}, [rep_at(*_first_vertex(ineqs, g))]
     while stack:
         vertices, nums, den = stack.pop()
         if vertices in reps:
@@ -374,11 +372,16 @@ def _walk_reps(form):
         except ValueError:
             raise CertificationError("star cell %r is not full-dimensional" % (vertices,))
         center = tuple(Fraction(x, den) for x in nums)
-        reps[vertices] = make_cell(vertices, center, norm(form, center)), facets
+        sq_radius = Fraction(dot(nums, mat_vec(gram, nums)), k * den * den)
+        reps[vertices] = make_cell(vertices, center, sq_radius), facets
         for members, normal, _ in facets:
-            hole = vec_sub(nums, [den * c for c in vertices[members[0]]])
+            v = vertices[members[0]]
+            facet = tuple(vec_sub(vertices[i], v) for i in members)
+            if dot(crossed.setdefault(facet, normal), normal) < 0:
+                continue
+            hole = vec_sub(nums, [den * c for c in v])
             stack.append(rep_at(*_step(ineqs, hole, den, mat_vec(adj, normal))))
-    return tuple(zip(*[reps[k] for k in sorted(reps)]))
+    return tuple(zip(*[reps[key] for key in sorted(reps)]))
 
 
 def facet_classes(reps, facets):
@@ -418,9 +421,8 @@ def star_from_reps(form: QuadraticForm, reps, facets) -> DelaunayStar:
 
 def delaunay_star(form: QuadraticForm) -> DelaunayStar:
     """All maximal Delaunay cells containing 0: the orbit reps of `_walk_reps`,
-    one ratio test per rep facet, certified on facet classes by `star_from_reps`."""
-    if not is_positive_definite(form):
-        raise NotPositiveDefiniteError("delaunay_star needs a definite form")
+    one ratio test per facet class, certified on facet classes by `star_from_reps`."""
+    _integer_ldl(form, "delaunay_star needs a definite form")  # raises unless definite
     if not 0 < form.rank <= 4:
         raise UnsupportedRankError("only ranks up to 4 are supported (and at least 1)")
     return star_from_reps(form, *_walk_reps(form))

@@ -7,7 +7,7 @@ Fractions for rational vectors) and matrices are tuples of row tuples.
 Row elimination lives in two routines only: `_echelon`, a fraction-free
 (Bareiss) Gauss-Jordan core under the rank, nullspace, solves and
 determinant, and `ldl`, the in-order symmetric LDL^T under definiteness and
-the lattice point sweep.
+the integer lattice point sweep.
 """
 
 from __future__ import annotations
@@ -163,7 +163,8 @@ def ldl(form: QuadraticForm):
     Returns (d, u), or None when B is indefinite: a negative pivot, or a zero
     pivot whose residual row is nonzero.  A zero pivot with a zero residual
     row only lowers the rank.  The pivots stay in index order, as the
-    Fincke-Pohst sweep of `delaunay.points_within` needs.
+    integer Fincke-Pohst sweep of `delaunay._sweep` needs: it reads d and the
+    rows of U once per form, scaled to integers by `delaunay._integer_ldl`.
     """
     n = form.rank
     a = [list(row) for row in form.entries]
@@ -176,8 +177,7 @@ def ldl(form: QuadraticForm):
         d.append(pivot)
         if pivot == 0:
             continue
-        for j in range(i + 1, n):
-            u[i][j] = a[i][j] / pivot
+        u[i][i + 1:] = [x / pivot for x in a[i][i + 1:]]
         for r in range(i + 1, n):
             for c in range(i + 1, n):
                 a[r][c] -= u[i][r] * a[i][c]

@@ -46,7 +46,7 @@ def _lowest_terms(nums, den):
 
 
 def _first_vertex(ineqs, d):
-    """Some vertex, from the first feasible nonsingular d-subset; or None."""
+    """Some vertex and its tight rows, from the first feasible nonsingular d-subset; or None."""
     nonsingular = list(range(d))
     for subset in combinations([a + (b,) for a, b in ineqs], d):
         reduced, pivots, den, _ = _echelon(subset)
@@ -54,27 +54,27 @@ def _first_vertex(ineqs, d):
             continue
         nums, den = _lowest_terms([row[d] for row in reduced], den)
         if all(dot(a, nums) <= b * den for a, b in ineqs):
-            return nums, den
+            return nums, den, [i for i, (a, b) in enumerate(ineqs) if dot(a, nums) == b * den]
     return None
 
 
 def _step(ineqs, nums, den, u):
-    """The vertex at the far end of the edge from nums / den along u.
+    """The vertex at the far end of the edge from nums / den along u, and
+    the indices of the rows tight there; None when no row bounds u.
 
-    Exact ratio test: the first row to become tight as x moves along u.
-    Returns None when no row bounds the direction.
+    Exact ratio test: the first row to become tight, at (slack s, rate r);
+    a row is tight at the far end when its own pair has slack * r = s * rate.
     """
+    pairs = [(b * den - dot(a, nums), dot(a, u)) for a, b in ineqs]
     best = None
-    for a, b in ineqs:
-        rate = dot(a, u)
-        if rate > 0:
-            slack = b * den - dot(a, nums)
-            if best is None or slack * best[1] < best[0] * rate:
-                best = (slack, rate)
+    for slack, rate in pairs:
+        if rate > 0 and (best is None or slack * best[1] < best[0] * rate):
+            best = (slack, rate)
     if best is None:
         return None
-    slack, rate = best
-    return _lowest_terms([rate * x + slack * c for x, c in zip(nums, u)], den * rate)
+    s, r = best
+    nums, den = _lowest_terms([r * x + s * c for x, c in zip(nums, u)], den * r)
+    return nums, den, [i for i, (slack, rate) in enumerate(pairs) if slack * r == s * rate]
 
 
 def vertex_enumeration(inequalities):
@@ -92,15 +92,13 @@ def vertex_enumeration(inequalities):
     start = _first_vertex(ineqs, d)
     if start is None:
         return []
-    seen = {start}
-    stack = [start]
+    seen, stack = {start[:2]}, [start]
     while stack:
-        nums, den = stack.pop()
-        tight = [a for a, b in ineqs if dot(a, nums) == b * den]
-        for _, normal in cone_facets(tight):
+        nums, den, tight = stack.pop()
+        for _, normal in cone_facets([ineqs[i][0] for i in tight]):
             nxt = _step(ineqs, nums, den, tuple(-c for c in normal))
-            if nxt is not None and nxt not in seen:
-                seen.add(nxt)
+            if nxt is not None and nxt[:2] not in seen:
+                seen.add(nxt[:2])
                 stack.append(nxt)
     return sorted(tuple(Fraction(v, den) for v in nums) for nums, den in seen)
 

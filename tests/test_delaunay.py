@@ -211,9 +211,11 @@ def test_star_verifies_the_holes_of_the_walk(monkeypatch):
     monkeypatch.setattr(delaunay, "_step", lambda *a: steps.append(1) or step(*a))
     star = delaunay_star(HEX)
     # facets once per rep, for the walk and the certificate, and one ratio
-    # test per facet of a rep
+    # test per facet class: the two triangles share their three edge classes
     assert sorted(built) == [rep.vertices for rep in star.orbit_reps]
-    assert len(steps) == sum(len(facets(p)) for p in built) == 6
+    assert sum(len(facets(p)) for p in built) == 6
+    classes, _ = delaunay.facet_classes(star.orbit_reps, [facets(r.vertices) for r in star.orbit_reps])
+    assert len(steps) == len(classes) == 3
     make = delaunay.make_cell
 
     def moved(vertices, center, sq_radius):

@@ -8,6 +8,8 @@ dim2.V1, dim3.V and dim4.V1capV2 (`latdel sample`) and their stars
 recorded before the star was built from a walk over the reps.  The two
 `latdel fuse` outputs, pieces and sphere data included, were recorded
 before the fusion matcher was anchored at the coarse cell's vertices.
+The stars of the two long-sweep forms (form_diag1e8.json, form_skew101.json)
+were recorded before the coset sweeps were rewritten in integers.
 verify_all.json is the stdout of `latdel verify --suite all`; it is
 compared in tests/test_verify.py, where that run already happens, and by CI.
 """
@@ -22,6 +24,9 @@ from latdel.cli import run
 
 GOLDEN = Path(__file__).parent / "golden"
 SAMPLES = ["dim2.V1", "dim3.V", "dim4.V1capV2"]
+# diag(10^8, 1) and [[101, 100, 0, 0], [100, 101, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]:
+# one short and one long axis, so a coset sweep walks thousands of values of a coordinate
+LONG_SWEEPS = ["diag1e8", "skew101"]
 
 
 @pytest.mark.parametrize(
@@ -47,7 +52,8 @@ SAMPLES = ["dim2.V1", "dim3.V", "dim4.V1capV2"]
             "del_mod_%s.json" % c,
         )
         for c in SAMPLES
-    ],
+    ]
+    + [(["del", "--form", str(GOLDEN / ("form_%s.json" % f))], "del_%s.json" % f) for f in LONG_SWEEPS],
 )
 def test_stdout_matches_golden(capsys, argv, name):
     assert run(argv) == 0

@@ -9,15 +9,17 @@ membership and extreme rays, a scan of the lattice points in a box for the
 cone cover, pairwise polytope intersections (a vertex enumeration of the joined facet
 systems) and a ray-by-ray cover for the tiling at 0 of simplicial
 generation, one empty-sphere sweep per orbit rep (`certify_cell`) for
-Delaunay's lemma, and a walk over every vertex of the Voronoi cell
-(`vertex_enumeration`) for the walk over the orbit reps of a star."""
+Delaunay's lemma, a walk over every vertex of the Voronoi cell
+(`vertex_enumeration`) for the walk over the orbit reps of a star, and the
+earlier `Fraction` Fincke-Pohst sweep for the integer sweep of the lattice
+points in a ball and the coset minima."""
 
 import random
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import mul
 
 from hypothesis import assume, given, settings
@@ -28,6 +30,7 @@ from latdel.catalog import _flatten, catalog, catalog_names, sample_interior
 from latdel.delaunay import (
     CertificationError,
     DelaunayStar,
+    NotPositiveDefiniteError,
     canonical_orbit_rep,
     cell_center,
     certify_cell,
@@ -36,6 +39,7 @@ from latdel.delaunay import (
     facets_at_zero,
     make_cell,
     nearest_points,
+    points_within,
     voronoi_inequalities,
 )
 from latdel.exact import (
@@ -50,7 +54,9 @@ from latdel.exact import (
     dot,
     identity_matrix,
     integral,
+    ldl,
     mat_mul,
+    mat_vec,
     matrix_rank,
     norm,
     nullspace,
@@ -1159,3 +1165,122 @@ def test_local_delaunay_agrees_with_the_ball_sweep():
         verdicts.append(expected)
     assert verdicts.count(True) == len(catalog_names()) + 3
     assert verdicts.count(False) >= 8
+
+
+def _floor(x: Fraction) -> int:
+    return x.numerator // x.denominator
+
+
+def _int_interval(c: Fraction, t: Fraction):
+    """Inclusive integer range of n with (n - c)^2 <= t, exactly."""
+    if t < 0:
+        return range(0)
+    approx = isqrt(t.numerator // t.denominator) + 2
+    hi = _floor(c) + approx
+    while hi - c > 0 and (hi - c) * (hi - c) > t:
+        hi -= 1
+    lo = -(-c.numerator // c.denominator) - approx  # ceil(c) - approx
+    while c - lo > 0 and (c - lo) * (c - lo) > t:
+        lo += 1
+    return range(lo, hi + 1)
+
+
+def oracle_points_within(form: QuadraticForm, alpha, bound: Fraction):
+    """All lattice points x with B(x - alpha, x - alpha) <= bound.
+
+    Fincke-Pohst style enumeration from the exact in-order U^T D U of
+    `ldl`; the returned list is provably exhaustive and sorted.
+    """
+    n = form.rank
+    alpha = tuple(Fraction(a) for a in alpha)
+    bound = Fraction(bound)
+    if bound < 0:
+        return []
+    factor = ldl(form)
+    if factor is None or not all(factor[0]):
+        raise NotPositiveDefiniteError("form is not positive definite")
+    d, u = factor
+    out = []
+    x = [0] * n
+
+    def descend(i: int, budget: Fraction):
+        if i < 0:
+            out.append(tuple(x))
+            return
+        # c is where the i-th squared term vanishes given the fixed tail
+        shift = sum(u[i][j] * (x[j] - alpha[j]) for j in range(i + 1, n))
+        c = alpha[i] - shift
+        for xi in _int_interval(c, budget / d[i]):
+            x[i] = xi
+            term = d[i] * (xi - c) * (xi - c)
+            descend(i - 1, budget - term)
+
+    descend(n - 1, bound)
+    return sorted(out)
+
+
+def oracle_voronoi_inequalities(form):
+    """The rows (2Be, B(e, e), e) of the coset minima from the `Fraction` sweep."""
+    ineqs = []
+    for parity in product((0, 1), repeat=form.rank):
+        if not any(parity):
+            continue
+        half = tuple(-Fraction(p, 2) for p in parity)
+        zs = oracle_points_within(form, half, Fraction(norm(form, parity), 4))
+        values = {}
+        for z in zs:
+            e = tuple(p + 2 * c for p, c in zip(parity, z))
+            values[e] = norm(form, e)
+        best = min(values.values())
+        for e, v in values.items():
+            if v == best:
+                row = tuple(2 * c for c in mat_vec(form.entries, e))
+                ineqs.append((row, v, e))
+    return ineqs
+
+
+@st.composite
+def ball_cases(draw):
+    """(form, centre, point): a definite form A^T A + D of rank 1-4, with D
+    diagonal and at least 1, a rational centre, and a lattice point within
+    one unit step of its rounding, whose distance makes an attained bound."""
+    n = draw(st.integers(1, 4))
+    a = draw(st.lists(st.lists(ENTRIES, min_size=n, max_size=n), min_size=n, max_size=n))
+    diagonal = st.fractions(min_value=1, max_value=3, max_denominator=4)
+    entries = [[sum(r[i] * r[j] for r in a) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        entries[i][i] += draw(diagonal)
+    alpha = draw(st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=6), min_size=n, max_size=n))
+    point = [_floor(c + Fraction(1, 2)) for c in alpha]
+    point[draw(st.integers(0, n - 1))] += draw(st.integers(-1, 1))
+    return QuadraticForm(entries), tuple(alpha), tuple(point)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ball_cases())
+def test_integer_sweep_matches_the_fraction_sweep(case):
+    form, alpha, point = case
+    bound = norm(form, vec_sub(point, alpha))
+    inside = points_within(form, alpha, bound)
+    assert inside == oracle_points_within(form, alpha, bound)
+    assert point in inside
+    assert points_within(form, alpha, bound - Fraction(1, 10**6)) == oracle_points_within(
+        form, alpha, bound - Fraction(1, 10**6)
+    )
+    best = min(norm(form, vec_sub(p, alpha)) for p in inside)
+    assert nearest_points(form, alpha) == {p for p in inside if norm(form, vec_sub(p, alpha)) == best}
+
+
+def test_voronoi_rows_match_the_fraction_sweep():
+    rng = random.Random(0)
+    specs = [(name, None) for name in catalog_names()]
+    for name in ("dim4.K", "dim4.G1234", "dim4.V2capV3", "dim4.W0", "dim4.F12"):
+        for _ in range(3):
+            specs.append((name, [rng.randint(1, 5) for _ in catalog(name).generators]))
+    for name, weights in specs:
+        form = sample_interior(catalog(name), weights)
+        got = voronoi_inequalities(form)
+        assert got == oracle_voronoi_inequalities(form), (name, weights)
+        assert [tuple(map(type, row)) + (type(v),) for row, v, _ in got] == [
+            (Fraction,) * (form.rank + 1)
+        ] * len(got)
