@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
+from operator import mul
 from typing import Iterable, Sequence, Tuple
 
 Rational = Fraction
@@ -73,7 +74,7 @@ def shift_points(points, t) -> tuple:
 def dot(x: Sequence, y: Sequence):
     if len(x) != len(y):
         raise ValueError("dimension mismatch")
-    return sum(a * b for a, b in zip(x, y))
+    return sum(map(mul, x, y))
 
 
 def as_matrix(rows: Iterable[Iterable]) -> Matrix:
@@ -192,16 +193,19 @@ def definiteness(form: QuadraticForm) -> str:
     return POSITIVE_DEFINITE if all(factor[0]) else POSITIVE_SEMIDEFINITE
 
 
-def is_positive_definite(form: QuadraticForm) -> bool:
-    return definiteness(form) == POSITIVE_DEFINITE
-
-
 def congruence_act(a: Matrix, form: QuadraticForm) -> QuadraticForm:
-    """The congruence action B |-> A^T B A for invertible rational A."""
-    a = as_matrix(a)
-    if determinant(a) == 0:
+    """The congruence action B |-> A^T B A for invertible rational A, formed
+    over the integers as A'^T B' A' / (s^2 t) from A = A'/s and B = B'/t."""
+    n = form.rank
+    if len(a) != n or any(len(row) != n for row in a):
+        raise ValueError("congruence needs a square matrix of the form's rank")
+    ai, s = integral([Fraction(v) for row in a for v in row])
+    bi, t = integral([v for row in form.entries for v in row])
+    ai, bi = ([flat[i * n:(i + 1) * n] for i in range(n)] for flat in (ai, bi))
+    if len(_echelon(ai)[1]) < n:
         raise SingularMatrixError("congruence by a singular matrix")
-    return QuadraticForm(mat_mul(transpose(a), mat_mul(form.entries, a)))
+    c = mat_mul(transpose(ai), mat_mul(bi, ai))
+    return QuadraticForm(tuple(tuple(Fraction(v, s * s * t) for v in row) for row in c))
 
 
 def integral(values):

@@ -20,11 +20,11 @@ from latdel.faces import (
     face_of_cone,
     facial_certificate,
     graph_of,
-    _doubled_product,
     group_G,
     group_generators,
     identify_pm,
     pm_form,
+    root_permutation,
     voronoi_transform,
 )
 
@@ -74,9 +74,12 @@ def test_facial_certificate():
 
 def test_group_order():
     assert len(group_G()) == 1152
-    # (1/2)(1/2) = 1/4 is not half-integral, so the doubled product refuses it
+    # diag(2,1,1,1) scales the root e1+e2 to (2,1,0,0), off the root set
     with pytest.raises(RuntimeError):
-        _doubled_product(((1,),), ((1,),))
+        root_permutation(((2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
+    # the half-integral matrix of all 1/2 sends e1+e2 to (1,1,1,1)
+    with pytest.raises(RuntimeError):
+        root_permutation(tuple((Fraction(1, 2),) * 4 for _ in range(4)))
 
 
 def test_orbit_sizes_and_all_red_triangles():

@@ -1,7 +1,7 @@
 """Independent oracles: brute force for stars and generation in rank ≤ 2,
 the whole symmetry group G for the faces of K, a plain `Fraction`
-Gauss-Jordan elimination and principal minors for the exact kernel, a
-solve per box point for parallelepiped points and a degree-capped search
+Gauss-Jordan elimination, principal minors and `Fraction` matrix products
+for the exact kernel, a solve per box point for parallelepiped points and a degree-capped search
 for semigroup membership, a solve of every d-subset of the inequalities for the vertex walk, a
 `Fraction` kernel per ray subset for the cone facets and per drop set for
 the faces of K, a Carathéodory search over independent ray subsets for cone
@@ -49,6 +49,8 @@ from latdel.exact import (
     QuadraticForm,
     SingularMatrixError,
     _echelon,
+    as_matrix,
+    congruence_act,
     definiteness,
     determinant,
     dot,
@@ -61,18 +63,22 @@ from latdel.exact import (
     norm,
     nullspace,
     solve_overdetermined,
+    transpose,
     vec_sub,
 )
 from latdel.faces import (
     PM_FORMS,
+    ROOTS,
     SIGNED_PAIRS,
     _classification,
+    _doubled_matrix,
     apply_to_face,
     enumerate_faces,
     facial_certificate,
     group_G,
     group_generators,
     pair_permutation,
+    root_permutation,
 )
 from latdel import delaunay, generation, geometry
 from latdel.generation import (
@@ -388,6 +394,29 @@ def test_integer_closure_matches_fraction_closure():
     assert group_G() == {tuple(tuple(2 * v for v in row) for row in m) for m in oracle}
 
 
+def ray_of(v):
+    """The signed pair (p, q, sign) with v = +-(e_p + sign * e_q)."""
+    p, q = [i for i, c in enumerate(v) if c]
+    return p + 1, q + 1, v[p] * v[q]
+
+
+def test_root_action_is_faithful_and_folds_to_the_ray_action():
+    read_back = set()
+    for m in fraction_closure():
+        perm = root_permutation(m)
+        images = [ROOTS[r] for r in perm]
+        assert sorted(images) == sorted(ROOTS)
+        # each root goes to M^T r, and its ray to the ray of that image
+        rays = pair_permutation(m)
+        for root, image in zip(ROOTS, images):
+            assert image == mat_vec(transpose(m), root)
+            assert rays[ray_of(root)] == ray_of(image)
+        doubled = _doubled_matrix(perm)
+        assert doubled == tuple(tuple(2 * v for v in row) for row in m)
+        read_back.add(doubled)
+    assert len(read_back) == 1152
+
+
 def test_generator_orbits_are_orbits_of_every_element():
     _, orbits = _classification()
     perms = [pair_permutation(m) for m in fraction_closure()]
@@ -512,6 +541,32 @@ def test_kernel_matches_fraction_gauss_jordan(rows, data):
 @given(rational_matrices(square=True))
 def test_determinant_matches_fraction_elimination(m):
     assert determinant(m) == oracle_determinant(m)
+
+
+def oracle_congruence_act(a, form):
+    """The congruence action B |-> A^T B A for invertible rational A."""
+    a = as_matrix(a)
+    if determinant(a) == 0:
+        raise SingularMatrixError("congruence by a singular matrix")
+    return QuadraticForm(mat_mul(transpose(a), mat_mul(form.entries, a)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_matrices(max_size=5, square=True), st.data())
+def test_integer_congruence_matches_fraction_congruence(a, data):
+    n = len(a)
+    entries = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            entries[i][j] = entries[j][i] = data.draw(ENTRIES)
+    form = QuadraticForm(entries)
+    results = []
+    for act in (oracle_congruence_act, congruence_act):
+        try:
+            results.append(act(a, form))
+        except SingularMatrixError:
+            results.append("singular")
+    assert results[0] == results[1]
 
 
 def principal_minor_class(entries):
