@@ -25,8 +25,7 @@ from typing import Optional, Tuple
 from .exact import (
     QuadraticForm,
     SingularMatrixError,
-    _echelon,
-    determinant,
+    _scaled_inverse,
     dot,
     integral,
     ldl,
@@ -37,8 +36,9 @@ from .exact import (
     vec_sub,
 )
 from .geometry import (
-    _first_vertex,
+    _lift,
     _step,
+    _vertex_from_origin,
     facet_map,
     normalized_volume,
     polytope_facets,
@@ -271,13 +271,9 @@ def canonical_orbit_rep(cell: DelaunayCell) -> DelaunayCell:
 
 
 def is_basic_simplex(cell: DelaunayCell) -> bool:
-    """True iff the cell is a simplex whose edge vectors form a Z-basis."""
-    verts = cell.vertices
-    g = len(verts[0]) if verts else 0
-    if len(verts) != g + 1:
-        return False
-    rows = [vec_sub(v, verts[0]) for v in verts[1:]]
-    return abs(determinant(rows)) == 1
+    """True iff the cell is a simplex whose edge vectors form a Z-basis (lifted |det| 1)."""
+    inverse = _scaled_inverse(_lift(cell.vertices)) if cell.vertices else None
+    return inverse is not None and inverse[1] == 1
 
 
 def facets_at_zero(cells):
@@ -341,8 +337,9 @@ def check_tiling(g: int, cells, reps):
 def _walk_reps(form):
     """The orbit reps of the star, sorted, and their `polytope_facets`.
 
-    The Voronoi edge dual to a facet F through v of a rep A, outward normal
-    n, leaves the hole of A - v along adj(G) n: the rows of F stay tight and
+    It starts at the hole `geometry._vertex_from_origin` reaches from 0.  The
+    Voronoi edge dual to a facet F through v of a rep A, outward normal n,
+    leaves the hole of A - v along adj(G) n: the rows of F stay tight and
     the rest of A goes slack, so one ratio test (`geometry._step`) on the
     integer rows (2Ge, G[e]) gives the hole across F and its tight rows.  The
     cells of a tiling are connected through facets; a facet class crossed
@@ -351,18 +348,15 @@ def _walk_reps(form):
     minima = [(primitive(tuple(2 * c for c in ge) + (v,)), e) for e, ge, v in _coset_minima(form)]
     rows = sorted(((row[:-1], row[-1]), e) for row, e in minima)
     ineqs = [ab for ab, _ in rows]
-    # adj(G) = det(G) G^-1: the Bareiss pivot of [G | I] is det(G) up to sign
-    eye = [[int(i == j) for j in range(g)] for i in range(g)]
     gram, k = _integer_gram(form)
-    reduced, _, _, sign = _echelon([r + e for r, e in zip(gram, eye)])
-    adj = [[sign * x for x in row[g:]] for row in reduced[:g]]
+    adj, _ = _scaled_inverse(gram)  # adj(G) = det(G) G^-1, as det G > 0
 
     def rep_at(nums, den, tight):  # the cell at a hole, moved so its smallest vertex is 0
         verts = [(0,) * g] + [rows[i][1] for i in tight]
         v = min(verts)
         return tuple(sorted(vec_sub(w, v) for w in verts)), vec_sub(nums, [den * c for c in v]), den
 
-    reps, crossed, stack = {}, {}, [rep_at(*_first_vertex(ineqs, g))]
+    reps, crossed, stack = {}, {}, [rep_at(*_vertex_from_origin(ineqs, g))]
     while stack:
         vertices, nums, den = stack.pop()
         if vertices in reps:

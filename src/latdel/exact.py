@@ -5,7 +5,7 @@ package ever rounds.  Vectors are plain tuples (ints for lattice vectors,
 Fractions for rational vectors) and matrices are tuples of row tuples.
 
 Row elimination lives in two routines only: `_echelon`, a fraction-free
-(Bareiss) Gauss-Jordan core under the rank, nullspace, solves and
+(Bareiss) Gauss-Jordan core under the rank, nullspace, solves, inverse and
 determinant, and `ldl`, the in-order symmetric LDL^T under definiteness and
 the integer lattice point sweep.
 """
@@ -249,6 +249,18 @@ def _echelon(rows):
         prev = p
         r += 1
     return a, pivots, prev, sign
+
+
+def _scaled_inverse(m):
+    """(|det M| M^-1, |det M|) in integers for a nonsingular integer square M, else
+    None: one `_echelon` of [M | I] gives +-det M [I | M^-1] in its first n rows."""
+    n = len(m)
+    if len(m[0]) == n:
+        eye = [[int(i == j) for j in range(n)] for i in range(n)]
+        reduced, pivots, p, _ = _echelon([list(r) + e for r, e in zip(m, eye)])
+        if pivots[-1] < n:
+            return [[x if p > 0 else -x for x in row[n:]] for row in reduced[:n]], abs(p)
+    return None
 
 
 def determinant(m: Matrix) -> Fraction:

@@ -3,11 +3,11 @@
 Everything here works over the rationals.  Dimensions are tiny (g <= 4), so
 the algorithms are the simple combinatorial ones.  One facet search,
 `cone_facets`, serves everything: a polytope is the cone over its lifted
-points (p, 1), and the pulling triangulations recurse on facets.  A pointed
-cone is read from its facets too: membership is one solve per simplex of
-its pulling triangulation, and a ray is extreme when the facets through it
-meet in a line.  The star of 0 walks its Voronoi cell by `_first_vertex` and
-the ratio test `_step`, not by `vertex_enumeration`, which visits every vertex.
+points (p, 1), and the pulling triangulations recurse on facets; a simplex
+takes one elimination.  A pointed cone is read from its facets too:
+membership is one solve per simplex of its pulling triangulation, and a ray
+is extreme when the facets through it meet in a line.  The star walks its
+Voronoi cell from 0 (`_vertex_from_origin`) by the ratio test `_step`.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from math import gcd
 from .exact import (
     _echelon,
     _kernel,
-    determinant,
+    _scaled_inverse,
     dot,
     integral,
     matrix_rank,
@@ -58,6 +58,17 @@ def _first_vertex(ineqs, d):
     return None
 
 
+def _vertex_from_origin(ineqs, d):
+    """A vertex and its tight rows of a bounded {x : a.x <= b}, all b > 0: from 0, each
+    `_step` along the kernel of the rows tight so far raises their rank, so d steps at most."""
+    nums, den, tight = (0,) * d, 1, []
+    while True:
+        kernel, _ = _kernel([ineqs[i][0] for i in tight] or [(0,) * d])
+        if not kernel:
+            return nums, den, tight
+        nums, den, tight = _step(ineqs, nums, den, kernel[0])
+
+
 def _step(ineqs, nums, den, u):
     """The vertex at the far end of the edge from nums / den along u, and
     the indices of the rows tight there; None when no row bounds u.
@@ -80,10 +91,10 @@ def _step(ineqs, nums, den, u):
 def vertex_enumeration(inequalities):
     """All vertices of the polyhedron {x : a.x <= b for (a, b) given}.
 
-    The polyhedron must be bounded; the vertices are sorted rational tuples.
-    From `_first_vertex` the walk follows the edges, the extreme rays of the
-    tight rows' cone {u : a.u <= 0}, by exact ratio tests; the graph of a
-    polytope is connected (Balinski), so it reaches every vertex.
+    The polyhedron must be bounded and may miss 0; the vertices are sorted
+    rational tuples.  From `_first_vertex` the walk follows the edges, the
+    extreme rays of the tight rows' cone {u : a.u <= 0}, by ratio tests; the
+    graph of a polytope is connected (Balinski), so it reaches every vertex.
     """
     if not inequalities:
         return []
@@ -108,16 +119,28 @@ def _lift(points):
     return [tuple(p) + (1,) for p in points]
 
 
+def _simplicial_facets(rays):
+    """The `cone_facets` of g independent rays in dimension g, else None:
+    column i of their `_scaled_inverse` is 0 on every ray but ray i, > 0 on it."""
+    g, inverse = len(rays), _scaled_inverse(rays)
+    return inverse and sorted(
+        (tuple(j for j in range(g) if j != i), primitive(c)) for i, c in enumerate(zip(*inverse[0]))
+    )
+
+
 def cone_facets(rays):
     """Facets of a pointed cone, as sorted (member indices, normal) pairs.
 
     The normal is a primitive integer vector in the linear span of the rays,
-    >= 0 on every ray and vanishing exactly on the members.  Each facet is
-    spanned by rank - 1 of the rays, so every such subset is tried: its
-    normal is the kernel of the subset stacked with the equations of the
-    span, when that is a line, read in integers from `_kernel`.
+    >= 0 on every ray and vanishing exactly on the members.  Unless they are
+    `_simplicial_facets`, each is spanned by rank - 1 of the rays, so every
+    such subset is tried: its normal is the kernel of the subset stacked with
+    the equations of the span, when that is a line, read from `_kernel`.
     """
     rays = [tuple(r) for r in rays]
+    simplicial = _simplicial_facets(rays)
+    if simplicial is not None:
+        return simplicial
     g = len(rays[0])
     span_equations, _ = _kernel(rays)
     facets = {}
@@ -148,12 +171,10 @@ def polytope_facets(points):
     """
     d = len(points[0])
     lifted = _lift(points)
-    if matrix_rank(lifted) != d + 1:
+    facets = _simplicial_facets(lifted)  # a simplex needs no rank check
+    if facets is None and matrix_rank(lifted) != d + 1:
         raise ValueError("polytope is not full-dimensional")
-    return [
-        (members, tuple(-v for v in w[:d]), w[d])
-        for members, w in cone_facets(lifted)
-    ]
+    return [(m, tuple(-v for v in w[:d]), w[d]) for m, w in facets or cone_facets(lifted)]
 
 
 def facet_map(polytopes, on_boundary):
@@ -212,14 +233,15 @@ def triangulate_polytope(points):
 
 
 def normalized_volume(points):
-    """g! times the Euclidean volume of a lattice polytope; ValueError if not full-dimensional."""
+    """g! times the Euclidean volume of a lattice polytope, |det| of the lifted
+    points of each simplex (`triangulate_polytope`); ValueError if not full-dimensional."""
     points = list(points)
-    d = len(points[0])
-    total = 0
-    for simplex in triangulate_polytope(points):
-        rows = [vec_sub(points[i], points[simplex[0]]) for i in simplex[1:]]
-        total += abs(determinant(rows))
-    return total
+    simplices = [points] if len(points) == len(points[0]) + 1 else [
+        [points[i] for i in s] for s in triangulate_polytope(points)]
+    inverses = [_scaled_inverse(_lift(s)) for s in simplices]
+    if None in inverses:
+        raise ValueError("polytope is not full-dimensional")
+    return sum(det for _, det in inverses)
 
 
 def primitive(v):

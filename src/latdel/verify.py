@@ -116,18 +116,18 @@ def cells_tiling(star: DelaunayStar, coarse: DelaunayCell):
     Candidates are lattice translates of the star's orbit representatives;
     a translate qualifies when all its vertices are vertices of the coarse
     cell.  Then the rep's smallest vertex lands on a coarse vertex, so one
-    candidate per pair of a rep and a coarse vertex is tested, on vertex
-    tuples; only a match becomes a cell.  The result must tile the coarse
-    cell exactly (checked by the lattice-normalized volume).
+    candidate per pair of a rep and a coarse vertex is tested, vertex by
+    vertex up to the first miss; only a match becomes a cell.  The result
+    must tile the coarse cell exactly (checked by the normalized volume).
     """
     coarse_set = set(coarse.vertices)
     found = {}
     for rep in star.orbit_reps:
         for w in coarse.vertices:
             t = tuple(a - b for a, b in zip(w, rep.vertices[0]))
-            verts = shift_points(rep.vertices, t)
-            if coarse_set.issuperset(verts):
-                found[verts] = rep.translate(t)
+            if all(tuple(a + b for a, b in zip(v, t)) in coarse_set for v in rep.vertices[1:]):
+                cell = rep.translate(t)
+                found[cell.vertices] = cell
     pieces = [found[v] for v in sorted(found)]
     total = sum(normalized_volume(list(p.vertices)) for p in pieces)
     if total != normalized_volume(list(coarse.vertices)):

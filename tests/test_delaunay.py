@@ -4,12 +4,14 @@ import re
 from ast import literal_eval
 from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latdel.catalog import catalog, sample_interior
+from latdel import geometry
+from latdel.catalog import catalog, catalog_names, sample_interior
 from latdel.delaunay import (
     CertificationError,
     NotCospherical,
@@ -27,8 +29,9 @@ from latdel.delaunay import (
     make_cell,
     nearest_points,
     star_from_reps,
+    voronoi_inequalities,
 )
-from latdel.exact import QuadraticForm, SingularMatrixError, evaluate, shift_points
+from latdel.exact import QuadraticForm, SingularMatrixError, dot, evaluate, matrix_rank, shift_points
 from latdel.geometry import polytope_facets
 
 
@@ -303,6 +306,29 @@ def pd_forms(draw):
         for i in range(g)
     )
     return QuadraticForm(entries)
+
+
+def check_walk_start(form):
+    # from 0, inside the Voronoi cell, a vertex in at most g ratio tests
+    g = form.rank
+    ineqs = [geometry._int_scaled(a, b) for a, b, _ in voronoi_inequalities(form)]
+    with mock.patch.object(geometry, "_step", side_effect=geometry._step) as step:
+        nums, den, tight = geometry._vertex_from_origin(ineqs, g)
+    assert all(dot(a, nums) <= b * den for a, b in ineqs)
+    assert tight == [i for i, (a, b) in enumerate(ineqs) if dot(a, nums) == b * den]
+    assert matrix_rank([ineqs[i][0] for i in tight]) == g
+    assert step.call_count <= g
+
+
+def test_walk_start_reaches_a_vertex_on_the_catalog_forms():
+    for name in catalog_names():
+        check_walk_start(sample_interior(catalog(name)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(pd_forms())
+def test_walk_start_reaches_a_vertex(form):
+    check_walk_start(form)
 
 
 @settings(max_examples=25, deadline=None)

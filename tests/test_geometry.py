@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+import pytest
+
 from latdel.geometry import (
     cone_contains,
     extremal_rays,
@@ -47,6 +49,14 @@ def test_triangulation_and_volume():
     assert len(tris) == 2
     cube = [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
     assert normalized_volume(cube) == 6
+
+
+@pytest.mark.parametrize("points", [[(0, 0), (1, 1), (2, 2)], [(0, 0), (1, 1), (2, 2), (3, 3)]])
+def test_degenerate_polytope_is_not_full_dimensional(points):
+    # a flat simplex, and a flat polytope that is triangulated first
+    for f in (normalized_volume, polytope_facets):
+        with pytest.raises(ValueError, match="polytope is not full-dimensional"):
+            f(points)
 
 
 def test_primitive():

@@ -22,6 +22,7 @@ from itertools import combinations, product
 from math import gcd, isqrt, lcm
 from operator import mul
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -793,35 +794,76 @@ def positive_multiple(u, v):
     return t > 0 and all(a == t * b for a, b in zip(u, v))
 
 
-@st.composite
-def pointed_cones(draw):
-    """Integer rays of a pointed cone in dimension 1 to 4.
+def embedded_pointed_rays(draw, g, k, count):
+    """count integer rays of a pointed cone of rank k or less in Z^g.
 
-    Rays with a positive last coordinate in Z^k span a pointed cone, of rank
-    k or less; an injective integer map carries it into Z^g, of full rank
-    when k = g.  Copies and positive multiples of some rays are appended.
+    Rays with a positive last coordinate in Z^k span a pointed cone; an
+    injective integer map carries it into Z^g.
     """
-    g = draw(st.integers(1, 4))
-    k = draw(st.integers(1, g))
     base = st.tuples(*[st.integers(-2, 2)] * (k - 1), st.integers(1, 3))
-    rays = draw(st.lists(base, min_size=1, max_size=7))
+    rays = draw(st.lists(base, min_size=count[0], max_size=count[1]))
     column = st.lists(st.integers(-2, 2), min_size=g, max_size=g)
     embedding = draw(st.lists(column, min_size=k, max_size=k).filter(lambda m: matrix_rank(m) == k))
-    rays = [tuple(sum(c * e[j] for c, e in zip(r, embedding)) for j in range(g)) for r in rays]
+    return [tuple(sum(c * e[j] for c, e in zip(r, embedding)) for j in range(g)) for r in rays]
+
+
+@st.composite
+def pointed_cones(draw):
+    """Integer rays of a pointed cone in dimension 1 to 4, of any rank up to
+    the dimension.  Copies and positive multiples of some rays are appended."""
+    g = draw(st.integers(1, 4))
+    rays = embedded_pointed_rays(draw, g, draw(st.integers(1, g)), (1, 7))
     for i in draw(st.lists(st.integers(0, len(rays) - 1), max_size=3)):
         rays.append(tuple(draw(st.integers(1, 3)) * c for c in rays[i]))
     return draw(st.permutations(rays))
 
 
-@settings(max_examples=200, deadline=None)
-@given(pointed_cones())
-def test_cone_facets_match_fraction_nullspace(rays):
+@st.composite
+def square_ray_sets(draw):
+    """g integer rays in dimension g = 1 to 4: independent, with det > 0 or
+    det < 0, or (g >= 2) a pointed set of rank below g."""
+    g = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from([1, -1, 0] if g > 1 else [1, -1]))
+    if kind == 0:
+        return embedded_pointed_rays(draw, g, draw(st.integers(1, g - 1)), (g, g))
+    row = st.tuples(*[st.integers(-3, 3)] * g)
+    return draw(st.lists(row, min_size=g, max_size=g).filter(lambda m: kind * oracle_determinant(m) > 0))
+
+
+def assert_cone_facets_match_the_oracle(rays):
     expected = oracle_cone_facets(rays)
     got = cone_facets(rays)
     assert [m for m, _ in got] == [m for m, _ in expected]
     for (_, normal), (_, oracle_normal) in zip(got, expected):
         assert all(type(c) is int for c in normal) and gcd(*normal) == 1
         assert positive_multiple(normal, oracle_normal)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pointed_cones())
+def test_cone_facets_match_fraction_nullspace(rays):
+    assert_cone_facets_match_the_oracle(rays)
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_ray_sets())
+def test_simplicial_cone_facets_match_fraction_nullspace(rays):
+    # independent rays take one elimination; singular ones the subset search
+    assert (geometry._simplicial_facets(rays) is None) == (oracle_determinant(rays) == 0)
+    assert_cone_facets_match_the_oracle(rays)
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_ray_sets(), st.data())
+def test_simplex_volume_matches_the_fraction_determinant(rows, data):
+    base = data.draw(st.tuples(*[st.integers(-3, 3)] * len(rows)))
+    points = data.draw(st.permutations([base] + [tuple(a + b for a, b in zip(base, r)) for r in rows]))
+    det = abs(oracle_determinant([vec_sub(p, points[0]) for p in points[1:]]))
+    if det:
+        assert normalized_volume(points) == det
+    else:
+        with pytest.raises(ValueError, match="polytope is not full-dimensional"):
+            normalized_volume(points)
 
 
 @settings(max_examples=200, deadline=None)
