@@ -5,16 +5,16 @@ package ever rounds.  Vectors are plain tuples (ints for lattice vectors,
 Fractions for rational vectors) and matrices are tuples of row tuples.
 
 Row elimination lives in two routines only: `_echelon`, a fraction-free
-(Bareiss) Gauss-Jordan core under the rank, nullspace, solves, inverse and
-determinant, and `ldl`, the in-order symmetric LDL^T under definiteness and
-the integer lattice point sweep.
+(Bareiss) Gauss-Jordan core under the rank, nullspace, solves and the scaled
+inverse with its |det|, and `ldl`, the in-order symmetric LDL^T under
+definiteness and the integer lattice point sweep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import lcm
 from operator import mul
 from typing import Iterable, Sequence, Tuple
 
@@ -255,23 +255,12 @@ def _scaled_inverse(m):
     """(|det M| M^-1, |det M|) in integers for a nonsingular integer square M, else
     None: one `_echelon` of [M | I] gives +-det M [I | M^-1] in its first n rows."""
     n = len(m)
-    if len(m[0]) == n:
+    if n and all(len(row) == n for row in m):
         eye = [[int(i == j) for j in range(n)] for i in range(n)]
         reduced, pivots, p, _ = _echelon([list(r) + e for r, e in zip(m, eye)])
         if pivots[-1] < n:
             return [[x if p > 0 else -x for x in row[n:]] for row in reduced[:n]], abs(p)
     return None
-
-
-def determinant(m: Matrix) -> Fraction:
-    """The determinant of a nonempty square matrix; ValueError otherwise."""
-    if not m or any(len(row) != len(m) for row in m):
-        raise ValueError("determinant of a matrix that is not square")
-    scaled = [integral(row) for row in m]
-    _, pivots, p, sign = _echelon([nums for nums, _ in scaled])
-    if len(pivots) < len(m):
-        return Fraction(0)
-    return Fraction(sign * p, prod(den for _, den in scaled))
 
 
 def solve_linear(m: Matrix, b: Sequence) -> RationalVector:

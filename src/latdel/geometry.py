@@ -4,7 +4,9 @@ Everything here works over the rationals.  Dimensions are tiny (g <= 4), so
 the algorithms are the simple combinatorial ones.  One facet search,
 `cone_facets`, serves everything: a polytope is the cone over its lifted
 points (p, 1), and the pulling triangulations recurse on facets; a simplex
-takes one elimination.  A pointed cone is read from its facets too:
+takes one elimination.  The facets and normalized volume of a lattice
+polytope are computed once per translation class and cached
+(`_lattice_polytope`).  A pointed cone is read from its facets too:
 membership is one solve per simplex of its pulling triangulation, and a ray
 is extreme when the facets through it meet in a line.  The star walks its
 Voronoi cell from 0 (`_vertex_from_origin`) by the ratio test `_step`.
@@ -120,12 +122,12 @@ def _lift(points):
 
 
 def _simplicial_facets(rays):
-    """The `cone_facets` of g independent rays in dimension g, else None:
+    """(`cone_facets`, |det|) of g independent rays in dimension g, else None:
     column i of their `_scaled_inverse` is 0 on every ray but ray i, > 0 on it."""
     g, inverse = len(rays), _scaled_inverse(rays)
-    return inverse and sorted(
+    return inverse and (sorted(
         (tuple(j for j in range(g) if j != i), primitive(c)) for i, c in enumerate(zip(*inverse[0]))
-    )
+    ), inverse[1])
 
 
 def cone_facets(rays):
@@ -140,7 +142,7 @@ def cone_facets(rays):
     rays = [tuple(r) for r in rays]
     simplicial = _simplicial_facets(rays)
     if simplicial is not None:
-        return simplicial
+        return simplicial[0]
     g = len(rays[0])
     span_equations, _ = _kernel(rays)
     facets = {}
@@ -162,32 +164,55 @@ def cone_facets(rays):
     return sorted(facets.values())
 
 
+@lru_cache(maxsize=1024)
+def _lattice_polytope(points):
+    """(facets, normalized volume) of a full-dimensional lattice polytope whose vertex
+    tuple starts at 0, as tuples; ValueError if flat.  A simplex takes one `_scaled_inverse`
+    of the lifted points, else one `cone_facets` gives the facets (cone normal (w, c):
+    normal -w, offset c), and |det| sums over the pulling triangulation from 0: 0 joined
+    to each simplex of `triangulate_cone` on each facet not through 0."""
+    d, lifted = len(points[0]), _lift(points)
+    simplex = _simplicial_facets(lifted)
+    if simplex is not None:
+        facets, volume = simplex
+    else:
+        facets, volume = cone_facets(lifted), 0
+        for members, w in facets:
+            for s in triangulate_cone([lifted[i] for i in members]) if w[d] else ():
+                inverse = _scaled_inverse([lifted[0]] + [lifted[members[i]] for i in s])
+                volume += inverse[1] if inverse else 0
+    if not volume:  # a flat polytope has no simplex of d + 1 lifted points
+        raise ValueError("polytope is not full-dimensional")
+    return tuple((m, tuple(-v for v in w[:d]), w[d]) for m, w in facets), volume
+
+
+def _at_zero(points):
+    """The `_lattice_polytope` of the points translated by -points[0], and points[0];
+    points already at 0 keep their vertex tuples, which the cache key then shares."""
+    t = tuple(points[0])
+    key = tuple(vec_sub(p, t) for p in points) if any(t) else tuple(map(tuple, points))
+    return _lattice_polytope(key), t
+
+
 def polytope_facets(points):
-    """Facets of a full-dimensional polytope given by its vertex list.
+    """Facets of a full-dimensional lattice polytope given by its vertex list.
 
     Returns a list of (vertex_indices, normal, offset) with normal.x <= offset
-    valid for every vertex and tight exactly on the facet.  A facet normal
-    (w, c) of the cone over the lifted points gives normal -w and offset c.
+    valid for every vertex and tight exactly on the facet: the cached facets of
+    its translate at 0 (`_at_zero`), each offset shifted by normal.points[0].
     """
-    d = len(points[0])
-    lifted = _lift(points)
-    facets = _simplicial_facets(lifted)  # a simplex needs no rank check
-    if facets is None and matrix_rank(lifted) != d + 1:
-        raise ValueError("polytope is not full-dimensional")
-    return [(m, tuple(-v for v in w[:d]), w[d]) for m, w in facets or cone_facets(lifted)]
+    (facets, _), t = _at_zero(points)
+    return [(m, n, c + dot(n, t)) for m, n, c in facets]
 
 
 def facet_map(polytopes, on_boundary):
     """{facet vertex tuple: [(polytope index, outward normal), ...]} for the
     facets of full-dimensional polytopes, skipping those with
-    `on_boundary(facet)`; `polytope_facets` runs once per translation class."""
-    local, facets = {}, {}
+    `on_boundary(facet)`, read from the `polytope_facets` of the sorted vertices."""
+    facets = {}
     for index, points in enumerate(polytopes):
         points = sorted(tuple(p) for p in points)
-        key = tuple(vec_sub(p, points[0]) for p in points)
-        if key not in local:
-            local[key] = polytope_facets(key)
-        for members, normal, _ in local[key]:
+        for members, normal, _ in polytope_facets(points):
             facet = tuple(points[i] for i in members)
             if not on_boundary(facet):
                 facets.setdefault(facet, []).append((index, normal))
@@ -222,26 +247,10 @@ def triangulate_cone(rays):
     return result
 
 
-def triangulate_polytope(points):
-    """A pulling triangulation of conv(points); points need not be full-dim.
-
-    Returns simplices as tuples of indices into the input list, pulling from
-    the first point so the decomposition is determined by the input order:
-    the triangulation of the cone over the lifted points.
-    """
-    return sorted(tuple(sorted(s)) for s in triangulate_cone(_lift(points)))
-
-
 def normalized_volume(points):
-    """g! times the Euclidean volume of a lattice polytope, |det| of the lifted
-    points of each simplex (`triangulate_polytope`); ValueError if not full-dimensional."""
-    points = list(points)
-    simplices = [points] if len(points) == len(points[0]) + 1 else [
-        [points[i] for i in s] for s in triangulate_polytope(points)]
-    inverses = [_scaled_inverse(_lift(s)) for s in simplices]
-    if None in inverses:
-        raise ValueError("polytope is not full-dimensional")
-    return sum(det for _, det in inverses)
+    """g! times the Euclidean volume of a lattice polytope, cached for its
+    translate at 0 (`_at_zero`); ValueError if not full-dimensional."""
+    return _at_zero(list(points))[0][1]
 
 
 def primitive(v):

@@ -57,11 +57,13 @@ def name_vertex(v) -> str:
     return "(" + ",".join(str(c) for c in v) + ")"
 
 
+_SIGMA_NAMES = {sigma_cell(o).vertices: "σ_%d%d%d%d" % o for o in permutations((1, 2, 3, 4))}
+
+
 def name_cell(cell: DelaunayCell) -> str:
-    for order in permutations((1, 2, 3, 4)):
-        if len(cell.vertices) == 5 and cell.vertices == sigma_cell(order).vertices:
-            return "σ_%d%d%d%d" % order
-    return "⟨" + ",".join(name_vertex(v) for v in cell.vertices) + "⟩"
+    """σ_abcd for one of the 24 σ cells, else the vertex names in ⟨…⟩."""
+    name = _SIGMA_NAMES.get(cell.vertices)
+    return name or "⟨" + ",".join(name_vertex(v) for v in cell.vertices) + "⟩"
 
 
 @lru_cache(maxsize=None)

@@ -12,10 +12,10 @@ from latdel.exact import (
     POSITIVE_SEMIDEFINITE,
     QuadraticForm,
     SingularMatrixError,
+    _scaled_inverse,
     basis_sum,
     congruence_act,
     definiteness,
-    determinant,
     evaluate,
     format_rational,
     identity_matrix,
@@ -102,8 +102,11 @@ def test_congruence_act():
 
 
 def test_determinant_and_rank():
-    assert determinant(((2, -1), (-1, 2))) == 3
-    assert determinant(OMEGA.entries) == 4
+    # |det M| and |det M| M^-1 from one elimination
+    assert _scaled_inverse(((2, -1), (-1, 2))) == ([[2, 1], [1, 2]], 3)
+    adjugate = [[4, 0, 2, 2], [0, 4, 2, 2], [2, 2, 4, 2], [2, 2, 2, 4]]
+    assert _scaled_inverse(OMEGA.entries) == (adjugate, 4)
+    assert _scaled_inverse(((1, 2), (2, 4))) is None
     assert matrix_rank([(1, 0), (2, 0), (0, 0)]) == 1
 
 
@@ -111,8 +114,7 @@ def test_determinant_refuses_matrices_that_are_not_square():
     # a row of a 1 x 2 matrix is no minor to report, and an empty row list
     # has no shape: a point or a segment has no normalized volume in the plane
     for m in ([(1, 0)], [(1, 0, 0), (0, 1, 0)], [(1, 0), (0,)], []):
-        with pytest.raises(ValueError):
-            determinant(m)
+        assert _scaled_inverse(m) is None
 
 
 def test_solve_linear():

@@ -10,7 +10,6 @@ from latdel.geometry import (
     normalized_volume,
     polytope_facets,
     primitive,
-    triangulate_polytope,
     vertex_enumeration,
 )
 
@@ -45,8 +44,6 @@ def test_polytope_facets_square():
 
 def test_triangulation_and_volume():
     assert normalized_volume(SQUARE) == 2
-    tris = triangulate_polytope(SQUARE)
-    assert len(tris) == 2
     cube = [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
     assert normalized_volume(cube) == 6
 

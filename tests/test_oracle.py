@@ -4,8 +4,10 @@ Gauss-Jordan elimination, principal minors and `Fraction` matrix products
 for the exact kernel, a solve per box point for parallelepiped points and a degree-capped search
 for semigroup membership, a solve of every d-subset of the inequalities for the vertex walk, a
 `Fraction` kernel per ray subset for the cone facets and per drop set for
-the faces of K, a Carathéodory search over independent ray subsets for cone
-membership and extreme rays, a scan of the lattice points in a box for the
+the faces of K, the earlier `triangulate_polytope` with a `Fraction`
+determinant per simplex for the cached volume of a lattice polytope, a
+Carathéodory search over independent ray subsets for cone membership and
+extreme rays, a scan of the lattice points in a box for the
 cone cover, pairwise polytope intersections (a vertex enumeration of the joined facet
 systems) and a ray-by-ray cover for the tiling at 0 of simplicial
 generation, one empty-sphere sweep per orbit rep (`certify_cell`) for
@@ -19,7 +21,7 @@ from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 from operator import mul
 
 import pytest
@@ -45,15 +47,16 @@ from latdel.delaunay import (
 )
 from latdel.exact import (
     INDEFINITE,
+    Matrix,
     POSITIVE_DEFINITE,
     POSITIVE_SEMIDEFINITE,
     QuadraticForm,
     SingularMatrixError,
     _echelon,
+    _scaled_inverse,
     as_matrix,
     congruence_act,
     definiteness,
-    determinant,
     dot,
     identity_matrix,
     integral,
@@ -95,6 +98,7 @@ from latdel.generation import (
 )
 from latdel.geometry import (
     _int_scaled,
+    _lift,
     cone_contains,
     cone_facets,
     extremal_rays,
@@ -102,7 +106,7 @@ from latdel.geometry import (
     normalized_volume,
     polytope_facets,
     primitive,
-    triangulate_polytope,
+    triangulate_cone,
     unpaired_facets,
     vertex_enumeration,
 )
@@ -538,10 +542,32 @@ def test_kernel_matches_fraction_gauss_jordan(rows, data):
     assert got == expected
 
 
+def determinant(m: Matrix) -> Fraction:
+    """The determinant of a nonempty square matrix; ValueError otherwise."""
+    if not m or any(len(row) != len(m) for row in m):
+        raise ValueError("determinant of a matrix that is not square")
+    scaled = [integral(row) for row in m]
+    _, pivots, p, sign = _echelon([nums for nums, _ in scaled])
+    if len(pivots) < len(m):
+        return Fraction(0)
+    return Fraction(sign * p, prod(den for _, den in scaled))
+
+
 @settings(max_examples=200, deadline=None)
 @given(rational_matrices(square=True))
 def test_determinant_matches_fraction_elimination(m):
-    assert determinant(m) == oracle_determinant(m)
+    # the scaled inverse of an integer multiple of m: None iff it is singular,
+    # else |det| and |det| times the inverse from the Gauss-Jordan of [M | I]
+    n, den = len(m), lcm(*[v.denominator for row in m for v in row])
+    m = [[int(v * den) for v in row] for row in m]
+    det = abs(oracle_determinant(m))
+    got = _scaled_inverse(m)
+    if not det:
+        assert got is None
+    else:
+        eye = [[int(i == j) for j in range(n)] for i in range(n)]
+        reduced, _ = fraction_rref([row + e for row, e in zip(m, eye)], n)
+        assert got == ([[det * v for v in row[n:]] for row in reduced], det)
 
 
 def oracle_congruence_act(a, form):
@@ -864,6 +890,84 @@ def test_simplex_volume_matches_the_fraction_determinant(rows, data):
     else:
         with pytest.raises(ValueError, match="polytope is not full-dimensional"):
             normalized_volume(points)
+
+
+def triangulate_polytope(points):
+    """A pulling triangulation of conv(points); points need not be full-dim.
+
+    Returns simplices as tuples of indices into the input list, pulling from
+    the first point so the decomposition is determined by the input order:
+    the triangulation of the cone over the lifted points.
+    """
+    return sorted(tuple(sorted(s)) for s in triangulate_cone(_lift(points)))
+
+
+def test_triangulation_of_the_square():
+    assert len(triangulate_polytope([(0, 0), (1, 0), (0, 1), (1, 1)])) == 2
+
+
+@st.composite
+def lattice_polytopes(draw):
+    """g + 1 to g + 4 distinct lattice points of a small box in dimension g =
+    2 to 4, full-dimensional: mostly not a simplex, some not all vertices."""
+    g = draw(st.integers(2, 4))
+    box = st.tuples(*[st.integers(-1, 2)] * g)
+    points = draw(st.lists(box, min_size=g + 1, max_size=g + 4, unique=True))
+    assume(affine_dimension(points) == g)
+    return points
+
+
+@settings(max_examples=150, deadline=None)
+@given(lattice_polytopes(), st.data())
+def test_polytope_facets_and_volume_match_the_oracles(points, data):
+    lifted = _lift(points)
+    simplices = triangulate_polytope(points)
+    volume = sum(abs(oracle_determinant([lifted[i] for i in s])) for s in simplices)
+    assert normalized_volume(points) == volume
+    # the volume does not depend on the point the triangulation pulls from
+    assert normalized_volume(data.draw(st.permutations(points))) == volume
+    facets, expected = polytope_facets(points), oracle_cone_facets(lifted)
+    assert [m for m, _, _ in facets] == [m for m, _ in expected]
+    for (members, normal, offset), (_, w) in zip(facets, expected):
+        assert positive_multiple(tuple(-c for c in normal) + (offset,), w)
+        assert gcd(*normal, offset) == 1
+        assert all(dot(normal, p) <= offset for p in points)
+        assert [i for i, p in enumerate(points) if dot(normal, p) == offset] == list(members)
+
+
+@settings(max_examples=100, deadline=None)
+@given(lattice_polytopes(), st.data())
+def test_translation_keeps_volume_and_normals_and_shifts_offsets(points, data):
+    t = data.draw(st.tuples(*[st.integers(-5, 5)] * len(points[0])))
+    moved = [tuple(a + b for a, b in zip(p, t)) for p in points]
+    assert normalized_volume(moved) == normalized_volume(points)
+    facets, moved_facets = polytope_facets(points), polytope_facets(moved)
+    assert moved_facets == [(m, n, c + dot(n, t)) for m, n, c in facets]
+
+
+@settings(max_examples=100, deadline=None)
+@given(lattice_polytopes())
+def test_a_returned_facet_list_is_not_the_cache(points):
+    at_zero = [vec_sub(p, points[0]) for p in points]
+    for vertices in (points, at_zero):
+        first = polytope_facets(vertices)
+        expected = list(first)
+        first.reverse()
+        first.append(first[0])
+        assert polytope_facets(vertices) == expected
+        assert all(type(n) is tuple for _, n, _ in expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(lattice_polytopes())
+def test_a_flat_input_raises_after_the_cache_is_filled(points):
+    # the points pressed onto the hyperplane x_g = 0, after their own facets
+    # and volume are cached
+    normalized_volume(points), polytope_facets(points)
+    flat = list(dict.fromkeys(p[:-1] + (0,) for p in points))
+    for f in (normalized_volume, polytope_facets, normalized_volume):
+        with pytest.raises(ValueError, match="polytope is not full-dimensional"):
+            f(flat)
 
 
 @settings(max_examples=200, deadline=None)
