@@ -170,14 +170,12 @@ def _cmd_tables(args) -> int:
 def _cmd_faces(args) -> int:
     from . import faces as face_mod
 
-    all_faces, orbits = face_mod._classification()
-    rows = []
-    for f in all_faces:
-        orbit = "BF" if f.dropped in orbits["BF"] else "RT"
-        rows.append((f.dropped, f.graph.shape, orbit))
-    report = formats.encode_face_report(rows)
-    for row in report:
-        row["type"] = face_mod.TYPE_II if row["orbit"] == "BF" else face_mod.TYPE_III
+    faces = face_mod._classification()[0]
+    report = formats.encode_face_report(
+        (f.dropped, f.graph.shape, face_mod.classify_face(f.dropped)) for f in faces
+    )
+    for row, f in zip(report, faces):
+        row["type"] = face_mod.classify_type(f.dropped)
     _emit(
         {
             "faces": report,

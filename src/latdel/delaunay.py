@@ -9,7 +9,8 @@ tight at its hole: every vertex e of a Delaunay polytope through 0 is a
 minimum of its class mod 2, because z and e - z lie outside the empty sphere
 for every lattice z.  The star is built modulo translation, by a walk over
 its orbit reps in integers, and certified on their facet classes
-(`star_from_reps`), so the construction never trusts the walk; a lone cell
+(`star_from_reps`), which only the reps reach: their facets come from the
+`geometry` cache, so the construction never trusts the walk; a lone cell
 by an empty-sphere sweep (`certify_cell`).  Every lattice point sweep, the
 coset minima included, is one integer Fincke-Pohst routine, `_sweep`.
 """
@@ -241,8 +242,8 @@ def certify_cell(form: QuadraticForm, cell: DelaunayCell) -> EmptySphereCertific
     vertices (`cell_center`), never taken from the cell's own sphere data, so
     every vertex lies on it.  Any violator e of B(e,e) - 2B(e,c) >= 0
     satisfies B(e-c,e-c) < r^2 and hence B(e,e) < 4 r^2, so sweeping the ball
-    of squared radius 4 r^2 is sound; equality must hold exactly at the
-    vertices.  The slack is tested in integers, through `_power`.
+    of squared radius 4 r^2 (`points_within`) is sound; equality must hold
+    exactly at the vertices.  The slack is tested in integers, by `_power`.
     """
     shift = min(cell.vertices)
     local = canonical_orbit_rep(cell)
@@ -254,13 +255,11 @@ def certify_cell(form: QuadraticForm, cell: DelaunayCell) -> EmptySphereCertific
     bound = 4 * sq_radius
     vertex_set = local.vertex_set()
     power = _power(_integer_gram(form)[0], center)
-    factor = _integer_ldl(form, "form is not positive definite")
-    violations = set()
-    for e, _ in _sweep(factor, (0,) * form.rank, 1, bound):
+    violations = []
+    for e in points_within(form, (0,) * form.rank, bound):
         slack = power(e)
         if slack < 0 or (slack == 0) != (e in vertex_set):
-            violations.add(e)
-    violations = sorted(tuple(a + b for a, b in zip(e, shift)) for e in violations)
+            violations.append(tuple(a + b for a, b in zip(e, shift)))
     return EmptySphereCertificate(cell, bound, tuple(violations))
 
 
@@ -335,7 +334,7 @@ def check_tiling(g: int, cells, reps):
 
 
 def _walk_reps(form):
-    """The orbit reps of the star, sorted, and their `polytope_facets`.
+    """The orbit reps of the star, sorted; their `polytope_facets` fill the cache.
 
     It starts at the hole `geometry._vertex_from_origin` reaches from 0.  The
     Voronoi edge dual to a facet F through v of a rep A, outward normal n,
@@ -367,7 +366,7 @@ def _walk_reps(form):
             raise CertificationError("star cell %r is not full-dimensional" % (vertices,))
         center = tuple(Fraction(x, den) for x in nums)
         sq_radius = Fraction(dot(nums, mat_vec(gram, nums)), k * den * den)
-        reps[vertices] = make_cell(vertices, center, sq_radius), facets
+        reps[vertices] = make_cell(vertices, center, sq_radius)
         for members, normal, _ in facets:
             v = vertices[members[0]]
             facet = tuple(vec_sub(vertices[i], v) for i in members)
@@ -375,30 +374,30 @@ def _walk_reps(form):
                 continue
             hole = vec_sub(nums, [den * c for c in v])
             stack.append(rep_at(*_step(ineqs, hole, den, mat_vec(adj, normal))))
-    return tuple(zip(*[reps[key] for key in sorted(reps)]))
+    return tuple(reps[key] for key in sorted(reps))
 
 
-def facet_classes(reps, facets):
-    """(map, translates): a `geometry.facet_map` of the facets of the reps up
-    to translation, each moved so its smallest vertex is 0, over the rep
-    translates that hold them; every facet of the tiling is in a class."""
+def facet_classes(reps):
+    """(map, translates): a `geometry.facet_map` of the `polytope_facets` of
+    the reps up to translation, each moved so its smallest vertex is 0, over
+    the rep translates that hold them; every facet of the tiling is in a class."""
     classes, index = {}, {}
-    for r, (rep, rep_facets) in enumerate(zip(reps, facets)):
-        for members, normal, _ in rep_facets:
+    for r, rep in enumerate(reps):
+        for members, normal, _ in polytope_facets(rep.vertices):
             v = rep.vertices[members[0]]
             facet = tuple(vec_sub(rep.vertices[i], v) for i in members)
             classes.setdefault(facet, []).append((index.setdefault((r, v), len(index)), normal))
     return classes, [reps[r].translate(tuple(-c for c in v)) for r, v in index]
 
 
-def star_from_reps(form: QuadraticForm, reps, facets) -> DelaunayStar:
-    """The star of 0 of the orbit reps, given their `polytope_facets`, certified.
+def star_from_reps(form: QuadraticForm, reps) -> DelaunayStar:
+    """The star of 0 of the orbit reps, certified.
 
     With each of the `facet_classes` held twice, on opposite sides, the
     translates over a point are equally many off codimension 2, and the
     tiling invariant makes them one.  Delaunay's lemma once per class pair
     checks each hole and makes the lift of Q convex: every sphere is empty."""
-    classes, translates = facet_classes(reps, facets)
+    classes, translates = facet_classes(reps)
     unpaired = unpaired_facets(classes)
     if unpaired:
         holders = [canonical_orbit_rep(translates[i]).vertices for i, _ in classes[unpaired[0]]]
@@ -419,4 +418,4 @@ def delaunay_star(form: QuadraticForm) -> DelaunayStar:
     _integer_ldl(form, "delaunay_star needs a definite form")  # raises unless definite
     if not 0 < form.rank <= 4:
         raise UnsupportedRankError("only ranks up to 4 are supported (and at least 1)")
-    return star_from_reps(form, *_walk_reps(form))
+    return star_from_reps(form, _walk_reps(form))

@@ -223,23 +223,19 @@ def _echelon(rows):
     Each row is scaled to integers by `integral`, then eliminated over the
     integers; every update is divided exactly by the previous pivot
     (Bareiss, Math. Comp. 22, 1968), so the entries stay minors of the
-    scaled matrix.  Returns (a, pivots, p, sign): the integer
-    rows, whose first len(pivots) rows are p times the reduced row echelon
-    form; the pivot columns; the common pivot p; and the sign of the row
-    swaps.  For a square scaled matrix of full rank, its determinant is
-    sign * p.
+    scaled matrix.  Returns (a, pivots, p): the integer rows, whose first
+    len(pivots) rows are p times the reduced row echelon form; the pivot
+    columns; and the common pivot p, +- a maximal minor of the scaled matrix.
     """
     a = [integral(row)[0] for row in rows]
     ncols = len(a[0]) if a else 0
     pivots = []
-    prev, sign, r = 1, 1, 0
+    prev, r = 1, 0
     for col in range(ncols):
         pivot = next((i for i in range(r, len(a)) if a[i][col]), None)
         if pivot is None:
             continue
-        if pivot != r:
-            a[r], a[pivot] = a[pivot], a[r]
-            sign = -sign
+        a[r], a[pivot] = a[pivot], a[r]
         p, top = a[r][col], a[r]
         for i, row in enumerate(a):
             if i != r:
@@ -248,7 +244,7 @@ def _echelon(rows):
         pivots.append(col)
         prev = p
         r += 1
-    return a, pivots, prev, sign
+    return a, pivots, prev
 
 
 def _scaled_inverse(m):
@@ -257,7 +253,7 @@ def _scaled_inverse(m):
     n = len(m)
     if n and all(len(row) == n for row in m):
         eye = [[int(i == j) for j in range(n)] for i in range(n)]
-        reduced, pivots, p, _ = _echelon([list(r) + e for r, e in zip(m, eye)])
+        reduced, pivots, p = _echelon([list(r) + e for r, e in zip(m, eye)])
         if pivots[-1] < n:
             return [[x if p > 0 else -x for x in row[n:]] for row in reduced[:n]], abs(p)
     return None
@@ -284,7 +280,7 @@ def solve_overdetermined(rows: Sequence[Sequence], rhs: Sequence):
     if not rows:
         raise SingularMatrixError("singular")
     n = len(rows[0])
-    a, pivots, p, _ = _echelon([list(row) + [b] for row, b in zip(rows, rhs)])
+    a, pivots, p = _echelon([list(row) + [b] for row, b in zip(rows, rhs)])
     if pivots and pivots[-1] == n:
         raise ValueError("inconsistent")
     if len(pivots) < n:
@@ -296,7 +292,7 @@ def _kernel(rows):
     """The right kernel of a nonempty row list in integers: (basis, p), the
     basis of `nullspace` times the common pivot p of `_echelon`."""
     n = len(rows[0])
-    a, pivots, p, _ = _echelon(rows)
+    a, pivots, p = _echelon(rows)
     basis = []
     for fc in range(n):
         if fc in pivots:

@@ -2,12 +2,13 @@
 
 A cell containing the origin is totally generating when the lattice points
 of its cone at 0 are exactly the nonnegative integer combinations of the
-cell's lattice points.  The decision triangulates the cone into simplicial
-subcones, collects the half-open parallelepiped points of each by residues
-modulo a maximal minor p of its rays (p^k candidates for k rays, no box
-scan), and settles each of those finitely many points by an exact semigroup
-search whose depth the height of the cone bounds (Bruns and Gubeladze,
-Polytopes, Rings, and K-Theory, 2009, ch. 2).
+cell's lattice points.  Every simplex of the cell's pulling triangulation
+from 0 holds 0, so the cones at 0 over their other vertices cover C(0,
+cell).  The decision collects the half-open parallelepiped points of
+each by residues modulo a maximal minor p of its rays (p^k candidates for
+k rays, no box scan), and settles each of those finitely many points by an
+exact semigroup search whose depth the height of the cone bounds (Bruns
+and Gubeladze, Polytopes, Rings, and K-Theory, 2009, ch. 2).
 Simplicial generation also needs the cones at 0 of the pieces through 0 to
 tile C(0, cell).  Every test of that reads walls, the outward normals n of
 a cell's facets through 0: the facets through a vertex cut out the tangent
@@ -29,10 +30,11 @@ from typing import Optional, Tuple
 from .delaunay import DelaunayCell, facets_at_zero
 from .exact import _echelon, dot, vec_sub
 from .geometry import (
+    _lift,
     cone_contains,
-    cone_facets,
     extremal_rays,
     normalized_volume,
+    pointed_cone_facets,
     polytope_facets,
     triangulate_cone,
     unpaired_facets,
@@ -74,7 +76,7 @@ def parallelepiped_points(rays):
     the p^k candidates sum c_i r_i / p, 0 <= c_i < p, for k rays.
     """
     rays = [tuple(r) for r in rays]
-    _, pivots, p, _ = _echelon(rays)
+    _, pivots, p = _echelon(rays)
     if len(pivots) != len(rays):
         raise ValueError("rays must be linearly independent")
     p = abs(p)
@@ -94,16 +96,13 @@ def in_semigroup(x, generators) -> bool:
     cached triangulation of that suffix cone).  The height h, the sum
     of the primitive facet normals of the cone, is an integer >= 1 on every
     generator and >= 0 on the cone, so a branch ends within h(x) steps and
-    the search decides.  Raises ValueError when some generator has h <= 0,
-    that is when the cone is not pointed.
+    the search decides.  Raises ValueError when the cone is not pointed
+    (`geometry.pointed_cone_facets`).
     """
     gens = sorted(set(tuple(g) for g in generators if any(g)))
     if not gens:
         return not any(x)
-    normals = [n for _, n in cone_facets(gens)]
-    height = [sum(n[i] for n in normals) for i in range(len(gens[0]))]
-    if any(dot(height, g) <= 0 for g in gens):
-        raise ValueError("the generators do not span a pointed cone")
+    pointed_cone_facets(gens)
     stack, seen = [(tuple(x), 0)], set()
     while stack:
         point, start = stack.pop()
@@ -120,16 +119,14 @@ def in_semigroup(x, generators) -> bool:
 
 
 def is_totally_generating(cell: DelaunayCell) -> GenerationReport:
-    """Decide C(0, cell) Z-cap X == Semi(0, cell Z-cap X), with witness."""
-    rays = cone_rays(cell)
-    if not rays:  # the cell is the point 0
-        return GenerationReport(True)
+    """Decide C(0, cell) Z-cap X == Semi(0, cell Z-cap X), with witness, on
+    the cones at 0 of the simplices of the cell's pulling triangulation from 0."""
+    zero = _require_origin(cell)
     # by the cell invariant the lattice points of the hull are exactly the
     # listed vertices, so those are the semigroup generators
     gens = [p for p in cell.vertices if any(p)]
-    for simplex in triangulate_cone(rays):
-        sel = [rays[i] for i in simplex]
-        for p in sorted(parallelepiped_points(sel)):
+    for simplex in triangulate_cone(_lift([zero] + gens)):
+        for p in sorted(parallelepiped_points([gens[i - 1] for i in simplex[1:]])):
             if not any(p):
                 continue
             if not in_semigroup(p, gens):

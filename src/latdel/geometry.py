@@ -8,7 +8,8 @@ takes one elimination.  The facets and normalized volume of a lattice
 polytope are computed once per translation class and cached
 (`_lattice_polytope`).  A pointed cone is read from its facets too:
 membership is one solve per simplex of its pulling triangulation, and a ray
-is extreme when the facets through it meet in a line.  The star walks its
+is extreme when the facets through it meet in a line; a cone that is not
+pointed is refused (`pointed_cone_facets`).  The star walks its
 Voronoi cell from 0 (`_vertex_from_origin`) by the ratio test `_step`.
 """
 
@@ -51,7 +52,7 @@ def _first_vertex(ineqs, d):
     """Some vertex and its tight rows, from the first feasible nonsingular d-subset; or None."""
     nonsingular = list(range(d))
     for subset in combinations([a + (b,) for a, b in ineqs], d):
-        reduced, pivots, den, _ = _echelon(subset)
+        reduced, pivots, den = _echelon(subset)
         if pivots != nonsingular:
             continue
         nums, den = _lowest_terms([row[d] for row in reduced], den)
@@ -226,20 +227,29 @@ def unpaired_facets(facets):
     return sorted(f for f, s in facets.items() if len(s) != 2 or dot(s[0][1], s[1][1]) >= 0)
 
 
+def pointed_cone_facets(rays):
+    """The `cone_facets` of a pointed cone; ValueError unless the height, the sum of
+    the facet normals, is >= 1 on every ray, as no ray lies on every facet."""
+    facets = cone_facets(rays)
+    height = [sum(n[i] for _, n in facets) for i in range(len(rays[0]))]
+    if any(dot(height, r) <= 0 for r in rays):
+        raise ValueError("the rays do not span a pointed cone")
+    return facets
+
+
 def triangulate_cone(rays):
     """A pulling triangulation of a pointed cone, as ray-index simplices.
 
     Pulls from the first ray: it is joined to a triangulation of every facet
-    not containing it, so the result is determined by the input order.
+    not containing it, so the result is determined by the input order.  A
+    cone that is not pointed is refused (`pointed_cone_facets`).
     """
     rays = [tuple(r) for r in rays]
     d = matrix_rank(rays)
     if len(rays) == d:
         return [tuple(range(d))]
-    if d == 1:
-        return [(0,)]
     result = []
-    for members, _ in cone_facets(rays):
+    for members, _ in pointed_cone_facets(rays):
         if 0 in members:
             continue
         for simplex in triangulate_cone([rays[i] for i in members]):
@@ -302,7 +312,7 @@ def extremal_rays(vectors):
     rays = sorted({primitive(v) for v in vectors})
     if not rays:
         return []
-    facets = cone_facets(rays)
+    facets = pointed_cone_facets(rays)
     rank = matrix_rank(rays)
     through = [[n for members, n in facets if i in members] for i in range(len(rays))]
     return [r for r, normals in zip(rays, through) if matrix_rank(normals) == rank - 1]

@@ -41,8 +41,9 @@ def sv(rank: int, digits: str) -> Tuple[int, ...]:
 
 
 def sigma_cell(order) -> DelaunayCell:
-    """The simplex sigma_abcd = <0, s_a, s_ab, s_abc, s_1234>."""
-    return make_cell([basis_sum(4, order[:k]) for k in range(5)])
+    """The simplex <0, s_a, s_ab, ...> for an order of 1..g: in rank 4,
+    sigma_abcd = <0, s_a, s_ab, s_abc, s_1234>."""
+    return make_cell([basis_sum(len(order), order[:k]) for k in range(len(order) + 1)])
 
 
 def _cell_from_names(rank: int, names) -> DelaunayCell:
@@ -103,14 +104,6 @@ class FusionReport:
         """(coarse orbit rep, its fine pieces) for every coarse orbit rep."""
         return self.fusions + tuple((c, (c,)) for c in self.unchanged)
 
-    @property
-    def volume_conserved(self) -> bool:
-        return all(
-            sum(normalized_volume(list(p.vertices)) for p in pieces)
-            == normalized_volume(list(coarse.vertices))
-            for coarse, pieces in self.fusions
-        )
-
 
 def cells_tiling(star: DelaunayStar, coarse: DelaunayCell):
     """The Delaunay cells of the star's decomposition inside a coarse cell.
@@ -153,10 +146,10 @@ def fusion_check(coarse_name: str, fine_name: str) -> FusionReport:
 
     `coarse` must be a catalog face of `fine` (generator subset of smaller
     dimension).  Each orbit rep of the coarse star is tiled by translates of
-    the fine orbit reps (`cells_tiling`).  The fine cells refine the coarse
-    ones, so each fine orbit rep is placed exactly once among all the
-    pieces; a class placed zero times or twice contradicts the fusion lemma
-    and raises.  Reports are cached per pair of cones.
+    the fine orbit reps (`cells_tiling`, which checks the volume balance).
+    The fine cells refine the coarse ones, so each fine orbit rep is placed
+    exactly once among all the pieces; a class placed zero times or twice
+    contradicts the fusion lemma and raises.  Reports are cached per pair.
     """
     if not _is_face_of(coarse_name, fine_name):
         raise ValueError(
@@ -426,13 +419,9 @@ def verify_lowdim() -> dict:
     check(
         "dim3: Del_V reps are the 6 simplices σ_ijk",
         _canon_set(star_for("dim3.V").orbit_reps)
-        == _canon_set([sigma3_cell(order) for order in permutations((1, 2, 3))]),
+        == _canon_set([sigma_cell(order) for order in permutations((1, 2, 3))]),
     )
     return {"suite": "lowdim", "pass": check.ok, "details": check.details}
-
-
-def sigma3_cell(order) -> DelaunayCell:
-    return make_cell([basis_sum(3, order[:k]) for k in range(4)])
 
 
 def verify_main_theorem() -> dict:
@@ -517,7 +506,6 @@ def verify_dim4() -> dict:
         report = fusion_check(coarse, fine)
         counts = len(report.fusions) == fused and len(report.unchanged) == kept
         check("%s: %d fusions, %d unchanged" % (label, fused, kept), counts)
-        check.ok = check.ok and report.volume_conserved
     return {"suite": "dim4", "pass": check.ok, "details": check.details}
 
 

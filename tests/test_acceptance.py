@@ -13,7 +13,7 @@ from latdel.verify import (
     fusion_check,
     ramp_weights,
     reproduce_table,
-    sigma3_cell,
+    sigma_cell,
     star_for,
     verify_faces,
     verify_lowdim,
@@ -21,6 +21,7 @@ from latdel.verify import (
 )
 
 from test_oracle import generation_oracle_agrees, star_oracle_agrees
+from test_verify import volume_conserved
 
 
 def report(number, label, ok):
@@ -57,7 +58,7 @@ def test_criterion_03_dim2():
 def test_criterion_04_dim3():
     star = star_for("dim3.V")
     expected = {
-        canonical_orbit_rep(sigma3_cell(order)).vertices
+        canonical_orbit_rep(sigma_cell(order)).vertices
         for order in permutations((1, 2, 3))
     }
     got = {canonical_orbit_rep(c).vertices for c in star.orbit_reps}
@@ -115,7 +116,7 @@ def test_criterion_09_property_suites():
             )
     # (b) fusion volume conservation in every report
     volumes = all(
-        fusion_check(coarse, fine).volume_conserved
+        volume_conserved(fusion_check(coarse, fine))
         for coarse, fine in (
             ("dim2.V1capV2", "dim2.V1"),
             ("dim4.V1capV2", "dim4.V1"),

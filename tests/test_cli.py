@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from latdel import formats
+from latdel import cli, formats, verify
 from latdel.cli import run
 from latdel.generation import GenerationReport
 
@@ -134,7 +134,6 @@ def test_fuse(capsys):
 def test_fuse_exits_1_on_a_fusion_lemma_violation(monkeypatch, capsys):
     from dataclasses import replace
 
-    from latdel import cli, verify
     from latdel.delaunay import make_cell
 
     stars = {name: verify.star_for(name) for name in ("dim2.V1", "dim2.V1capV2")}
@@ -332,8 +331,6 @@ def test_gen_does_not_trust_a_given_radius(tmp_path, capsys):
 
 
 def test_gen_failure_names_its_witness(tmp_path, capsys, monkeypatch):
-    from latdel import cli
-
     fpath = write_form(tmp_path, "id2.json", [[1, 0], [0, 1]])
     cpath = tmp_path / "cell.json"
     cpath.write_text(formats.dumps({"vertices": [[0, 0], [0, 1], [1, 0], [1, 1]]}))

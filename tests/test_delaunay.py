@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latdel import geometry
+from latdel import delaunay, geometry
 from latdel.catalog import catalog, catalog_names, sample_interior
 from latdel.delaunay import (
     CertificationError,
@@ -163,10 +163,8 @@ def test_star_completeness_pairs_facets_on_opposite_sides():
 
 
 def test_incomplete_star_names_an_unpaired_facet(monkeypatch):
-    from latdel import delaunay
-
-    (dropped, kept), (_, facets) = delaunay._walk_reps(HEX)
-    monkeypatch.setattr(delaunay, "_walk_reps", lambda form: ((kept,), (facets,)))
+    dropped, kept = delaunay._walk_reps(HEX)
+    monkeypatch.setattr(delaunay, "_walk_reps", lambda form: (kept,))
     with pytest.raises(CertificationError, match="not locally complete") as info:
         delaunay_star(HEX)
     # every edge class of the missing triangle is held by the other one only
@@ -206,18 +204,16 @@ def test_local_delaunay_refuses_a_moved_hole():
 
 
 def test_star_verifies_the_holes_of_the_walk(monkeypatch):
-    from latdel import delaunay
-
-    built, steps = [], []
-    facets, step = delaunay.polytope_facets, delaunay._step
-    monkeypatch.setattr(delaunay, "polytope_facets", lambda p: built.append(p) or facets(p))
+    steps, step = [], delaunay._step
     monkeypatch.setattr(delaunay, "_step", lambda *a: steps.append(1) or step(*a))
+    geometry._lattice_polytope.cache_clear()
     star = delaunay_star(HEX)
-    # facets once per rep, for the walk and the certificate, and one ratio
-    # test per facet class: the two triangles share their three edge classes
-    assert sorted(built) == [rep.vertices for rep in star.orbit_reps]
-    assert sum(len(facets(p)) for p in built) == 6
-    classes, _ = delaunay.facet_classes(star.orbit_reps, [facets(r.vertices) for r in star.orbit_reps])
+    # facets once per rep class, in the walk, read back from the cache by the
+    # certificate, and one ratio test per facet class: the two triangles
+    # share their three edge classes
+    assert geometry._lattice_polytope.cache_info().misses == len(star.orbit_reps) == 2
+    assert sum(len(polytope_facets(rep.vertices)) for rep in star.orbit_reps) == 6
+    classes, _ = delaunay.facet_classes(star.orbit_reps)
     assert len(steps) == len(classes) == 3
     make = delaunay.make_cell
 
@@ -227,10 +223,6 @@ def test_star_verifies_the_holes_of_the_walk(monkeypatch):
     monkeypatch.setattr(delaunay, "make_cell", moved)
     with pytest.raises(CertificationError, match="is not cospherical about its hole"):
         delaunay_star(HEX)
-
-
-def facets_of(reps):
-    return [polytope_facets(rep.vertices) for rep in reps]
 
 
 def test_reps_of_a_wall_form_are_refused_by_the_lemma():
@@ -243,15 +235,15 @@ def test_reps_of_a_wall_form_are_refused_by_the_lemma():
         for center, sq_radius in [cell_center(wall, rep.vertices)]
     ]
     with pytest.raises(CertificationError, match="across it lies on the sphere of"):
-        star_from_reps(wall, reps, facets_of(reps))
+        star_from_reps(wall, reps)
 
 
 def test_a_dropped_rep_leaves_a_class_seen_once():
     star = delaunay_star(sample_interior(catalog("dim3.V")))
     dropped, reps = star.orbit_reps[0], star.orbit_reps[1:]
-    assert star_from_reps(star.form, star.orbit_reps, facets_of(star.orbit_reps)) == star
+    assert star_from_reps(star.form, star.orbit_reps) == star
     with pytest.raises(CertificationError, match="not locally complete") as info:
-        star_from_reps(star.form, reps, facets_of(reps))
+        star_from_reps(star.form, reps)
     # the named class is a facet class of the dropped rep, held by one other rep
     named = re.search(r"facet class (.*) is held by the reps (.*), not by", str(info.value))
     facet, holders = literal_eval(named.group(1)), literal_eval(named.group(2))
@@ -265,7 +257,7 @@ def test_a_doubled_rep_breaks_the_tiling_invariant():
     corners = [(0, 0), (2, 0), (0, 1), (2, 1)]
     rect = make_cell(corners, *cell_center(ID2, corners))
     with pytest.raises(CertificationError, match="normalized volume 4 of the orbit .* expected 2"):
-        star_from_reps(ID2, [rect], facets_of([rect]))
+        star_from_reps(ID2, [rect])
 
 
 def test_canonical_orbit_rep():

@@ -1,5 +1,5 @@
-"""Every imported name in the package and the tests is used, and the
-package imports nothing outside the standard library.
+"""Every imported name in the package and the tests is used and imported
+once, and the package imports nothing outside the standard library.
 
 A name counts as used when it is read anywhere in its module or listed in
 the module's `__all__`; `from __future__` imports are skipped.
@@ -15,23 +15,31 @@ MODULES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source):
+    """(line, name) of each import of a name that is never used, and of each
+    import of a name that an earlier import in the module already bound."""
     tree = ast.parse(source)
-    imported = {}
+    imported = []
     used = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
-                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+                imported.append((node.lineno, alias.asname or alias.name.split(".")[0]))
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
-                imported[alias.asname or alias.name] = node.lineno
+                imported.append((node.lineno, alias.asname or alias.name))
         elif isinstance(node, ast.Name):
             used.add(node.id)
         elif isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
             used.update(ast.literal_eval(node.value))
-    return sorted((line, name) for name, line in imported.items() if name not in used)
+    seen = set()
+    flagged = []
+    for line, name in sorted(imported):
+        if name not in used or name in seen:
+            flagged.append((line, name))
+        seen.add(name)
+    return flagged
 
 
 def test_the_checker_finds_unused_names():
@@ -40,10 +48,12 @@ def test_the_checker_finds_unused_names():
         "import os.path\n"
         "from math import gcd, lcm as least\n"
         "from .x import kept\n"
+        "from collections import Counter\n"
+        "from collections import Counter\n"
         "__all__ = ['kept']\n"
-        "print(least(2, 3))\n"
+        "print(least(2, 3), Counter())\n"
     )
-    assert unused_imports(source) == [(2, "os"), (3, "gcd")]
+    assert unused_imports(source) == [(2, "os"), (3, "gcd"), (6, "Counter")]
 
 
 def test_no_unused_imports():

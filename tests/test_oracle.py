@@ -21,7 +21,7 @@ from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import gcd, isqrt, lcm, prod
+from math import gcd, isqrt, lcm
 from operator import mul
 
 import pytest
@@ -47,7 +47,6 @@ from latdel.delaunay import (
 )
 from latdel.exact import (
     INDEFINITE,
-    Matrix,
     POSITIVE_DEFINITE,
     POSITIVE_SEMIDEFINITE,
     QuadraticForm,
@@ -223,7 +222,6 @@ def test_star_of_the_reps_matches_the_walk_over_every_voronoi_vertex():
 
 def naive_generating(cell, bound=10):
     """Direct comparison of cone lattice points against semigroup sums."""
-    rays = cone_rays(cell)
     gens = [v for v in cell.vertices if any(v)]
     g = len(gens[0])
     sums = {(0,) * g}
@@ -238,28 +236,50 @@ def naive_generating(cell, bound=10):
     for x in product(range(-bound, bound + 1), repeat=g):
         if sum(abs(c) for c in x) > bound:
             continue
-        if oracle_cone_contains(list(rays), x) is None:
+        if oracle_cone_contains(gens, x) is None:
             continue
         if x not in sums:
             return False, x
     return True, None
 
 
+def is_gap(cell, x) -> bool:
+    """x lies in C(0, cell) and is no sum of the cell's nonzero vertices."""
+    gens = [v for v in cell.vertices if any(v)]
+    in_cone = x is not None and oracle_cone_contains(gens, x) is not None
+    return in_cone and not oracle_in_semigroup(x, gens, 10)
+
+
+# rank-3 cells that are not unimodular, with the unit simplex and the first
+# Reeve tetrahedron as unimodular controls: the cube tetrahedron <0, s12,
+# s13, s23>, the Reeve tetrahedra <0, e1, e2, e1 + e2 + r e3>, and a lattice
+# polytope with five vertices and no other lattice point, whose gaps lie in
+# the second simplex of its pulling triangulation from 0 only
+RANK3_CELLS = [
+    make_cell([(0, 0, 0), (1, 1, 0), (1, 0, 1), (0, 1, 1)]),
+    *[make_cell([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, r)]) for r in range(1, 5)],
+    make_cell([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+    make_cell([(0, 0, 0), (-1, -1, 2), (0, 1, 1), (1, -1, -1), (1, 2, 0)]),
+]
+
+
 def generation_oracle_agrees() -> bool:
-    """Cached comparison of is_totally_generating against naive enumeration."""
+    """Cached comparison of is_totally_generating against naive enumeration:
+    the same verdict, and both witnesses gaps of the semigroup."""
     if "gen" not in _CACHE:
         cells = []
         for rows, _ in CORPUS:
             star = delaunay_star(form(rows))
-            cells.extend(star.orbit_reps)
-        cells.append(make_cell([(0, 0), (1, 0), (1, 2)]))
+            cells.extend((cell, 10) for cell in star.orbit_reps)
+        cells.append((make_cell([(0, 0), (1, 0), (1, 2)]), 10))
+        cells.extend((cell, 4) for cell in RANK3_CELLS)
         ok = True
-        for cell in cells:
-            expected, witness = naive_generating(cell)
+        for cell, bound in cells:
+            expected, witness = naive_generating(cell, bound)
             report = is_totally_generating(cell)
             ok = ok and report.totally_generating == expected
             if not expected:
-                ok = ok and report.witness is not None and witness is not None
+                ok = ok and is_gap(cell, witness) and is_gap(cell, report.witness)
         _CACHE["gen"] = ok
     return _CACHE["gen"]
 
@@ -542,17 +562,6 @@ def test_kernel_matches_fraction_gauss_jordan(rows, data):
     assert got == expected
 
 
-def determinant(m: Matrix) -> Fraction:
-    """The determinant of a nonempty square matrix; ValueError otherwise."""
-    if not m or any(len(row) != len(m) for row in m):
-        raise ValueError("determinant of a matrix that is not square")
-    scaled = [integral(row) for row in m]
-    _, pivots, p, sign = _echelon([nums for nums, _ in scaled])
-    if len(pivots) < len(m):
-        return Fraction(0)
-    return Fraction(sign * p, prod(den for _, den in scaled))
-
-
 @settings(max_examples=200, deadline=None)
 @given(rational_matrices(square=True))
 def test_determinant_matches_fraction_elimination(m):
@@ -573,7 +582,7 @@ def test_determinant_matches_fraction_elimination(m):
 def oracle_congruence_act(a, form):
     """The congruence action B |-> A^T B A for invertible rational A."""
     a = as_matrix(a)
-    if determinant(a) == 0:
+    if oracle_determinant(a) == 0:
         raise SingularMatrixError("congruence by a singular matrix")
     return QuadraticForm(mat_mul(transpose(a), mat_mul(form.entries, a)))
 
@@ -655,7 +664,7 @@ def oracle_vertices(inequalities):
     rows = [a + (b,) for a, b in ineqs]
     seen = set()
     for prefix in combinations(range(len(rows)), d - 1):
-        reduced, pivots, p, _ = _echelon([rows[i] for i in prefix])
+        reduced, pivots, p = _echelon([rows[i] for i in prefix])
         if len(pivots) != d - 1 or d in pivots:
             continue
         (f,) = [c for c in range(d) if c not in pivots]
@@ -840,7 +849,8 @@ def pointed_cones(draw):
     g = draw(st.integers(1, 4))
     rays = embedded_pointed_rays(draw, g, draw(st.integers(1, g)), (1, 7))
     for i in draw(st.lists(st.integers(0, len(rays) - 1), max_size=3)):
-        rays.append(tuple(draw(st.integers(1, 3)) * c for c in rays[i]))
+        t = draw(st.integers(1, 3))
+        rays.append(tuple(t * c for c in rays[i]))
     return draw(st.permutations(rays))
 
 
@@ -984,6 +994,16 @@ def test_cone_membership_and_rays_match_the_subset_search(rays, data):
         assert len(witness) == len(rays) and all(c >= 0 for c in witness)
         assert tuple(sum(c * r[j] for c, r in zip(witness, rays)) for j in range(g)) == x
     assert extremal_rays(rays) == oracle_extremal_rays(rays)
+
+
+def test_a_cone_that_is_not_pointed_is_refused():
+    # (3, 3) and (-1, -1) span a line; once drawn as a "multiple" of (3, 1),
+    # it made cone_contains call (3, 3) outside and extremal_rays answer
+    # [(-1, -1), (1, 1)]
+    rays = [(3, 1), (-1, -1), (3, 3)]
+    for ask in (extremal_rays, triangulate_cone, lambda r: cone_contains(r, (3, 3))):
+        with pytest.raises(ValueError, match="not span a pointed cone"):
+            ask(rays)
 
 
 def oracle_k_faces():

@@ -2,7 +2,6 @@
 `perfbench/tracer.py`'s SPANNED and COUNTED must still exist in its module,
 or a rename would break those runs."""
 
-import importlib
 import importlib.util
 from pathlib import Path
 

@@ -7,6 +7,7 @@ import pytest
 
 from latdel import formats, verify
 from latdel.delaunay import make_cell
+from latdel.geometry import normalized_volume
 from latdel.verify import (
     fusion_check,
     name_cell,
@@ -19,6 +20,14 @@ from latdel.verify import (
     verify_dim4,
     verify_lowdim,
 )
+
+
+def volume_conserved(report):
+    """Each fused coarse rep has the normalized volume of its pieces together."""
+    return all(
+        sum(normalized_volume(p.vertices) for p in pieces) == normalized_volume(coarse.vertices)
+        for coarse, pieces in report.fusions
+    )
 
 
 def test_name_vertex():
@@ -38,7 +47,7 @@ def test_fusion_check_dim2():
     assert len(report.fusions) == 1
     coarse, pieces = report.fusions[0]
     assert len(coarse.vertices) == 4 and len(pieces) == 2
-    assert report.volume_conserved
+    assert volume_conserved(report)
     assert not report.unchanged
 
 
@@ -74,8 +83,7 @@ def test_fusion_check_dim4_volume_conserved():
         ("dim4.W0", "dim4.V3"),
         ("dim4.W0", "dim4.V4"),
     ):
-        report = fusion_check(coarse, fine)
-        assert report.volume_conserved
+        assert volume_conserved(fusion_check(coarse, fine))
 
 
 def test_lowdim_suite():
