@@ -8,7 +8,8 @@ cell).  The decision collects the half-open parallelepiped points of
 each by residues modulo a maximal minor p of its rays (p^k candidates for
 k rays, no box scan), and settles each of those finitely many points by an
 exact semigroup search whose depth the height of the cone bounds (Bruns
-and Gubeladze, Polytopes, Rings, and K-Theory, 2009, ch. 2).
+and Gubeladze, Polytopes, Rings, and K-Theory, 2009, ch. 2).  A unimodular
+simplex, of cached normalized volume 1, needs none of it: its rays are a Z-basis.
 Simplicial generation also needs the cones at 0 of the pieces through 0 to
 tile C(0, cell).  Every test of that reads walls, the outward normals n of
 a cell's facets through 0: the facets through a vertex cut out the tangent
@@ -19,10 +20,13 @@ Q, the cone interiors meet, and so do P and Q near 0.  Once the cover
 holds, the number k of piece cones over a generic point is constant; if
 k >= 2, points near that sum lie in a second, closed cone, which then holds
 the sum.  So this overlap test misses an overlap only when the cover fails.
+Lattice facets have primitive normals, so a facet through 0 of a piece in the
+cell lies in a wall exactly when its outward normal is that wall's n.
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Optional, Tuple
@@ -120,17 +124,29 @@ def in_semigroup(x, generators) -> bool:
 
 def is_totally_generating(cell: DelaunayCell) -> GenerationReport:
     """Decide C(0, cell) Z-cap X == Semi(0, cell Z-cap X), with witness, on
-    the cones at 0 of the simplices of the cell's pulling triangulation from 0."""
+    the cones at 0 of the simplices of the cell's pulling triangulation from 0.
+    A lattice point of the hull that is not a vertex is a nonzero parallelepiped
+    point of the simplex that holds it; a cell that leaves one unlisted, or
+    whose 0 is not a vertex, is refused (ValueError) before deciding."""
     zero = _require_origin(cell)
-    # by the cell invariant the lattice points of the hull are exactly the
-    # listed vertices, so those are the semigroup generators
     gens = [p for p in cell.vertices if any(p)]
-    for simplex in triangulate_cone(_lift([zero] + gens)):
-        for p in sorted(parallelepiped_points([gens[i - 1] for i in simplex[1:]])):
-            if not any(p):
-                continue
-            if not in_semigroup(p, gens):
-                return GenerationReport(False, witness=tuple(p))
+    with suppress(ValueError):  # normalized_volume refuses a flat cell
+        if len(gens) == len(zero) and normalized_volume(cell.vertices) == 1:
+            return GenerationReport(True)  # a unimodular simplex: its rays are a Z-basis
+    if gens and cone_contains(_lift(gens), zero + (1,)) is not None:
+        raise ValueError("0 is not a vertex of the cell")
+    points = [
+        p
+        for simplex in triangulate_cone(_lift([zero] + gens))
+        for p in sorted(parallelepiped_points([gens[i - 1] for i in simplex[1:]]))
+    ]
+    lifted = _lift(cell.vertices)
+    for p in points:
+        if any(p) and p not in cell.vertices and cone_contains(lifted, p + (1,)) is not None:
+            raise ValueError("the lattice point %r of the cell is not a listed vertex" % (p,))
+    for p in points:
+        if any(p) and not in_semigroup(p, gens):
+            return GenerationReport(False, witness=p)
     return GenerationReport(True)
 
 
@@ -147,10 +163,9 @@ def _overlap(pieces0, facets):
 
 
 def _is_refinement(cell: DelaunayCell, facets, pieces) -> bool:
-    for piece in pieces:
-        for v in piece.vertices:
-            if any(dot(normal, v) > offset for _, normal, offset in facets):
-                return False
+    outside = {v for piece in pieces for v in piece.vertices} - set(cell.vertices)
+    if any(dot(normal, v) > offset for v in outside for _, normal, offset in facets):
+        return False
     try:
         total = sum(normalized_volume(list(p.vertices)) for p in pieces)
     except ValueError:  # a piece that is not full-dimensional
@@ -179,8 +194,7 @@ def cone_cover_check(coarse_cell: DelaunayCell, pieces) -> bool:
 
 def _unpaired_cone_facets(walls, facets):
     """Facets of the map, off the walls, not shared by two pieces on opposite sides."""
-    in_wall = lambda f: any(all(dot(n, v) == 0 for v in f) for n in walls)
-    return unpaired_facets({f: s for f, s in facets.items() if not in_wall(f)})
+    return unpaired_facets({f: s for f, s in facets.items() if s[0][1] not in walls})
 
 
 def is_simplicially_generating(cell: DelaunayCell, pieces) -> GenerationReport:

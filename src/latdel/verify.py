@@ -27,7 +27,7 @@ from .delaunay import (
     is_basic_simplex,
     make_cell,
 )
-from .exact import basis_sum, shift_points
+from .exact import basis_sum, shift_points, vec_sub
 from .generation import (
     cone_rays,
     is_simplicially_generating,
@@ -105,23 +105,29 @@ class FusionReport:
         return self.fusions + tuple((c, (c,)) for c in self.unchanged)
 
 
+@lru_cache(maxsize=4096)
+def _at_origin(vertices):  # a rep's sorted vertices minus its first, as a set
+    return frozenset(vec_sub(v, vertices[0]) for v in vertices)
+
+
 def cells_tiling(star: DelaunayStar, coarse: DelaunayCell):
     """The Delaunay cells of the star's decomposition inside a coarse cell.
 
     Candidates are lattice translates of the star's orbit representatives;
     a translate qualifies when all its vertices are vertices of the coarse
-    cell.  Then the rep's smallest vertex lands on a coarse vertex, so one
-    candidate per pair of a rep and a coarse vertex is tested, vertex by
-    vertex up to the first miss; only a match becomes a cell.  The result
-    must tile the coarse cell exactly (checked by the normalized volume).
+    cell.  Then the rep's smallest vertex lands on a coarse vertex w, and the
+    rep qualifies there exactly when its vertex set minus that vertex is a
+    subset of the coarse vertex set minus w: one set inclusion per rep and
+    w; only a match becomes a cell.  The result must tile the coarse cell
+    exactly (checked by the normalized volume).
     """
-    coarse_set = set(coarse.vertices)
+    at = [(w, {vec_sub(v, w) for v in coarse.vertices}) for w in coarse.vertices]
     found = {}
     for rep in star.orbit_reps:
-        for w in coarse.vertices:
-            t = tuple(a - b for a, b in zip(w, rep.vertices[0]))
-            if all(tuple(a + b for a, b in zip(v, t)) in coarse_set for v in rep.vertices[1:]):
-                cell = rep.translate(t)
+        shape = _at_origin(rep.vertices)
+        for w, near in at:
+            if shape <= near:
+                cell = rep.translate(vec_sub(w, rep.vertices[0]))
                 found[cell.vertices] = cell
     pieces = [found[v] for v in sorted(found)]
     total = sum(normalized_volume(list(p.vertices)) for p in pieces)

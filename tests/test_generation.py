@@ -80,10 +80,27 @@ def test_is_totally_generating():
     assert is_totally_generating(SIGMA1) == GenerationReport(True)
     assert is_totally_generating(SIGMA5) == GenerationReport(True)
     assert is_totally_generating(make_cell([ZERO2])) == GenerationReport(True)
-    tau = make_cell([ZERO2, (1, 0), (1, 2)])
-    report = is_totally_generating(tau)
+    # the cube tetrahedron lists every lattice point of its hull, but the
+    # parallelepiped point (1, 1, 1) of its cone at 0 is no sum of them
+    cube_tetrahedron = make_cell([(0, 0, 0), (1, 1, 0), (1, 0, 1), (0, 1, 1)])
+    report = is_totally_generating(cube_tetrahedron)
     assert not report.totally_generating
-    assert report.witness == (1, 1)
+    assert report.witness == (1, 1, 1)
+
+
+def test_is_totally_generating_refuses_cells_that_break_the_cell_invariant():
+    # the listed points are the semigroup generators only when they are all
+    # the lattice points of the hull, 0 among its vertices: (1, 1) lies on
+    # the edge from (1, 0) to (1, 2), (0, 1) on the edge from 0 to (0, 2),
+    # and 0 on the edge from (-1, 0) to (1, 0)
+    for vertices, point in (([(1, 0), (1, 2)], r"\(1, 1\)"), ([(2, 0), (0, 2)], r"\(0, 1\)")):
+        with pytest.raises(ValueError, match="the lattice point %s of the cell" % point):
+            is_totally_generating(make_cell([ZERO2] + vertices))
+    with pytest.raises(ValueError, match="^0 is not a vertex of the cell$"):
+        is_totally_generating(make_cell([(-1, 0), ZERO2, (1, 0), (0, 1)]))
+    # a listed lattice point that is not a vertex is no cause for refusal
+    segment = make_cell([ZERO2, (1, 0), (2, 0)])
+    assert is_totally_generating(segment) == GenerationReport(True)
 
 
 def test_is_simplicially_generating():
@@ -105,6 +122,13 @@ def test_lower_dimensional_pieces_are_no_refinement():
     for extra in ([S2, S12], [S2], [ZERO2]):
         with pytest.raises(ValueError, match="not a refinement"):
             is_simplicially_generating(SIGMA5, [SIGMA1, make_cell(extra)])
+
+
+def test_pieces_outside_the_cell_are_no_refinement():
+    # the volumes add up to the square's, but (-1, 1) lies outside it
+    outside = make_cell([ZERO2, S2, (-1, 1)])
+    with pytest.raises(ValueError, match="not a refinement"):
+        is_simplicially_generating(SIGMA5, [SIGMA1, outside])
 
 
 def test_cone_cover_check():
