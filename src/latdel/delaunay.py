@@ -8,11 +8,10 @@ of X/2X.  A cell's vertices are 0 and the coset minima e whose inequality is
 tight at its hole: every vertex e of a Delaunay polytope through 0 is a
 minimum of its class mod 2, because z and e - z lie outside the empty sphere
 for every lattice z.  The star is built modulo translation, by a walk over
-its orbit reps in integers, and certified on their facet classes
-(`star_from_reps`), which only the reps reach: their facets come from the
-`geometry` cache, so the construction never trusts the walk; a lone cell
-by an empty-sphere sweep (`certify_cell`).  Every lattice point sweep, the
-coset minima included, is one integer Fincke-Pohst routine, `_sweep`.
+its orbit reps in integers, one ratio test per rep, and certified on the reps
+and their facet classes alone (`star_from_reps`), so it never trusts the walk;
+a lone cell by an empty-sphere sweep (`certify_cell`).  Every lattice point
+sweep, the coset minima included, is one integer Fincke-Pohst routine, `_sweep`.
 """
 
 from __future__ import annotations
@@ -73,9 +72,10 @@ class DelaunayCell:
     sq_radius: Optional[Fraction] = None
 
     def translate(self, t) -> "DelaunayCell":
-        center = None
-        if self.center is not None:
-            center = tuple(c + d for c, d in zip(self.center, t))
+        center = self.center and tuple(  # c + d over the denominator of c
+            Fraction(c.numerator + c.denominator * d, c.denominator) if d else c
+            for c, d in zip(self.center, t)
+        )
         vertices = tuple(sorted(shift_points(self.vertices, t)))
         return DelaunayCell(vertices, center, self.sq_radius)
 
@@ -168,13 +168,12 @@ def nearest_points(form: QuadraticForm, alpha):
     return {tuple((c + b) // m for c, b in zip(e, a)) for e, v in found if v == best}
 
 
-def _coset_minima(form: QuadraticForm):
-    """(e, Ge, G[e]) for the `_integer_gram` G and the minima e of the nonzero
-    cosets of X/2X, coset by coset in `product` order, each coset's sorted:
-    one `_sweep` modulo 2 per coset, bounded by its 0/1 representative."""
-    factor = _integer_ldl(form, "form is not positive definite")
-    (gram, k), minima = _integer_gram(form), []
-    for parity in filter(any, product((0, 1), repeat=form.rank)):
+def _coset_minima(factor, gram):
+    """(e, Ge, G[e]) for the `_integer_gram` (G, k) and the minima e of the nonzero
+    cosets of X/2X, coset by coset in `product` order, each coset's sorted: one
+    `_sweep` of the factor modulo 2 per coset, bounded by its 0/1 representative."""
+    (gram, k), minima = gram, []
+    for parity in filter(any, product((0, 1), repeat=len(gram))):
         found = _sweep(factor, parity, 2, Fraction(dot(parity, mat_vec(gram, parity)), k))
         best = min(v for _, v in found)
         for e in sorted(e for e, v in found if v == best):
@@ -190,7 +189,8 @@ def voronoi_inequalities(form: QuadraticForm):
     suffice to define the cell (and include every facet vector): the
     `_coset_minima`, divided back by the scale of the integer Gram matrix.
     """
-    (_, k), minima = _integer_gram(form), _coset_minima(form)
+    gram = _integer_gram(form)
+    (_, k), minima = gram, _coset_minima(_integer_ldl(form, "form is not positive definite"), gram)
     return [(tuple(Fraction(2 * c, k) for c in ge), Fraction(v, k), e) for e, ge, v in minima]
 
 
@@ -295,24 +295,33 @@ def check_local_delaunay(form: QuadraticForm, cells, facets):
     constant on its vertices verifies the hole.  Each facet of the
     `facet_map` must have two cells A and B, and s_A(w) must exceed that
     constant, putting every vertex w of B off A strictly outside A's sphere.
+    `_lemma` takes the holders as placements (i, v), the translates cells[i] - v
+    of `facet_classes`: s once per cell, and w = u - v_B + v_A for u in B.
     """
-    gram, _ = _integer_gram(form)
+    zero = (0,) * form.rank
+    _lemma(_integer_gram(form)[0], cells, [(i, zero) for i in range(len(cells))], facets)
+
+
+def _lemma(gram, cells, placements, facets):
     powers = [_power(gram, cell.center) for cell in cells]
     levels = [{s(v) for v in cell.vertices} for cell, s in zip(cells, powers)]
-    for cell, level in zip(cells, levels):
-        if len(level) != 1:
-            raise CertificationError("cell %r is not cospherical about its hole" % (cell.vertices,))
+    for i, v in placements:
+        if len(levels[i]) != 1:
+            name = cells[i].translate(tuple(-c for c in v)).vertices
+            raise CertificationError("cell %r is not cospherical about its hole" % (name,))
     for facet, sides in facets.items():
         if len(sides) != 2:
             raise CertificationError("facet %r is not shared by two cells" % (facet,))
-        (a, _), (b, _) = sides
+        (a, va), (b, vb) = (placements[i] for i, _ in sides)
         (level,) = levels[a]
-        for w in [w for w in cells[b].vertices if w not in cells[a].vertices]:
+        across = (tuple(x - y + z for x, y, z in zip(u, vb, va)) for u in cells[b].vertices)
+        for w in [w for w in across if w not in cells[a].vertices]:
             excess = powers[a](w) - level
             if excess <= 0:
                 raise CertificationError(
                     "facet %r is not locally Delaunay: the vertex %r across it lies %s the "
-                    "sphere of %r" % (facet, w, "inside" if excess else "on", cells[a].vertices)
+                    "sphere of %r" % (facet, vec_sub(w, va), "inside" if excess else "on",
+                                      cells[a].translate(tuple(-c for c in va)).vertices)
                 )
 
 
@@ -333,61 +342,62 @@ def check_tiling(g: int, cells, reps):
         )
 
 
-def _walk_reps(form):
+def _walk_reps(factor, gram):
     """The orbit reps of the star, sorted; their `polytope_facets` fill the cache.
 
     It starts at the hole `geometry._vertex_from_origin` reaches from 0.  The
     Voronoi edge dual to a facet F through v of a rep A, outward normal n,
     leaves the hole of A - v along adj(G) n: the rows of F stay tight and
     the rest of A goes slack, so one ratio test (`geometry._step`) on the
-    integer rows (2Ge, G[e]) gives the hole across F and its tight rows.  The
-    cells of a tiling are connected through facets; a facet class crossed
-    from one side is not crossed back, as both its cells are known."""
-    g = form.rank
-    minima = [(primitive(tuple(2 * c for c in ge) + (v,)), e) for e, ge, v in _coset_minima(form)]
-    rows = sorted(((row[:-1], row[-1]), e) for row, e in minima)
-    ineqs = [ab for ab, _ in rows]
-    gram, k = _integer_gram(form)
+    integer rows (2Ge, G[e]) gives the hole across F and its tight rows.  A
+    rep found holds its facet classes on the sides of their normals, and a
+    class is crossed only while no known cell holds its other side, so each
+    ratio test finds a new rep; as the cells of a tiling are connected
+    through facets, every rep is found."""
+    minima = _coset_minima(factor, gram)
+    rows = sorted((primitive(tuple(2 * c for c in ge) + (v,)), e) for e, ge, v in minima)
+    ineqs = [(row[:-1], row[-1]) for row, _ in rows]
+    (gram, k), g = gram, len(gram[0])
     adj, _ = _scaled_inverse(gram)  # adj(G) = det(G) G^-1, as det G > 0
+    reps, held, stack = {}, set(), []
 
-    def rep_at(nums, den, tight):  # the cell at a hole, moved so its smallest vertex is 0
+    def found(nums, den, tight):  # the rep at a hole, moved so its smallest vertex is 0
         verts = [(0,) * g] + [rows[i][1] for i in tight]
         v = min(verts)
-        return tuple(sorted(vec_sub(w, v) for w in verts)), vec_sub(nums, [den * c for c in v]), den
-
-    reps, crossed, stack = {}, {}, [rep_at(*_vertex_from_origin(ineqs, g))]
-    while stack:
-        vertices, nums, den = stack.pop()
-        if vertices in reps:
-            continue
-        try:
-            facets = polytope_facets(vertices)
-        except ValueError:
-            raise CertificationError("star cell %r is not full-dimensional" % (vertices,))
+        vertices = tuple(sorted(vec_sub(w, v) for w in verts))
+        nums = vec_sub(nums, [den * c for c in v])
         center = tuple(Fraction(x, den) for x in nums)
         sq_radius = Fraction(dot(nums, mat_vec(gram, nums)), k * den * den)
-        reps[vertices] = make_cell(vertices, center, sq_radius)
-        for members, normal, _ in facets:
-            v = vertices[members[0]]
-            facet = tuple(vec_sub(vertices[i], v) for i in members)
-            if dot(crossed.setdefault(facet, normal), normal) < 0:
-                continue
-            hole = vec_sub(nums, [den * c for c in v])
-            stack.append(rep_at(*_step(ineqs, hole, den, mat_vec(adj, normal))))
+        rep = reps[vertices] = make_cell(vertices, center, sq_radius)
+        try:
+            classes, placements = facet_classes([rep])
+        except ValueError:
+            raise CertificationError("star cell %r is not full-dimensional" % (vertices,))
+        for facet, holders in classes.items():
+            for i, normal in holders:
+                held.add((facet, normal))
+                stack.append((facet, normal, nums, den, placements[i][1]))
+
+    found(*_vertex_from_origin(ineqs, g))
+    while stack:
+        facet, normal, nums, den, v = stack.pop()
+        if (facet, tuple(-c for c in normal)) not in held:
+            found(*_step(ineqs, vec_sub(nums, [den * c for c in v]), den, mat_vec(adj, normal)))
     return tuple(reps[key] for key in sorted(reps))
 
 
 def facet_classes(reps):
-    """(map, translates): a `geometry.facet_map` of the `polytope_facets` of
+    """(map, placements): a `geometry.facet_map` of the `polytope_facets` of
     the reps up to translation, each moved so its smallest vertex is 0, over
-    the rep translates that hold them; every facet of the tiling is in a class."""
+    the placements (r, v) that hold them, the translates reps[r] - v; every
+    facet of the tiling is in a class."""
     classes, index = {}, {}
     for r, rep in enumerate(reps):
         for members, normal, _ in polytope_facets(rep.vertices):
             v = rep.vertices[members[0]]
             facet = tuple(vec_sub(rep.vertices[i], v) for i in members)
             classes.setdefault(facet, []).append((index.setdefault((r, v), len(index)), normal))
-    return classes, [reps[r].translate(tuple(-c for c in v)) for r, v in index]
+    return classes, list(index)
 
 
 def star_from_reps(form: QuadraticForm, reps) -> DelaunayStar:
@@ -395,17 +405,23 @@ def star_from_reps(form: QuadraticForm, reps) -> DelaunayStar:
 
     With each of the `facet_classes` held twice, on opposite sides, the
     translates over a point are equally many off codimension 2, and the
-    tiling invariant makes them one.  Delaunay's lemma once per class pair
-    checks each hole and makes the lift of Q convex: every sphere is empty."""
-    classes, translates = facet_classes(reps)
+    tiling invariant makes them one.  Delaunay's lemma once per class pair, on
+    the reps (`_lemma`), checks each hole and makes the lift of Q convex: every
+    sphere is empty."""
+    return _star_of_reps(form, _integer_gram(form)[0], reps)
+
+
+def _star_of_reps(form, gram, reps):  # `star_from_reps` with the integer Gram matrix
+    classes, placements = facet_classes(reps)
     unpaired = unpaired_facets(classes)
     if unpaired:
-        holders = [canonical_orbit_rep(translates[i]).vertices for i, _ in classes[unpaired[0]]]
+        holders = [reps[placements[i][0]] for i, _ in classes[unpaired[0]]]
         raise CertificationError(
             "star of the origin is not locally complete: the facet class %r is held by "
-            "the reps %r, not by two on opposite sides" % (unpaired[0], holders)
+            "the reps %r, not by two on opposite sides"
+            % (unpaired[0], [canonical_orbit_rep(rep).vertices for rep in holders])
         )
-    check_local_delaunay(form, translates, classes)
+    _lemma(gram, reps, placements, classes)
     cells = [rep.translate(tuple(-c for c in v)) for rep in reps for v in rep.vertices]
     cells.sort(key=lambda cell: cell.vertices)
     check_tiling(form.rank, cells, reps)
@@ -414,8 +430,9 @@ def star_from_reps(form: QuadraticForm, reps) -> DelaunayStar:
 
 def delaunay_star(form: QuadraticForm) -> DelaunayStar:
     """All maximal Delaunay cells containing 0: the orbit reps of `_walk_reps`,
-    one ratio test per facet class, certified on facet classes by `star_from_reps`."""
-    _integer_ldl(form, "delaunay_star needs a definite form")  # raises unless definite
+    one ratio test per rep beyond the first, certified by `star_from_reps`."""
+    factor = _integer_ldl(form, "delaunay_star needs a definite form")  # raises unless definite
     if not 0 < form.rank <= 4:
         raise UnsupportedRankError("only ranks up to 4 are supported (and at least 1)")
-    return star_from_reps(form, _walk_reps(form))
+    gram = _integer_gram(form)
+    return _star_of_reps(form, gram[0], _walk_reps(factor, gram))

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import mul
+from operator import add, mul, sub
 from typing import Iterable, Sequence, Tuple
 
 Rational = Fraction
@@ -63,12 +63,12 @@ def basis_sum(rank: int, indices: Iterable[int]) -> LatticeVector:
 
 
 def vec_sub(x: Sequence, y: Sequence) -> tuple:
-    return tuple(a - b for a, b in zip(x, y))
+    return tuple(map(sub, x, y))
 
 
 def shift_points(points, t) -> tuple:
     """The points translated by the vector t, in the same order."""
-    return tuple(tuple(a + b for a, b in zip(p, t)) for p in points)
+    return tuple(tuple(map(add, p, t)) for p in points)
 
 
 def dot(x: Sequence, y: Sequence):

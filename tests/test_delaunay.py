@@ -31,7 +31,17 @@ from latdel.delaunay import (
     star_from_reps,
     voronoi_inequalities,
 )
-from latdel.exact import QuadraticForm, SingularMatrixError, dot, evaluate, matrix_rank, shift_points
+from latdel.exact import (
+    QuadraticForm,
+    SingularMatrixError,
+    congruence_act,
+    dot,
+    evaluate,
+    mat_mul,
+    mat_vec,
+    matrix_rank,
+    shift_points,
+)
 from latdel.geometry import polytope_facets
 
 
@@ -163,8 +173,8 @@ def test_star_completeness_pairs_facets_on_opposite_sides():
 
 
 def test_incomplete_star_names_an_unpaired_facet(monkeypatch):
-    dropped, kept = delaunay._walk_reps(HEX)
-    monkeypatch.setattr(delaunay, "_walk_reps", lambda form: (kept,))
+    dropped, kept = delaunay_star(HEX).orbit_reps
+    monkeypatch.setattr(delaunay, "_walk_reps", lambda *args: (kept,))
     with pytest.raises(CertificationError, match="not locally complete") as info:
         delaunay_star(HEX)
     # every edge class of the missing triangle is held by the other one only
@@ -209,12 +219,12 @@ def test_star_verifies_the_holes_of_the_walk(monkeypatch):
     geometry._lattice_polytope.cache_clear()
     star = delaunay_star(HEX)
     # facets once per rep class, in the walk, read back from the cache by the
-    # certificate, and one ratio test per facet class: the two triangles
-    # share their three edge classes
+    # certificate, and one ratio test per rep beyond the first: the second
+    # triangle holds all three edge classes of the first on the other side
     assert geometry._lattice_polytope.cache_info().misses == len(star.orbit_reps) == 2
     assert sum(len(polytope_facets(rep.vertices)) for rep in star.orbit_reps) == 6
     classes, _ = delaunay.facet_classes(star.orbit_reps)
-    assert len(steps) == len(classes) == 3
+    assert len(classes) == 3 and len(steps) == 1
     make = delaunay.make_cell
 
     def moved(vertices, center, sq_radius):
@@ -223,6 +233,18 @@ def test_star_verifies_the_holes_of_the_walk(monkeypatch):
     monkeypatch.setattr(delaunay, "make_cell", moved)
     with pytest.raises(CertificationError, match="is not cospherical about its hole"):
         delaunay_star(HEX)
+
+
+@pytest.mark.parametrize(
+    "name, weights", [("dim4.K", None), ("dim4.V1", [3, 1, 4, 1, 5, 2, 6, 5, 3, 5])]
+)
+def test_each_ratio_test_of_the_walk_finds_a_new_rep(monkeypatch, name, weights):
+    # a class is crossed only while no known cell holds its other side
+    steps, step = [], delaunay._step
+    monkeypatch.setattr(delaunay, "_step", lambda *a: steps.append(1) or step(*a))
+    star = delaunay_star(sample_interior(catalog(name), weights))
+    classes, _ = delaunay.facet_classes(star.orbit_reps)
+    assert len(steps) == len(star.orbit_reps) - 1 < len(classes)
 
 
 def test_reps_of_a_wall_form_are_refused_by_the_lemma():
@@ -334,3 +356,34 @@ def test_star_cells_certified(form):
         for v in cell.vertices:
             diff = tuple(a - c for a, c in zip(v, cell.center))
             assert evaluate(form, diff, diff) == cell.sq_radius
+
+
+@st.composite
+def unimodular_changes(draw):
+    """(Q, U): a catalog sample form of rank 2-4 and a product of at most
+    three elementary matrices I + m E_ij, i != j, with m = +-1."""
+    name = draw(st.sampled_from([n for n in catalog_names() if n[3] in "234"]))
+    form = sample_interior(catalog(name))
+    g = form.rank
+    u = [[int(i == j) for j in range(g)] for i in range(g)]
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.permutations(range(g)))[:2]
+        step = [[int(a == b) for b in range(g)] for a in range(g)]
+        step[i][j] = draw(st.sampled_from((1, -1)))
+        u = mat_mul(u, step)
+    return form, u
+
+
+@settings(max_examples=40, deadline=None)
+@given(unimodular_changes())
+def test_star_is_equivariant_under_unimodular_changes_of_basis(case):
+    # y is a lattice point for U^T Q U exactly when x = Uy is one for Q, at
+    # the same distances, so x -> Ux maps the one star onto the other
+    form, u = case
+    star = delaunay_star(form)
+    moved = delaunay_star(congruence_act(u, form))
+    mapped = [
+        make_cell([mat_vec(u, v) for v in c.vertices], tuple(mat_vec(u, c.center)), c.sq_radius)
+        for c in moved.cells
+    ]
+    assert sorted(mapped, key=lambda cell: cell.vertices) == list(star.cells)

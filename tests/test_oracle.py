@@ -13,7 +13,9 @@ systems) and a ray-by-ray cover for the tiling at 0 of simplicial
 generation, a box scan for the lattice points of a cell that it leaves
 unlisted, the former matcher that builds every shifted rep for the
 set-inclusion matcher `cells_tiling`, one empty-sphere sweep per orbit rep (`certify_cell`) for
-Delaunay's lemma, a walk over every vertex of the Voronoi cell
+Delaunay's lemma, the earlier lemma on a translate of a rep per facet class
+(`oracle_check_local_delaunay`) for the lemma on the reps themselves, a walk
+over every vertex of the Voronoi cell
 (`vertex_enumeration`) for the walk over the orbit reps of a star, and the
 earlier `Fraction` Fincke-Pohst sweep for the integer sweep of the lattice
 points in a ball and the coset minima."""
@@ -39,8 +41,10 @@ from latdel.delaunay import (
     canonical_orbit_rep,
     cell_center,
     certify_cell,
+    DelaunayCell,
     check_local_delaunay,
     delaunay_star,
+    facet_classes,
     facets_at_zero,
     make_cell,
     nearest_points,
@@ -67,6 +71,7 @@ from latdel.exact import (
     matrix_rank,
     norm,
     nullspace,
+    shift_points,
     solve_overdetermined,
     transpose,
     vec_sub,
@@ -1531,6 +1536,111 @@ def test_local_delaunay_agrees_with_the_ball_sweep():
         verdicts.append(expected)
     assert verdicts.count(True) == len(catalog_names()) + 3
     assert verdicts.count(False) >= 8
+
+
+def oracle_facet_classes(reps):
+    """(map, translates): a `geometry.facet_map` of the `polytope_facets` of
+    the reps up to translation, each moved so its smallest vertex is 0, over
+    the rep translates that hold them; every facet of the tiling is in a class."""
+    classes, index = {}, {}
+    for r, rep in enumerate(reps):
+        for members, normal, _ in polytope_facets(rep.vertices):
+            v = rep.vertices[members[0]]
+            facet = tuple(vec_sub(rep.vertices[i], v) for i in members)
+            classes.setdefault(facet, []).append((index.setdefault((r, v), len(index)), normal))
+    return classes, [reps[r].translate(tuple(-c for c in v)) for r, v in index]
+
+
+def oracle_check_local_delaunay(form: QuadraticForm, cells, facets):
+    """Delaunay's lemma in integers: raises CertificationError unless it holds.
+
+    For a cell's hole c, s = `_power` is a positive multiple of Q[v-c] - Q[c]
+    in integers.  A full-dimensional cell has one equidistant point, so s
+    constant on its vertices verifies the hole.  Each facet of the
+    `facet_map` must have two cells A and B, and s_A(w) must exceed that
+    constant, putting every vertex w of B off A strictly outside A's sphere.
+    """
+    gram, _ = delaunay._integer_gram(form)
+    powers = [delaunay._power(gram, cell.center) for cell in cells]
+    levels = [{s(v) for v in cell.vertices} for cell, s in zip(cells, powers)]
+    for cell, level in zip(cells, levels):
+        if len(level) != 1:
+            raise CertificationError("cell %r is not cospherical about its hole" % (cell.vertices,))
+    for facet, sides in facets.items():
+        if len(sides) != 2:
+            raise CertificationError("facet %r is not shared by two cells" % (facet,))
+        (a, _), (b, _) = sides
+        (level,) = levels[a]
+        for w in [w for w in cells[b].vertices if w not in cells[a].vertices]:
+            excess = powers[a](w) - level
+            if excess <= 0:
+                raise CertificationError(
+                    "facet %r is not locally Delaunay: the vertex %r across it lies %s the "
+                    "sphere of %r" % (facet, w, "inside" if excess else "on", cells[a].vertices)
+                )
+
+
+def lemma_text(check, *args):
+    """The CertificationError text of check(*args), or None when it passes."""
+    try:
+        check(*args)
+    except CertificationError as exc:
+        return str(exc)
+    return None
+
+
+def assert_lemma_on_reps_matches_the_translates(form, reps):
+    """The same verdict and text from the lemma on the reps and from the
+    translate-based lemma; returns the text."""
+    classes, placements = facet_classes(reps)
+    got = lemma_text(delaunay._lemma, delaunay._integer_gram(form)[0], reps, placements, classes)
+    classes, translates = oracle_facet_classes(reps)
+    assert got == lemma_text(oracle_check_local_delaunay, form, translates, classes)
+    return got
+
+
+def test_lemma_on_the_reps_matches_the_translates():
+    stars = [star_for(name) for name in catalog_names()]
+    assert {star.form.rank for star in stars} == {1, 2, 3, 4}
+    for star in stars:
+        assert assert_lemma_on_reps_matches_the_translates(star.form, star.orbit_reps) is None
+        # one hole moved off its sphere
+        reps = list(star.orbit_reps)
+        k = len(reps) // 2
+        reps[k] = replace(reps[k], center=tuple(c + Fraction(1, 97) for c in reps[k].center))
+        text = assert_lemma_on_reps_matches_the_translates(star.form, reps)
+        assert text.endswith("is not cospherical about its hole")
+    # the reps of a fine star re-centred under the form of its wall
+    for coarse, fine in (("dim4.V1capV2", "dim4.V1"), ("dim4.V2capV3", "dim4.V2"), ("dim4.W0", "dim4.V3")):
+        form = star_for(coarse).form
+        reps = [
+            replace(rep, center=center, sq_radius=sq_radius)
+            for rep in star_for(fine).orbit_reps
+            for center, sq_radius in [cell_center(form, rep.vertices)]
+        ]
+        assert "lies on the sphere of" in assert_lemma_on_reps_matches_the_translates(form, reps)
+
+
+def test_local_delaunay_on_cells_matches_the_translate_lemma():
+    texts = [
+        lemma_text(check, form, cells, facets_at_zero(cells))
+        for form, cells, _ in lemma_cases()
+        for check in (check_local_delaunay, oracle_check_local_delaunay)
+    ]
+    assert texts[::2] == texts[1::2]
+    assert texts.count(None) == 2 * (len(catalog_names()) + 3)
+
+
+def test_translate_matches_the_fraction_sum():
+    vertices = ((0, 0), (1, 0), (0, 1))
+    for d, n in product((1, 2, 3), range(-4, 5)):
+        cell = DelaunayCell(vertices, (Fraction(n, d), Fraction(1 - 2 * n, d)), Fraction(n * n, d))
+        for t in product(range(-3, 4), repeat=2):
+            moved, center = cell.translate(t), tuple(c + x for c, x in zip(cell.center, t))
+            assert moved.center == center and repr(moved.center) == repr(center)
+            assert moved.vertices == tuple(sorted(shift_points(vertices, t)))
+            assert moved.sq_radius == cell.sq_radius
+    assert DelaunayCell(vertices).translate((-1, 2)).center is None
 
 
 def _floor(x: Fraction) -> int:
