@@ -13,7 +13,7 @@ import sys
 from dataclasses import replace
 
 from . import formats
-from .catalog import catalog, sample_interior
+from .catalog import catalog, catalog_names, sample_interior
 from .delaunay import (
     CertificationError,
     NotPositiveDefiniteError,
@@ -64,7 +64,7 @@ def _cmd_sample(args) -> int:
     except KeyError:
         return _fail_usage("unknown catalog cone %r" % args.cone)
     weights = None
-    if args.weights:
+    if args.weights is not None:
         try:
             weights = [parse_rational(w) for w in args.weights.split(",")]
         except ValueError as exc:
@@ -78,10 +78,11 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_fuse(args) -> int:
+    unknown = [name for name in (args.coarse, args.fine) if name not in catalog_names()]
+    if unknown:
+        return _fail_usage("unknown catalog cone %r" % unknown[0])
     try:
         report = fusion_check(args.coarse, args.fine)
-    except KeyError as exc:
-        return _fail_usage("unknown catalog cone %s" % exc)
     except FusionError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
@@ -250,7 +251,6 @@ def run(argv=None) -> int:
         return args.func(args)
     except (
         formats.FormatError,
-        FileNotFoundError,
         NotPositiveDefiniteError,
         UnsupportedRankError,
     ) as exc:

@@ -244,7 +244,9 @@ def certify_cell(form: QuadraticForm, cell: DelaunayCell) -> EmptySphereCertific
     satisfies B(e-c,e-c) < r^2 and hence B(e,e) < 4 r^2, so sweeping the ball
     of squared radius 4 r^2 (`points_within`) is sound; equality must hold
     exactly at the vertices.  The slack is tested in integers, by `_power`.
+    NotPositiveDefiniteError unless the form is definite, before any sphere.
     """
+    _integer_ldl(form, "form is not positive definite")
     shift = min(cell.vertices)
     local = canonical_orbit_rep(cell)
     try:
@@ -281,28 +283,23 @@ def facets_at_zero(cells):
     return facet_map([c.vertices for c in cells], lambda f: all(map(any, f)))
 
 
-def check_star_completeness(cells, facets=None) -> bool:
+def check_star_completeness(cells) -> bool:
     """The cells cover a neighbourhood of 0: each facet through 0 of their
-    `facet_map` (built unless given) has two cells on opposite sides."""
-    return bool(cells) and not unpaired_facets(facets or facets_at_zero(cells))
-
-
-def check_local_delaunay(form: QuadraticForm, cells, facets):
-    """Delaunay's lemma in integers: raises CertificationError unless it holds.
-
-    For a cell's hole c, s = `_power` is a positive multiple of Q[v-c] - Q[c]
-    in integers.  A full-dimensional cell has one equidistant point, so s
-    constant on its vertices verifies the hole.  Each facet of the
-    `facet_map` must have two cells A and B, and s_A(w) must exceed that
-    constant, putting every vertex w of B off A strictly outside A's sphere.
-    `_lemma` takes the holders as placements (i, v), the translates cells[i] - v
-    of `facet_classes`: s once per cell, and w = u - v_B + v_A for u in B.
-    """
-    zero = (0,) * form.rank
-    _lemma(_integer_gram(form)[0], cells, [(i, zero) for i in range(len(cells))], facets)
+    `facets_at_zero` has two cells on opposite sides."""
+    return bool(cells) and not unpaired_facets(facets_at_zero(cells))
 
 
 def _lemma(gram, cells, placements, facets):
+    """Delaunay's lemma in integers: raises CertificationError unless it holds.
+
+    For a cell's hole c, s = `_power` is a positive multiple of Q[v-c] - Q[c]
+    in integers, for G the `_integer_gram`.  A full-dimensional cell has one
+    equidistant point, so s constant on its vertices verifies the hole.  Each
+    facet of the `facet_map` must have two cells A and B, and s_A(w) must
+    exceed that constant, putting every vertex w of B off A strictly outside
+    A's sphere.  The holders are placements (i, v), the translates cells[i] - v
+    of `facet_classes`: s once per cell, and w = u - v_B + v_A for u in B.
+    """
     powers = [_power(gram, cell.center) for cell in cells]
     levels = [{s(v) for v in cell.vertices} for cell, s in zip(cells, powers)]
     for i, v in placements:
@@ -408,10 +405,6 @@ def star_from_reps(form: QuadraticForm, reps) -> DelaunayStar:
     tiling invariant makes them one.  Delaunay's lemma once per class pair, on
     the reps (`_lemma`), checks each hole and makes the lift of Q convex: every
     sphere is empty."""
-    return _star_of_reps(form, _integer_gram(form)[0], reps)
-
-
-def _star_of_reps(form, gram, reps):  # `star_from_reps` with the integer Gram matrix
     classes, placements = facet_classes(reps)
     unpaired = unpaired_facets(classes)
     if unpaired:
@@ -421,7 +414,7 @@ def _star_of_reps(form, gram, reps):  # `star_from_reps` with the integer Gram m
             "the reps %r, not by two on opposite sides"
             % (unpaired[0], [canonical_orbit_rep(rep).vertices for rep in holders])
         )
-    _lemma(gram, reps, placements, classes)
+    _lemma(_integer_gram(form)[0], reps, placements, classes)
     cells = [rep.translate(tuple(-c for c in v)) for rep in reps for v in rep.vertices]
     cells.sort(key=lambda cell: cell.vertices)
     check_tiling(form.rank, cells, reps)
@@ -434,5 +427,4 @@ def delaunay_star(form: QuadraticForm) -> DelaunayStar:
     factor = _integer_ldl(form, "delaunay_star needs a definite form")  # raises unless definite
     if not 0 < form.rank <= 4:
         raise UnsupportedRankError("only ranks up to 4 are supported (and at least 1)")
-    gram = _integer_gram(form)
-    return _star_of_reps(form, gram[0], _walk_reps(factor, gram))
+    return star_from_reps(form, _walk_reps(factor, _integer_gram(form)))

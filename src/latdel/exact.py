@@ -81,10 +81,6 @@ def as_matrix(rows: Iterable[Iterable]) -> Matrix:
     return tuple(tuple(Fraction(v) for v in row) for row in rows)
 
 
-def identity_matrix(n: int) -> Matrix:
-    return tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n))
-
-
 def transpose(m: Matrix) -> Matrix:
     return tuple(zip(*m))
 

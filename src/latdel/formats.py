@@ -153,26 +153,28 @@ def dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
 
 
-def loads(text: str, where: str = "input"):
+def read_json(path: str):
+    """The JSON value of a file; FormatError naming the path unless it can be
+    read, decoded as UTF-8 and parsed within the interpreter's limits."""
     try:
-        return json.loads(text)
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
     except json.JSONDecodeError as exc:
-        raise FormatError("%s: line %d column %d: %s" % (where, exc.lineno, exc.colno, exc.msg))
+        raise FormatError("%s: line %d column %d: %s" % (path, exc.lineno, exc.colno, exc.msg))
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: not UTF-8, too many digits
+        raise FormatError("%s: %s" % (path, getattr(exc, "strerror", None) or exc))
 
 
 def load_form(path: str) -> QuadraticForm:
-    with open(path, "r", encoding="utf-8") as fh:
-        return decode_form(loads(fh.read(), path), path)
+    return decode_form(read_json(path), path)
 
 
 def load_cell(path: str) -> DelaunayCell:
-    with open(path, "r", encoding="utf-8") as fh:
-        return decode_cell(loads(fh.read(), path), path)
+    return decode_cell(read_json(path), path)
 
 
 def load_cells(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = loads(fh.read(), path)
+    obj = read_json(path)
     if isinstance(obj, dict):
         return [decode_cell(obj, path)]
     _expect(isinstance(obj, list), path, "expected a cell or a list of cells")

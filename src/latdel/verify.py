@@ -13,10 +13,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .catalog import catalog, sample_interior
 from .delaunay import (
@@ -68,24 +67,9 @@ def name_cell(cell: DelaunayCell) -> str:
 
 
 @lru_cache(maxsize=None)
-def _star(cone_name: str, weights: Optional[Tuple[Fraction, ...]]) -> DelaunayStar:
-    return delaunay_star(sample_interior(catalog(cone_name), weights))
-
-
-def star_for(cone_name: str, weights=None) -> DelaunayStar:
-    """The cached star of a catalog cone's sample form; weights: None or a sequence."""
-    if weights is not None:
-        weights = tuple(Fraction(w) for w in weights)
-    return _star(cone_name, weights)
-
-
-star_for.cache_info = _star.cache_info
-star_for.cache_clear = _star.cache_clear
-
-
-def ramp_weights(cone_name: str):
-    """The cross-check weight vector (1, 2, 3, ...) for a catalog cone."""
-    return tuple(range(1, len(catalog(cone_name).generators) + 1))
+def star_for(cone_name: str) -> DelaunayStar:
+    """The cached star of a catalog cone's sample form."""
+    return delaunay_star(sample_interior(catalog(cone_name)))
 
 
 class FusionError(ValueError):

@@ -89,6 +89,28 @@ def test_del_missing_file(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command, flag", [("del", "--form"), ("gen", "--cell"), ("gen", "--pieces")])
+@pytest.mark.parametrize("kind", ["directory", "not UTF-8", "nested 200000 deep", "5000 digits"])
+def test_unreadable_files_are_input_errors(tmp_path, capsys, command, flag, kind):
+    bad = tmp_path / "bad.json"
+    if kind == "directory":
+        bad.mkdir()
+    elif kind == "not UTF-8":
+        bad.write_bytes(b'{"entries": [["\xff"]]}')
+    elif kind == "nested 200000 deep":
+        bad.write_text("[" * 200000 + "]" * 200000)
+    else:  # past the interpreter's limit on the digits of an integer
+        bad.write_text("[%s]" % ("1" * 5000))
+    paths = {"--form": write_form(tmp_path, "id2.json", [[1, 0], [0, 1]])}
+    if command == "gen":
+        paths["--cell"] = str(tmp_path / "cell.json")
+        (tmp_path / "cell.json").write_text(formats.dumps({"vertices": [[0, 0], [1, 0], [0, 1]]}))
+    paths[flag] = str(bad)
+    code, out, err = invoke(capsys, command, *[a for pair in paths.items() for a in pair])
+    assert_usage_error(code, err)
+    assert out == "" and err.startswith("error: %s: " % bad)
+
+
 def test_catalog_list_and_show(capsys):
     code, out, _ = invoke(capsys, "catalog", "list")
     assert code == 0
@@ -115,6 +137,19 @@ def test_sample(capsys):
         capsys, "sample", "--cone", "dim2.V1", "--weights", "1,0,1"
     )
     assert code == 2
+
+
+def test_unknown_cones_and_empty_weights_are_usage_errors(capsys):
+    unknown = (2, "", "error: unknown catalog cone 'dim4.X'\n")
+    assert invoke(capsys, "sample", "--cone", "dim4.X") == unknown
+    assert invoke(capsys, "fuse", "--coarse", "dim4.X", "--fine", "dim4.V1") == unknown
+    assert invoke(capsys, "fuse", "--coarse", "dim4.V1capV2", "--fine", "dim4.X") == unknown
+    # an empty --weights is given, not absent
+    assert invoke(capsys, "sample", "--cone", "dim2.V1", "--weights", "") == (
+        2,
+        "",
+        "error: bad --weights: Invalid literal for Fraction: ''\n",
+    )
 
 
 def test_fuse(capsys):
@@ -178,6 +213,18 @@ def test_gen(tmp_path, capsys):
     bad.write_text(formats.dumps({"vertices": [[0, 0], [2, 0], [0, 2]]}))
     code, _, err = invoke(capsys, "gen", "--cell", str(bad), "--form", fpath)
     assert code == 1
+
+
+@pytest.mark.parametrize("rows", [[[1, 0], [0, 0]], [[0, 0], [0, 0]], [[1, 0], [0, -1]]])
+def test_gen_refuses_a_form_that_is_not_positive_definite(tmp_path, capsys, rows):
+    fpath = write_form(tmp_path, "form.json", rows)
+    cpath = tmp_path / "cell.json"
+    cpath.write_text(formats.dumps({"vertices": [[0, 0], [1, 0], [0, 1]]}))
+    assert invoke(capsys, "gen", "--cell", str(cpath), "--form", fpath) == (
+        2,
+        "",
+        "error: form is not positive definite\n",
+    )
 
 
 def test_gen_rejects_non_refining_pieces(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import re
 from ast import literal_eval
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
@@ -20,7 +21,6 @@ from latdel.delaunay import (
     canonical_orbit_rep,
     cell_center,
     certify_cell,
-    check_local_delaunay,
     check_star_completeness,
     check_tiling,
     delaunay_star,
@@ -43,6 +43,8 @@ from latdel.exact import (
     shift_points,
 )
 from latdel.geometry import polytope_facets
+
+from test_oracle import lemma_on_cells
 
 
 def form(rows):
@@ -183,8 +185,8 @@ def test_incomplete_star_names_an_unpaired_facet(monkeypatch):
 
 
 def test_local_delaunay_accepts_the_hexagonal_star():
-    star = delaunay_star(HEX)
-    check_local_delaunay(HEX, star.cells, facets_at_zero(star.cells))
+    cells = delaunay_star(HEX).cells
+    lemma_on_cells(HEX, cells, facets_at_zero(cells))
 
 
 def test_local_delaunay_refuses_a_wall_form_with_equality():
@@ -196,7 +198,7 @@ def test_local_delaunay_refuses_a_wall_form_with_equality():
         center, sq_radius = cell_center(wall, cell.vertices)
         cells.append(replace(cell, center=center, sq_radius=sq_radius))
     with pytest.raises(CertificationError) as info:
-        check_local_delaunay(wall, cells, facets_at_zero(cells))
+        lemma_on_cells(wall, cells, facets_at_zero(cells))
     assert str(info.value) == (
         "facet ((-1, -1, -1, -1), (-1, -1, -1, 0), (-1, -1, 0, 0), (0, 0, 0, 0)) is not "
         "locally Delaunay: the vertex (0, -1, 0, 0) across it lies on the sphere of "
@@ -210,7 +212,7 @@ def test_local_delaunay_refuses_a_moved_hole():
     moved = replace(cell, center=tuple(c + Fraction(1, 97) for c in cell.center))
     cells = (moved,) + star.cells[1:]
     with pytest.raises(CertificationError, match="is not cospherical about its hole"):
-        check_local_delaunay(HEX, cells, facets_at_zero(cells))
+        lemma_on_cells(HEX, cells, facets_at_zero(cells))
 
 
 def test_star_verifies_the_holes_of_the_walk(monkeypatch):
@@ -280,6 +282,26 @@ def test_a_doubled_rep_breaks_the_tiling_invariant():
     rect = make_cell(corners, *cell_center(ID2, corners))
     with pytest.raises(CertificationError, match="normalized volume 4 of the orbit .* expected 2"):
         star_from_reps(ID2, [rect])
+
+
+def test_delaunay_star_certifies_through_star_from_reps(monkeypatch):
+    # the certificate the tests above run on given reps is the one every star
+    # runs: one call per star, the form factored once
+    calls = Counter()
+    for name in ("star_from_reps", "_integer_ldl", "_integer_gram"):
+        original = getattr(delaunay, name)
+        monkeypatch.setattr(delaunay, name, lambda *a, f=original, n=name: calls.update([n]) or f(*a))
+    delaunay_star(sample_interior(catalog("dim3.V")))
+    assert calls == {"star_from_reps": 1, "_integer_ldl": 1, "_integer_gram": 2}
+
+
+def test_certify_cell_refuses_a_form_that_is_not_positive_definite():
+    # refused before the sphere is solved: under diag(1, 0) and the zero form
+    # the triangle has no sphere, under diag(1, -1) it has one
+    triangle = make_cell([(0, 0), (1, 0), (0, 1)])
+    for rows in ([[1, 0], [0, 0]], [[0, 0], [0, 0]], [[1, 0], [0, -1]]):
+        with pytest.raises(NotPositiveDefiniteError, match="^form is not positive definite$"):
+            certify_cell(form(rows), triangle)
 
 
 def test_canonical_orbit_rep():

@@ -18,7 +18,6 @@ from latdel.exact import (
     definiteness,
     evaluate,
     format_rational,
-    identity_matrix,
     matrix_rank,
     nullspace,
     parse_rational,
@@ -26,6 +25,8 @@ from latdel.exact import (
     solve_overdetermined,
 )
 from latdel.catalog import OMEGA
+
+from test_oracle import identity_matrix
 
 
 def form(rows):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from latdel.catalog import catalog, difference_form
-from latdel.exact import QuadraticForm, identity_matrix, mat_mul
+from latdel.exact import QuadraticForm, mat_mul
 from latdel.faces import (
     BLACK,
     FORK,
@@ -27,6 +27,8 @@ from latdel.faces import (
     root_permutation,
     voronoi_transform,
 )
+
+from test_oracle import identity_matrix
 
 
 def test_voronoi_transform_examples():

@@ -59,6 +59,9 @@ def test_dumps_is_canonical():
     assert formats.dumps(star).endswith("\n")
 
 
-def test_loads_diagnostics():
-    with pytest.raises(formats.FormatError, match="line 1"):
-        formats.loads("{not json", "stdin")
+def test_loads_diagnostics(tmp_path):
+    path = tmp_path / "form.json"
+    path.write_text("{not json")
+    with pytest.raises(formats.FormatError) as info:
+        formats.read_json(str(path))
+    assert str(info.value).startswith("%s: line 1 column 2: " % path)

@@ -9,6 +9,8 @@ import ast
 import sys
 from pathlib import Path
 
+from test_tracer_names import load_tracer
+
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "latdel").glob("*.py"))
 MODULES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
@@ -63,6 +65,100 @@ def test_no_unused_imports():
         for line, name in unused_imports(path.read_text(encoding="utf-8"))
     ]
     assert unused == []
+
+
+def reads(tree):
+    """The names a syntax tree reads: loaded names and attribute names."""
+    nodes = list(ast.walk(tree))
+    return {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)} | {
+        n.attr for n in nodes if isinstance(n, ast.Attribute)
+    }
+
+
+def top_level(source):
+    """(statement, the names it binds) for each top-level statement: the name
+    of a def or class, the names an (annotated) assignment binds, else none."""
+    for stmt in ast.parse(source).body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield stmt, [stmt.name]
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            yield stmt, [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            yield stmt, []
+
+
+def unreached(sources, roots):
+    """The top-level names "module.name" of the sources that no root reaches.
+
+    A top-level def, class or (annotated) assignment to a name reaches each
+    top-level name, of any module, that its body reads; the other top-level
+    statements run on import, so what they read is a root."""
+    roots, defined, edges = set(roots), set(), {}
+    for module, source in sources.items():
+        for stmt, names in top_level(source):
+            if not names:
+                roots |= reads(stmt)
+            for name in names:
+                defined.add((module, name))
+                edges.setdefault(name, set()).update(reads(stmt))
+    reached, stack = set(), list(roots)
+    while stack:
+        name = stack.pop()
+        if name not in reached:
+            reached.add(name)
+            stack.extend(edges.get(name, ()))
+    return {"%s.%s" % (module, name) for module, name in defined if name not in reached}
+
+
+def test_the_reachability_check_finds_names_nothing_calls():
+    sources = {
+        "a": (
+            "from .b import kept\n"
+            "def root():\n"
+            "    return helper(kept)\n"
+            "def helper(x):\n"
+            "    return LIMIT + b.by_attribute()\n"
+            "LIMIT: int = 1\n"
+            "def dead():\n"
+            "    return only_dead_calls()\n"
+            "def only_dead_calls():\n"
+            "    pass\n"
+            "class Unused:\n"
+            "    pass\n"
+        ),
+        "b": (
+            "def kept():\n"
+            "    pass\n"
+            "def by_attribute():\n"
+            "    pass\n"
+            "def on_import():\n"
+            "    pass\n"
+            "on_import()\n"
+        ),
+    }
+    assert unreached(sources, {"root"}) == {"a.dead", "a.only_dead_calls", "a.Unused"}
+
+
+def test_src_holds_no_name_that_only_tests_use():
+    # roots: the CLI, the package exports, the demos, the benchmark and the
+    # names its tracer wraps; the two catalog checks wait for a suite that
+    # reports them
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE}
+    roots = set()
+    for module in ("cli", "__init__"):
+        for stmt, names in top_level(sources[module]):
+            roots.update(names)
+            if isinstance(stmt, ast.ImportFrom):
+                roots.update(alias.name for alias in stmt.names)
+    for path in sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")):
+        roots |= reads(ast.parse(path.read_text(encoding="utf-8")))
+    tracer = load_tracer()
+    roots |= {name for table in (tracer.SPANNED, tracer.COUNTED) for names in table.values() for name in names}
+    assert unreached(sources, roots) == {
+        "catalog.verify_matrix_identities",
+        "catalog.check_generator_semidefiniteness",
+    }
 
 
 def absolute_imports(source):

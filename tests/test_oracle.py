@@ -42,7 +42,6 @@ from latdel.delaunay import (
     cell_center,
     certify_cell,
     DelaunayCell,
-    check_local_delaunay,
     delaunay_star,
     facet_classes,
     facets_at_zero,
@@ -53,6 +52,7 @@ from latdel.delaunay import (
 )
 from latdel.exact import (
     INDEFINITE,
+    Matrix,
     POSITIVE_DEFINITE,
     POSITIVE_SEMIDEFINITE,
     QuadraticForm,
@@ -63,7 +63,6 @@ from latdel.exact import (
     congruence_act,
     definiteness,
     dot,
-    identity_matrix,
     integral,
     ldl,
     mat_mul,
@@ -136,6 +135,15 @@ CORPUS = [
 
 def form(rows):
     return QuadraticForm(tuple(tuple(Fraction(v) for v in row) for row in rows))
+
+
+@lru_cache(maxsize=None)
+def weighted_star(name, weights):
+    """The star of a catalog cone's form with the given weights, a tuple or
+    None; the unit form's star is `star_for`'s."""
+    if weights is None:
+        return star_for(name)
+    return delaunay_star(sample_interior(catalog(name), weights))
 
 
 def oracle_star_cells(B, denom):
@@ -220,9 +228,9 @@ def test_star_of_the_reps_matches_the_walk_over_every_voronoi_vertex():
     specs = [(name, None) for name in catalog_names()]
     for name in ("dim4.K", "dim4.G1234", "dim4.V2capV3", "dim4.W0", "dim4.F12"):
         for _ in range(3):
-            specs.append((name, [rng.randint(1, 5) for _ in catalog(name).generators]))
+            specs.append((name, tuple(rng.randint(1, 5) for _ in catalog(name).generators)))
     for name, weights in specs:
-        star = star_for(name, weights)
+        star = weighted_star(name, weights)
         expected = formats.dumps(formats.encode_star(oracle_star(star.form)))
         assert formats.dumps(formats.encode_star(star)) == expected, (name, weights)
 
@@ -425,6 +433,10 @@ def test_in_semigroup_matches_the_capped_search(case):
     except SemigroupBoundExceeded:
         assume(False)
     assert in_semigroup(x, gens) == expected
+
+
+def identity_matrix(n: int) -> Matrix:
+    return tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n))
 
 
 @lru_cache(maxsize=None)
@@ -1339,7 +1351,7 @@ WALLS = (("dim4.V1capV2", "dim4.V1"), ("dim4.V2capV3", "dim4.V2"), ("dim4.W0", "
 def wall_items(weights=lambda name: None):
     """(fine star, coarse orbit rep) for the 58 orbit reps of the three rank-4
     walls, on the stars of the forms with the given weights."""
-    stars = {name: star_for(name, weights(name)) for wall in WALLS for name in wall}
+    stars = {name: weighted_star(name, weights(name)) for wall in WALLS for name in wall}
     return [(stars[fine], rep) for coarse, fine in WALLS for rep in stars[coarse].orbit_reps]
 
 
@@ -1474,10 +1486,17 @@ def sweep_accepts(form, cells):
     return all(certify_cell(form, rep).ok for rep in reps.values())
 
 
+def lemma_on_cells(form, cells, facets):
+    """`delaunay._lemma` on cells that stand where they are: each cell is its
+    own placement, at the translation 0."""
+    placements = [(i, (0,) * form.rank) for i in range(len(cells))]
+    delaunay._lemma(delaunay._integer_gram(form)[0], cells, placements, facets)
+
+
 def lemma_accepts(form, cells):
-    """Delaunay's lemma on the facet map that `delaunay_star` builds."""
+    """Delaunay's lemma on the facets through 0 of the cells."""
     try:
-        check_local_delaunay(form, cells, facets_at_zero(cells))
+        lemma_on_cells(form, cells, facets_at_zero(cells))
     except CertificationError:
         return False
     return True
@@ -1488,8 +1507,8 @@ def lemma_cases():
     rng = random.Random(0)
     stars = [star_for(name) for name in catalog_names()]
     for name in ("dim4.K", "dim4.G1234", "dim4.V2capV3"):
-        weights = [rng.randint(1, 5) for _ in catalog(name).generators]
-        stars.append(star_for(name, weights))
+        weights = tuple(rng.randint(1, 5) for _ in catalog(name).generators)
+        stars.append(weighted_star(name, weights))
     cases = [(star.form, star.cells, True) for star in stars]
     # a rep with a vertex dropped from all its translates, where the other
     # vertices still span
@@ -1625,7 +1644,7 @@ def test_local_delaunay_on_cells_matches_the_translate_lemma():
     texts = [
         lemma_text(check, form, cells, facets_at_zero(cells))
         for form, cells, _ in lemma_cases()
-        for check in (check_local_delaunay, oracle_check_local_delaunay)
+        for check in (lemma_on_cells, oracle_check_local_delaunay)
     ]
     assert texts[::2] == texts[1::2]
     assert texts.count(None) == 2 * (len(catalog_names()) + 3)
