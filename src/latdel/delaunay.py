@@ -106,14 +106,14 @@ class DelaunayStar:
     orbit_reps: Tuple[DelaunayCell, ...]
 
 
-def _integer_ldl(form: QuadraticForm, message: str):
+def _integer_ldl(form: QuadraticForm):
     """(scale, weights, rows) in integers, scale * B(e, e) the sum of
     weights[i] (rows[i] . e)^2: the in-order B = U^T D U of `ldl`, row i of U
     times its least denominator q_i, so rows[i][i] = q_i, and d_i / q_i^2 over
-    the scale.  NotPositiveDefiniteError(message) unless B is definite."""
+    the scale.  NotPositiveDefiniteError unless B is definite."""
     factor = ldl(form)
     if factor is None or not all(factor[0]):
-        raise NotPositiveDefiniteError(message)
+        raise NotPositiveDefiniteError("form is not positive definite")
     rows = [integral(row) for row in factor[1]]
     weights, scale = integral([d / (q * q) for d, (_, q) in zip(factor[0], rows)])
     return scale, weights, [nums for nums, _ in rows]
@@ -150,7 +150,7 @@ def points_within(form: QuadraticForm, alpha, bound: Fraction):
     alpha, bound = tuple(Fraction(a) for a in alpha), Fraction(bound)
     if bound < 0:
         return []
-    factor = _integer_ldl(form, "form is not positive definite")
+    factor = _integer_ldl(form)
     a, m = integral(alpha)
     found = _sweep(factor, [-c % m for c in a], m, m * m * bound)
     return sorted(tuple((c + b) // m for c, b in zip(e, a)) for e, _ in found)
@@ -160,7 +160,7 @@ def nearest_points(form: QuadraticForm, alpha):
     """All lattice points attaining the minimum of ||b - alpha|| in B: one
     `_sweep`, bounded by the rounding floor(alpha + 1/2), gives every
     candidate's distance in integers."""
-    factor = _integer_ldl(form, "nearest_points needs a definite form")
+    factor = _integer_ldl(form)
     a, m = integral([Fraction(c) for c in alpha])
     start = [m * ((2 * c + m) // (2 * m)) - c for c in a]
     found = _sweep(factor, [-c % m for c in a], m, norm(form, start))
@@ -190,7 +190,7 @@ def voronoi_inequalities(form: QuadraticForm):
     `_coset_minima`, divided back by the scale of the integer Gram matrix.
     """
     gram = _integer_gram(form)
-    (_, k), minima = gram, _coset_minima(_integer_ldl(form, "form is not positive definite"), gram)
+    (_, k), minima = gram, _coset_minima(_integer_ldl(form), gram)
     return [(tuple(Fraction(2 * c, k) for c in ge), Fraction(v, k), e) for e, ge, v in minima]
 
 
@@ -246,7 +246,7 @@ def certify_cell(form: QuadraticForm, cell: DelaunayCell) -> EmptySphereCertific
     exactly at the vertices.  The slack is tested in integers, by `_power`.
     NotPositiveDefiniteError unless the form is definite, before any sphere.
     """
-    _integer_ldl(form, "form is not positive definite")
+    _integer_ldl(form)
     shift = min(cell.vertices)
     local = canonical_orbit_rep(cell)
     try:
@@ -322,20 +322,17 @@ def _lemma(gram, cells, placements, facets):
                 )
 
 
-def check_tiling(g: int, cells, reps):
+def check_tiling(g: int, reps):
     """The tiling invariant of a star: raises CertificationError unless it holds.
 
     The translates of the orbit representatives tile space with one cell per
-    fundamental domain, so their normalized volumes add up to g!; a cell lies
-    in the star once per vertex, so |cells| is the sum of their vertex counts.
+    fundamental domain, so their normalized volumes add up to g!.
     """
     volume = sum(normalized_volume(list(rep.vertices)) for rep in reps)
-    placements = sum(len(rep.vertices) for rep in reps)
-    if volume != factorial(g) or placements != len(cells):
+    if volume != factorial(g):
         raise CertificationError(
             "star fails the tiling invariant: normalized volume %d of the orbit "
-            "representatives, expected %d; %d cells, expected %d from their "
-            "vertex counts" % (volume, factorial(g), len(cells), placements)
+            "representatives, expected %d" % (volume, factorial(g))
         )
 
 
@@ -417,14 +414,14 @@ def star_from_reps(form: QuadraticForm, reps) -> DelaunayStar:
     _lemma(_integer_gram(form)[0], reps, placements, classes)
     cells = [rep.translate(tuple(-c for c in v)) for rep in reps for v in rep.vertices]
     cells.sort(key=lambda cell: cell.vertices)
-    check_tiling(form.rank, cells, reps)
+    check_tiling(form.rank, reps)
     return DelaunayStar(form, tuple(cells), tuple(reps))
 
 
 def delaunay_star(form: QuadraticForm) -> DelaunayStar:
     """All maximal Delaunay cells containing 0: the orbit reps of `_walk_reps`,
     one ratio test per rep beyond the first, certified by `star_from_reps`."""
-    factor = _integer_ldl(form, "delaunay_star needs a definite form")  # raises unless definite
+    factor = _integer_ldl(form)  # raises unless definite
     if not 0 < form.rank <= 4:
         raise UnsupportedRankError("only ranks up to 4 are supported (and at least 1)")
     return star_from_reps(form, _walk_reps(factor, _integer_gram(form)))

@@ -12,6 +12,7 @@ definiteness and the integer lattice point sweep.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -32,14 +33,21 @@ class SingularMatrixError(ValueError):
     """Raised when a linear solve meets a singular matrix."""
 
 
+# the "p/q" encoding in ASCII digits: no decimals, exponents, underscores or inner spaces
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def parse_rational(text) -> Fraction:
     """Parse the "p/q" (or plain "p") text encoding; an int is taken as is."""
     if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
     if not isinstance(text, str):
         raise TypeError('expected a "p/q" string or an integer, got %r' % (text,))
+    text = text.strip()
+    if not _RATIONAL.fullmatch(text):
+        raise ValueError("Invalid literal for Fraction: %r" % text)
     try:
-        return Fraction(text.strip())
+        return Fraction(text)
     except ZeroDivisionError:
         raise ValueError("zero denominator in %r" % text)
 

@@ -15,8 +15,8 @@ The orbits are computed from the 11 generators alone: the orbits of a group
 on a finite set equal the orbits of any generating set.  The order
 |G| = 1152 is checked by an exact closure of the permutations G induces on
 the 24 roots +-(e_p +- e_q) of D4, M acting by v -> M^T v.  The roots span
-Q^4, so the action is faithful: a permutation fixes M, and 2*M is read back
-from it.  The twelve rays are the roots modulo sign.
+Q^4, so the action is faithful and the permutations count |G|.  The twelve
+rays are the roots modulo sign.
 """
 
 from __future__ import annotations
@@ -67,8 +67,6 @@ def _pair_vector(p: int, q: int, sign: int):
 # i-th signed pair (p, q, sign)
 ROOTS = tuple(tuple(e * c for c in _pair_vector(*k)) for k in SIGNED_PAIRS for e in (1, -1))
 _ROOT_INDEX = {v: i for i, v in enumerate(ROOTS)}
-# for p = 1..4 the roots e_p + e_q and e_p - e_q, q = 2 for p = 1 and 1 otherwise
-_ROW_ROOTS = ((0, 2), (0, 3), (4, 7), (8, 11))
 
 
 def pm_form(p: int, q: int, sign: int) -> QuadraticForm:
@@ -198,24 +196,14 @@ def root_permutation(element) -> Tuple[int, ...]:
     return perm
 
 
-def _doubled_matrix(perm) -> Tuple[Tuple[int, ...], ...]:
-    """2*M read back from its root permutation: row p of 2*M is
-    M^T (e_p + e_q) + M^T (e_p - e_q)."""
-    return tuple(
-        tuple(a + b for a, b in zip(ROOTS[perm[i]], ROOTS[perm[j]])) for i, j in _ROW_ROOTS
-    )
-
-
 # the size past which the closure of `group_G` gives up
 GROUP_BOUND = 10000
 
 
 def group_G():
-    """Closure of the generators, as the integer matrices 2*M; order 1152.
-
-    The closure runs on root permutations; (M N)^T = N^T M^T, so the product
-    M N permutes the roots by the permutation of M, then that of N.
-    """
+    """G as the closure of the generators' root permutations, one per element
+    as the action is faithful; order 1152.  (M N)^T = N^T M^T, so the product
+    M N permutes the roots by the permutation of M, then that of N."""
     gens = [root_permutation(g) for g in group_generators()]
     identity = tuple(range(len(ROOTS)))
     elements = {identity}
@@ -231,7 +219,7 @@ def group_G():
                     if len(elements) > GROUP_BOUND:
                         raise RuntimeError("group closure exceeded the bound")
         frontier = nxt
-    return {_doubled_matrix(perm) for perm in elements}
+    return elements
 
 
 def pair_permutation(element) -> Dict[SignedPair, SignedPair]:

@@ -14,7 +14,7 @@ Simplicial generation also needs the cones at 0 of the pieces through 0 to
 tile C(0, cell).  Every test of that reads walls, the outward normals n of
 a cell's facets through 0: the facets through a vertex cut out the tangent
 cone there, so C(0, cell) = {x : n.x <= 0 for every wall}.  The cover is a
-facet pairing (`cone_cover_check`).  The vertex sum of a full-dimensional
+facet pairing off the walls.  The vertex sum of a full-dimensional
 piece P is interior to its cone, so if it satisfies every wall of a piece
 Q, the cone interiors meet, and so do P and Q near 0.  Once the cover
 holds, the number k of piece cones over a generic point is constant; if

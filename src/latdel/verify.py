@@ -262,7 +262,8 @@ def _table_layout(which: int):
         (no, _cell_from_names(4, fine), block, _cell_from_names(4, refined))
         for no, fine, block, refined in changed
     ]
-    rows += [(no, cell, None, cell) for no, cell in unchanged]
+    # an unchanged row is a block of its own, keyed by its row number
+    rows += [(no, cell, no, cell) for no, cell in unchanged]
     return cones + (rows,)
 
 
@@ -270,9 +271,10 @@ def reproduce_table(which: int) -> TableDiff:
     """Recompute a fusion/division table from the fusion maps and diff it.
 
     A row's coarse cell is the coarse rep that the map of the wall into the
-    fine chamber places its fine cell in, shifted onto the fine cell; its
-    refining cells are that rep's pieces in the map of the wall into the
-    refined chamber, under the same shift.
+    fine chamber places its fine cell in, shifted onto the fine cell; it
+    must be the union of its block's fine cells.  The block's refining
+    cells are that rep's pieces in the map of the wall into the refined
+    chamber, under the same shift; they must be the cells the block lists.
     """
     fine_name, coarse_name, refined_name, rows = _table_layout(which)
     placed = {
@@ -281,14 +283,15 @@ def reproduce_table(which: int) -> TableDiff:
         for p in pieces
     }
     refining = dict(fusion_check(coarse_name, refined_name).tilings)
-    expected_lines = []
-    computed_lines = []
-    mismatches = []
-    blocks = {}
+    unions = {}
+    for _, fine_cell, block, _ in rows:
+        unions.setdefault(block, set()).update(fine_cell.vertices)
+    listed = {block: set() for block in unions}
+    refined_by = {}
+    expected_lines, computed_lines, mismatches = [], [], []
     for no, fine_cell, block, refined_cell in sorted(rows):
-        expected_lines.append(
-            "%2d  %s | %s" % (no, name_cell(fine_cell), name_cell(refined_cell))
-        )
+        line = "%2d  %s | %s" % (no, name_cell(fine_cell), name_cell(refined_cell))
+        expected_lines.append(line)
         canon = canonical_orbit_rep(fine_cell).vertices
         if canon not in placed:
             mismatches.append(
@@ -299,45 +302,26 @@ def reproduce_table(which: int) -> TableDiff:
         rep, at = placed[canon]
         t = tuple(a - b for a, b in zip(min(fine_cell.vertices), at))
         coarse_cell = rep.translate(t)
-        pieces = {shift_points(p.vertices, t) for p in refining[rep]}
-        if block is None:
-            if coarse_cell.vertices != fine_cell.vertices:
-                mismatches.append(
-                    "row %d: %s fuses in %s but the table keeps it"
-                    % (no, name_cell(fine_cell), coarse_name)
-                )
-                continue
-        else:
-            expected_union = set()
-            for other_no, other_fine, other_block, _ in rows:
-                if other_block == block:
-                    expected_union |= set(other_fine.vertices)
-            if set(coarse_cell.vertices) != expected_union:
-                mismatches.append(
-                    "row %d: fused cell is %s, expected the block union"
-                    % (no, name_cell(coarse_cell))
-                )
-                continue
-            blocks.setdefault(block, (pieces, set()))
-        if refined_cell.vertices not in pieces:
+        if set(coarse_cell.vertices) != unions[block]:
             mismatches.append(
-                "row %d: %s is not among the %s cells refining %s"
-                % (
-                    no,
-                    name_cell(refined_cell),
-                    refined_name,
-                    name_cell(coarse_cell),
-                )
+                "row %d: %s fuses in %s but the table keeps it"
+                % (no, name_cell(fine_cell), coarse_name)
+                if block == no
+                else "row %d: fused cell is %s, expected the block union"
+                % (no, name_cell(coarse_cell))
             )
             continue
-        if block is not None:
-            blocks[block][1].add(refined_cell.vertices)
-        computed_lines.append(
-            "%2d  %s | %s" % (no, name_cell(fine_cell), name_cell(refined_cell))
-        )
-    # each fused block must be refined by exactly its listed cells
-    for block, (pieces, listed) in blocks.items():
-        if pieces != listed:
+        refined_by[block] = {shift_points(p.vertices, t) for p in refining[rep]}
+        if refined_cell.vertices not in refined_by[block]:
+            mismatches.append(
+                "row %d: %s is not among the %s cells refining %s"
+                % (no, name_cell(refined_cell), refined_name, name_cell(coarse_cell))
+            )
+            continue
+        listed[block].add(refined_cell.vertices)
+        computed_lines.append(line)
+    for block, pieces in refined_by.items():
+        if pieces != listed[block]:
             mismatches.append(
                 "block %s: refinement differs from the listed cells" % block
             )

@@ -2,6 +2,7 @@
 
 import io
 import json
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import product
 
@@ -48,9 +49,28 @@ def test_del_full_star(tmp_path, capsys):
 
 def test_del_rejects_indefinite(tmp_path, capsys):
     path = write_form(tmp_path, "bad.json", [[1, 0], [0, -1]])
-    code, _, err = invoke(capsys, "del", "--form", path)
-    assert code == 2
-    assert err
+    assert invoke(capsys, "del", "--form", path) == (
+        2,
+        "",
+        "error: form is not positive definite\n",
+    )
+
+
+def test_rationals_outside_the_p_over_q_encoding_are_usage_errors(tmp_path, capsys):
+    # read by `Fraction`, "1e999999" would be a million-digit integer
+    path = write_form(tmp_path, "exp.json", [["1e999999", 0], [0, 1]])
+    start = time.perf_counter()
+    assert invoke(capsys, "del", "--form", path) == (
+        2,
+        "",
+        "error: %s.entries[0][0]: Invalid literal for Fraction: '1e999999'\n" % path,
+    )
+    assert time.perf_counter() - start < 1
+    assert invoke(capsys, "sample", "--cone", "dim2.V1", "--weights", "1e400,1,1") == (
+        2,
+        "",
+        "error: bad --weights: Invalid literal for Fraction: '1e400'\n",
+    )
 
 
 def test_del_accepts_json_integer_entries(tmp_path, capsys):

@@ -45,6 +45,12 @@ def test_parse_format_rational():
         parse_rational("1/0")
 
 
+@pytest.mark.parametrize("text", ["1e3", "1.5", "1_0", "3 / 4", "٣", "1e999999", "0x10", "/2", "1/"])
+def test_parse_rational_accepts_only_the_p_over_q_encoding(text):
+    with pytest.raises(ValueError, match="^Invalid literal for Fraction: "):
+        parse_rational(text)
+
+
 @given(st.fractions())
 def test_rational_round_trip(q):
     assert parse_rational(format_rational(q)) == q

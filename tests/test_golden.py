@@ -12,10 +12,13 @@ The stars of the two long-sweep forms (form_diag1e8.json, form_skew101.json)
 were recorded before the coset sweeps were rewritten in integers.
 verify_all.json is the stdout of `latdel verify --suite all`; it is
 compared in tests/test_verify.py, where that run already happens, and by CI.
+demo_*.txt hold the stdout of the three scripts under demos/, recorded
+before `faces.group_G` returned root permutations.
 """
 
 import hashlib
 import json
+import runpy
 from pathlib import Path
 
 import pytest
@@ -23,6 +26,7 @@ import pytest
 from latdel.cli import run
 
 GOLDEN = Path(__file__).parent / "golden"
+DEMOS = Path(__file__).parent.parent / "demos"
 SAMPLES = ["dim2.V1", "dim3.V", "dim4.V1capV2"]
 # diag(10^8, 1) and [[101, 100, 0, 0], [100, 101, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]:
 # one short and one long axis, so a coset sweep walks thousands of values of a coordinate
@@ -64,3 +68,10 @@ def test_verify_all_golden_is_the_benchmark_paper_output():
     expected = Path(__file__).parent.parent / "perfbench" / "expected.json"
     digest = hashlib.sha256((GOLDEN / "verify_all.json").read_bytes()).hexdigest()
     assert digest == json.loads(expected.read_text())["paper"]
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in DEMOS.glob("*.py")))
+def test_demo_stdout_matches_golden(capsys, demo):
+    runpy.run_path(str(DEMOS / demo), run_name="__main__")
+    out = capsys.readouterr().out.encode("utf-8")
+    assert out == (GOLDEN / ("demo_" + demo[:-3] + ".txt")).read_bytes()

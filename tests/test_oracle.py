@@ -27,6 +27,7 @@ from functools import lru_cache
 from itertools import combinations, product
 from math import gcd, isqrt, lcm
 from operator import mul
+from typing import Tuple
 
 import pytest
 from hypothesis import assume, given, settings
@@ -80,7 +81,6 @@ from latdel.faces import (
     ROOTS,
     SIGNED_PAIRS,
     _classification,
-    _doubled_matrix,
     apply_to_face,
     enumerate_faces,
     facial_certificate,
@@ -460,14 +460,26 @@ def fraction_closure():
 def test_integer_closure_matches_fraction_closure():
     oracle = fraction_closure()
     assert len(oracle) == 1152
-    # Fraction(2) == 2 with equal hashes, so the doubled oracle compares directly
-    assert group_G() == {tuple(tuple(2 * v for v in row) for row in m) for m in oracle}
+    # root_permutation is injective on G (the faithfulness test below)
+    assert group_G() == {root_permutation(m) for m in oracle}
 
 
 def ray_of(v):
     """The signed pair (p, q, sign) with v = +-(e_p + sign * e_q)."""
     p, q = [i for i, c in enumerate(v) if c]
     return p + 1, q + 1, v[p] * v[q]
+
+
+# for p = 1..4 the roots e_p + e_q and e_p - e_q, q = 2 for p = 1 and 1 otherwise
+_ROW_ROOTS = ((0, 2), (0, 3), (4, 7), (8, 11))
+
+
+def _doubled_matrix(perm) -> Tuple[Tuple[int, ...], ...]:
+    """2*M read back from its root permutation: row p of 2*M is
+    M^T (e_p + e_q) + M^T (e_p - e_q)."""
+    return tuple(
+        tuple(a + b for a, b in zip(ROOTS[perm[i]], ROOTS[perm[j]])) for i, j in _ROW_ROOTS
+    )
 
 
 def test_root_action_is_faithful_and_folds_to_the_ray_action():

@@ -144,6 +144,16 @@ def test_reproduce_table_names_a_fine_cell_not_in_the_star(monkeypatch):
     )
 
 
+def test_reproduce_table_names_an_unchanged_row_that_fuses(monkeypatch):
+    # σ_1234 is row 1 of block A; listed as unchanged it is a block of its own
+    unchanged = list(verify._T1_UNCHANGED)
+    unchanged[0] = (13, (1, 2, 3, 4))
+    monkeypatch.setattr(verify, "_T1_UNCHANGED", unchanged)
+    assert reproduce_table(1).mismatches == (
+        "row 13: σ_1234 fuses in dim4.V1capV2 but the table keeps it",
+    )
+
+
 def test_reproduce_table_rejects_other():
     with pytest.raises(ValueError):
         reproduce_table(3)
