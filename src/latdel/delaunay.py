@@ -7,10 +7,10 @@ and the defining inequalities can be restricted to the minima of the cosets
 of X/2X.  A cell's vertices are 0 and the coset minima e whose inequality is
 tight at its hole: every vertex e of a Delaunay polytope through 0 is a
 minimum of its class mod 2, because z and e - z lie outside the empty sphere
-for every lattice z.  The star is built modulo translation, by a walk over
-its orbit reps in integers, one ratio test per rep, and certified on the reps
-and their facet classes alone (`star_from_reps`), so it never trusts the walk;
-a lone cell by an empty-sphere sweep (`certify_cell`).  Every lattice point
+for every lattice z.  The star is built modulo translation and x -> -x, by a walk
+over its orbit reps in integers, one ratio test per +- class of reps, and certified
+on the reps and their facet classes alone (`star_from_reps`), so it never trusts the
+walk; a lone cell by an empty-sphere sweep (`certify_cell`).  Every lattice point
 sweep, the coset minima included, is one integer Fincke-Pohst routine, `_sweep`.
 """
 
@@ -339,15 +339,15 @@ def check_tiling(g: int, reps):
 def _walk_reps(factor, gram):
     """The orbit reps of the star, sorted; their `polytope_facets` fill the cache.
 
-    It starts at the hole `geometry._vertex_from_origin` reaches from 0.  The
-    Voronoi edge dual to a facet F through v of a rep A, outward normal n,
-    leaves the hole of A - v along adj(G) n: the rows of F stay tight and
-    the rest of A goes slack, so one ratio test (`geometry._step`) on the
-    integer rows (2Ge, G[e]) gives the hole across F and its tight rows.  A
-    rep found holds its facet classes on the sides of their normals, and a
-    class is crossed only while no known cell holds its other side, so each
-    ratio test finds a new rep; as the cells of a tiling are connected
-    through facets, every rep is found."""
+    It starts at the hole `geometry._vertex_from_origin` reaches from 0.  The Voronoi
+    edge dual to a facet F through v of a rep A, outward normal n, leaves the hole of
+    A - v along adj(G) n: the rows of F stay tight and the rest of A goes slack, so one
+    ratio test (`geometry._step`) on the integer rows (2Ge, G[e]) gives the hole across
+    F and its tight rows.  As x -> -x fixes the form, a rep A found registers -A too
+    (m - A for its largest vertex m, hole m - c), and each holds its facet classes on
+    the sides of their normals.  A class is crossed only while no known cell holds its
+    other side, so each ratio test finds a new +- class of reps; as the cells of a
+    tiling are connected through facets, every rep is found."""
     minima = _coset_minima(factor, gram)
     rows = sorted((primitive(tuple(2 * c for c in ge) + (v,)), e) for e, ge, v in minima)
     ineqs = [(row[:-1], row[-1]) for row, _ in rows]
@@ -355,22 +355,25 @@ def _walk_reps(factor, gram):
     adj, _ = _scaled_inverse(gram)  # adj(G) = det(G) G^-1, as det G > 0
     reps, held, stack = {}, set(), []
 
-    def found(nums, den, tight):  # the rep at a hole, moved so its smallest vertex is 0
+    def found(nums, den, tight):  # the rep at a hole and its negative, each at its smallest vertex
         verts = [(0,) * g] + [rows[i][1] for i in tight]
         v = min(verts)
         vertices = tuple(sorted(vec_sub(w, v) for w in verts))
         nums = vec_sub(nums, [den * c for c in v])
-        center = tuple(Fraction(x, den) for x in nums)
         sq_radius = Fraction(dot(nums, mat_vec(gram, nums)), k * den * den)
-        rep = reps[vertices] = make_cell(vertices, center, sq_radius)
-        try:
-            classes, placements = facet_classes([rep])
-        except ValueError:
-            raise CertificationError("star cell %r is not full-dimensional" % (vertices,))
-        for facet, holders in classes.items():
-            for i, normal in holders:
-                held.add((facet, normal))
-                stack.append((facet, normal, nums, den, placements[i][1]))
+        m = vertices[-1]
+        negative = tuple(vec_sub(m, w) for w in vertices[::-1]), vec_sub([den * c for c in m], nums)
+        for vertices, nums in dict.fromkeys([(vertices, nums), negative]):  # once if A = -A
+            center = tuple(Fraction(x, den) for x in nums)
+            rep = reps[vertices] = make_cell(vertices, center, sq_radius)
+            try:
+                classes, placements = facet_classes([rep])
+            except ValueError:
+                raise CertificationError("star cell %r is not full-dimensional" % (vertices,))
+            for facet, holders in classes.items():
+                for i, normal in holders:
+                    held.add((facet, normal))
+                    stack.append((facet, normal, nums, den, placements[i][1]))
 
     found(*_vertex_from_origin(ineqs, g))
     while stack:
@@ -420,7 +423,7 @@ def star_from_reps(form: QuadraticForm, reps) -> DelaunayStar:
 
 def delaunay_star(form: QuadraticForm) -> DelaunayStar:
     """All maximal Delaunay cells containing 0: the orbit reps of `_walk_reps`,
-    one ratio test per rep beyond the first, certified by `star_from_reps`."""
+    one ratio test per +- class of reps beyond the first, certified by `star_from_reps`."""
     factor = _integer_ldl(form)  # raises unless definite
     if not 0 < form.rank <= 4:
         raise UnsupportedRankError("only ranks up to 4 are supported (and at least 1)")

@@ -5,8 +5,8 @@ the algorithms are the simple combinatorial ones.  One facet search,
 `cone_facets`, serves everything: a polytope is the cone over its lifted
 points (p, 1), and the pulling triangulations recurse on facets; a simplex
 takes one elimination.  The facets and normalized volume of a lattice
-polytope are computed once per translation class and cached
-(`_lattice_polytope`).  A pointed cone is read from its facets too:
+polytope are computed once per translation class and its negative, and
+cached (`_lattice_polytope`).  A pointed cone is read from its facets too:
 membership is one solve per simplex of its pulling triangulation, and a ray
 is extreme when the facets through it meet in a line; a cone that is not
 pointed is refused (`pointed_cone_facets`).  The star walks its
@@ -168,10 +168,17 @@ def cone_facets(rays):
 @lru_cache(maxsize=1024)
 def _lattice_polytope(points):
     """(facets, normalized volume) of a full-dimensional lattice polytope whose vertex
-    tuple starts at 0, as tuples; ValueError if flat.  A simplex takes one `_scaled_inverse`
-    of the lifted points, else one `cone_facets` gives the facets (cone normal (w, c):
-    normal -w, offset c), and |det| sums over the pulling triangulation from 0: 0 joined
-    to each simplex of `triangulate_cone` on each facet not through 0."""
+    tuple starts at 0, as tuples; ValueError if flat.  Its negative m - P reversed, m =
+    points[-1], shares one computation: the smaller key's entry, mapped.  A simplex takes
+    one `_scaled_inverse` of the lifted points, else one `cone_facets` gives the facets (cone
+    normal (w, c): normal -w, offset c), and |det| sums over the pulling triangulation from
+    0: 0 joined to each simplex of `triangulate_cone` on each facet not through 0."""
+    n, m = len(points) - 1, points[-1]
+    negative = tuple(vec_sub(m, p) for p in reversed(points))
+    if negative < points:  # its entry mapped: member j -> n - j, w -> -w, offset c -> c - w.m
+        facets, volume = _lattice_polytope(negative)
+        return tuple(sorted((tuple(n - j for j in k[::-1]), tuple(-v for v in w), c - dot(w, m))
+                            for k, w, c in facets)), volume
     d, lifted = len(points[0]), _lift(points)
     simplex = _simplicial_facets(lifted)
     if simplex is not None:

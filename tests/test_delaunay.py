@@ -213,18 +213,29 @@ def test_local_delaunay_refuses_a_moved_hole():
         lemma_on_cells(HEX, cells, facets_at_zero(cells))
 
 
+def negative(vertices):
+    """The vertex tuple of -A moved so its smallest vertex is 0: m - A, m = max(A)."""
+    m = max(vertices)
+    return tuple(sorted(tuple(a - b for a, b in zip(m, v)) for v in vertices))
+
+
 def test_star_verifies_the_holes_of_the_walk(monkeypatch):
-    steps, step = [], delaunay._step
-    monkeypatch.setattr(delaunay, "_step", lambda *a: steps.append(1) or step(*a))
+    calls = Counter()
+    spied = [(delaunay, "_step"), (geometry, "_simplicial_facets"), (geometry, "cone_facets")]
+    for module, name in spied:
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, f=original, n=name: calls.update([n]) or f(*a))
     geometry._lattice_polytope.cache_clear()
     star = delaunay_star(HEX)
-    # facets once per rep class, in the walk, read back from the cache by the
-    # certificate, and one ratio test per rep beyond the first: the second
-    # triangle holds all three edge classes of the first on the other side
-    assert geometry._lattice_polytope.cache_info().misses == len(star.orbit_reps) == 2
+    # the two triangles are each other's negatives: the walk registers the
+    # second with the first, so it makes no ratio test after the start, and
+    # the cache maps the facets of one to the other, so one elimination serves
+    # both; the certificate reads both back from the cache
+    first, second = (rep.vertices for rep in star.orbit_reps)
+    assert negative(first) == second
     assert sum(len(polytope_facets(rep.vertices)) for rep in star.orbit_reps) == 6
     classes, _ = delaunay.facet_classes(star.orbit_reps)
-    assert len(classes) == 3 and len(steps) == 1
+    assert len(classes) == 3 and calls == {"_simplicial_facets": 1}
     make = delaunay.make_cell
 
     def moved(vertices, center, sq_radius):
@@ -239,12 +250,17 @@ def test_star_verifies_the_holes_of_the_walk(monkeypatch):
     "name, weights", [("dim4.K", None), ("dim4.V1", [3, 1, 4, 1, 5, 2, 6, 5, 3, 5])]
 )
 def test_each_ratio_test_of_the_walk_finds_a_new_rep(monkeypatch, name, weights):
-    # a class is crossed only while no known cell holds its other side
+    # a class is crossed only while no known cell holds its other side, and a
+    # rep found registers its negative: each ratio test finds a new +- class
     steps, step = [], delaunay._step
     monkeypatch.setattr(delaunay, "_step", lambda *a: steps.append(1) or step(*a))
     star = delaunay_star(sample_interior(catalog(name), weights))
+    reps = [rep.vertices for rep in star.orbit_reps]
+    pm_classes = {min(rep, negative(rep)) for rep in reps}
     classes, _ = delaunay.facet_classes(star.orbit_reps)
-    assert len(steps) == len(star.orbit_reps) - 1 < len(classes)
+    assert len(steps) == len(pm_classes) - 1 < len(classes)
+    # unit K's 3 reps are each their own negative; the seeded V1's 24 pair up
+    assert (len(reps), len(steps)) == {"dim4.K": (3, 2), "dim4.V1": (24, 11)}[name]
 
 
 def test_reps_of_a_wall_form_are_refused_by_the_lemma():
@@ -256,16 +272,26 @@ def test_reps_of_a_wall_form_are_refused_by_the_lemma():
         for rep in delaunay_star(sample_interior(catalog("dim4.V1"))).orbit_reps
         for center, sq_radius in [cell_center(wall, rep.vertices)]
     ]
-    with pytest.raises(CertificationError, match="across it lies on the sphere of"):
+    with pytest.raises(CertificationError) as info:
         star_from_reps(wall, reps)
+    assert str(info.value) == (
+        "facet ((0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 1), (1, 1, 1, 1)) is not locally "
+        "Delaunay: the vertex (1, 0, 1, 1) across it lies on the sphere of ((0, 0, 0, 0), "
+        "(0, 0, 0, 1), (0, 0, 1, 1), (0, 1, 1, 1), (1, 1, 1, 1))"
+    )
 
 
 def test_a_dropped_rep_leaves_a_class_seen_once():
     star = delaunay_star(sample_interior(catalog("dim3.V")))
     dropped, reps = star.orbit_reps[0], star.orbit_reps[1:]
     assert star_from_reps(star.form, star.orbit_reps) == star
-    with pytest.raises(CertificationError, match="not locally complete") as info:
+    with pytest.raises(CertificationError) as info:
         star_from_reps(star.form, reps)
+    assert str(info.value) == (
+        "star of the origin is not locally complete: the facet class ((0, 0, 0), (0, 0, 1), "
+        "(0, 1, 1)) is held by the reps [((0, 0, 0), (1, 0, 0), (1, 0, 1), (1, 1, 1))], not "
+        "by two on opposite sides"
+    )
     # the named class is a facet class of the dropped rep, held by one other rep
     named = re.search(r"facet class (.*) is held by the reps (.*), not by", str(info.value))
     facet, holders = literal_eval(named.group(1)), literal_eval(named.group(2))
@@ -380,12 +406,13 @@ def test_star_cells_certified(form):
 
 @st.composite
 def unimodular_changes(draw):
-    """(Q, U): a catalog sample form of rank 2-4 and a product of at most
-    three elementary matrices I + m E_ij, i != j, with m = +-1."""
+    """(Q, U): a catalog sample form of rank 2-4 and +-1 times a product of at
+    most three elementary matrices I + m E_ij, i != j, with m = +-1; -I fixes Q."""
     name = draw(st.sampled_from([n for n in catalog_names() if n[3] in "234"]))
     form = sample_interior(catalog(name))
     g = form.rank
-    u = [[int(i == j) for j in range(g)] for i in range(g)]
+    sign = draw(st.sampled_from((1, -1)))
+    u = [[sign * int(i == j) for j in range(g)] for i in range(g)]
     for _ in range(draw(st.integers(0, 3))):
         i, j = draw(st.permutations(range(g)))[:2]
         step = [[int(a == b) for b in range(g)] for a in range(g)]
@@ -407,3 +434,15 @@ def test_star_is_equivariant_under_unimodular_changes_of_basis(case):
         for c in moved.cells
     ]
     assert sorted(mapped, key=lambda cell: cell.vertices) == list(star.cells)
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_star_is_its_own_negative(name):
+    # x -> -x is a lattice automorphism that fixes every form, so the reps are
+    # closed under A -> max(A) - A, with the center max(A) - c and the same radius
+    reps = {rep.vertices: rep for rep in delaunay_star(sample_interior(catalog(name))).orbit_reps}
+    for rep in reps.values():
+        m = rep.vertices[-1]
+        mirror = reps[negative(rep.vertices)]
+        assert mirror.center == tuple(a - c for a, c in zip(m, rep.center))
+        assert mirror.sq_radius == rep.sq_radius

@@ -28,6 +28,7 @@ from itertools import combinations, product
 from math import gcd, isqrt, lcm
 from operator import mul
 from typing import Tuple
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -993,13 +994,42 @@ def test_polytope_facets_and_volume_match_the_oracles(points, data):
     assert normalized_volume(points) == volume
     # the volume does not depend on the point the triangulation pulls from
     assert normalized_volume(data.draw(st.permutations(points))) == volume
-    facets, expected = polytope_facets(points), oracle_cone_facets(lifted)
+    assert_facets_match_the_oracle(points, polytope_facets(points))
+
+
+def assert_facets_match_the_oracle(points, facets):
+    expected = oracle_cone_facets(_lift(points))
     assert [m for m, _, _ in facets] == [m for m, _ in expected]
     for (members, normal, offset), (_, w) in zip(facets, expected):
         assert positive_multiple(tuple(-c for c in normal) + (offset,), w)
         assert gcd(*normal, offset) == 1
         assert all(dot(normal, p) <= offset for p in points)
         assert [i for i, p in enumerate(points) if dot(normal, p) == offset] == list(members)
+
+
+@settings(max_examples=100, deadline=None)
+@given(lattice_polytopes())
+def test_a_polytope_and_its_negative_share_one_cache_entry(points):
+    # -P as m - P, m the last point, in reversed order: the first of the two
+    # to be asked for fills the entry, the second maps it and eliminates nothing
+    negative = [vec_sub(points[-1], p) for p in reversed(points)]
+    for pair in ((points, negative), (negative, points)):
+        geometry._lattice_polytope.cache_clear()
+        volumes = []
+        for i, p in enumerate(pair):
+            spy = mock.patch.object(geometry, "_simplicial_facets", wraps=geometry._simplicial_facets)
+            with spy as elim:
+                assert_facets_match_the_oracle(p, polytope_facets(p))
+                volumes.append(normalized_volume(p))
+            assert bool(elim.call_count) == (i == 0)
+        assert volumes[0] == volumes[1]
+    flat = list(dict.fromkeys(p[:-1] + (0,) for p in points))
+    flat_negative = [vec_sub(flat[-1], p) for p in reversed(flat)]
+    for pair in ((flat, flat_negative), (flat_negative, flat)):
+        geometry._lattice_polytope.cache_clear()
+        for p in pair:
+            with pytest.raises(ValueError, match="^polytope is not full-dimensional$"):
+                polytope_facets(p)
 
 
 @settings(max_examples=100, deadline=None)
