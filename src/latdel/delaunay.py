@@ -36,12 +36,12 @@ from .exact import (
     vec_sub,
 )
 from .geometry import (
+    _at_zero,
     _lift,
     _step,
     _vertex_from_origin,
     facet_map,
     normalized_volume,
-    polytope_facets,
     primitive,
     unpaired_facets,
 )
@@ -222,14 +222,16 @@ def _integer_gram(form: QuadraticForm):
     return [nums[i * g:(i + 1) * g] for i in range(g)], k
 
 
-def _power(gram, center):
-    """v -> den vᵀGv - 2 (Gv).nums for the center c = nums/den: with G a
-    positive multiple of the form, a positive multiple of Q[v-c] - Q[c]."""
+def _power(gram, center, norms):
+    """v -> den vᵀGv - 2 (G nums).v for the center c = nums/den: with G a positive
+    multiple of the form, a positive multiple of Q[v-c] - Q[c].  Each vᵀGv is kept
+    in the dict norms, which the powers of one star share."""
     nums, den = integral(center)
+    h = [2 * x for x in mat_vec(gram, nums)]
 
     def power(v):
-        gv = mat_vec(gram, v)
-        return den * dot(v, gv) - 2 * dot(gv, nums)
+        q = norms[v] = norms.get(v) or dot(v, mat_vec(gram, v))
+        return den * q - dot(h, v)
 
     return power
 
@@ -256,7 +258,7 @@ def certify_cell(form: QuadraticForm, cell: DelaunayCell) -> EmptySphereCertific
         return EmptySphereCertificate(cell, Fraction(0), tuple(cell.vertices))
     bound = 4 * sq_radius
     vertex_set = local.vertex_set()
-    power = _power(_integer_gram(form)[0], center)
+    power = _power(_integer_gram(form)[0], center, {})
     violations = []
     for e in points_within(form, (0,) * form.rank, bound):
         slack = power(e)
@@ -300,7 +302,8 @@ def _lemma(gram, cells, placements, facets):
     A's sphere.  The holders are placements (i, v), the translates cells[i] - v
     of `facet_classes`: s once per cell, and w = u - v_B + v_A for u in B.
     """
-    powers = [_power(gram, cell.center) for cell in cells]
+    norms = {}  # vᵀGv once per point of the star
+    powers = [_power(gram, cell.center, norms) for cell in cells]
     levels = [{s(v) for v in cell.vertices} for cell, s in zip(cells, powers)]
     for i, v in placements:
         if len(levels[i]) != 1:
@@ -384,15 +387,15 @@ def _walk_reps(factor, gram):
 
 
 def facet_classes(reps):
-    """(map, placements): a `geometry.facet_map` of the `polytope_facets` of
-    the reps up to translation, each moved so its smallest vertex is 0, over
-    the placements (r, v) that hold them, the translates reps[r] - v; every
-    facet of the tiling is in a class."""
+    """(map, placements): a `geometry.facet_map` of the facets of the reps up to
+    translation, each moved so its smallest vertex is 0, over the placements
+    (r, v) that hold them, the translates reps[r] - v; every facet of the tiling
+    is in a class.  The moved facets are the keys cached with the facets (`_at_zero`)."""
     classes, index = {}, {}
     for r, rep in enumerate(reps):
-        for members, normal, _ in polytope_facets(rep.vertices):
+        (facets, _), _ = _at_zero(rep.vertices)
+        for members, normal, _, facet in facets:
             v = rep.vertices[members[0]]
-            facet = tuple(vec_sub(rep.vertices[i], v) for i in members)
             classes.setdefault(facet, []).append((index.setdefault((r, v), len(index)), normal))
     return classes, list(index)
 

@@ -4,9 +4,10 @@ All arithmetic is exact, in `int` and `fractions.Fraction`; nothing in this
 package ever rounds.  Vectors are plain tuples (ints for lattice vectors,
 Fractions for rational vectors) and matrices are tuples of row tuples.
 
-Row elimination lives in two routines only: `_echelon`, a fraction-free
+Row elimination lives in three routines only: `_echelon`, a fraction-free
 (Bareiss) Gauss-Jordan core under the rank, nullspace, solves and the scaled
-inverse with its |det|, and `ldl`, the in-order symmetric LDL^T under
+inverse with its |det|; `_cut`, which cuts an integer kernel basis by one row,
+under the facet search; and `ldl`, the in-order symmetric LDL^T under
 definiteness and the integer lattice point sweep.
 """
 
@@ -15,7 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import add, mul, sub
 from typing import Iterable, Sequence, Tuple
 
@@ -251,6 +252,20 @@ def _echelon(rows):
     return a, pivots, prev
 
 
+def _cut(basis, r):
+    """The primitive integer basis of the w in span(basis) with r.w = 0, for an independent
+    integer basis, as in the double description method (Motzkin et al., 1953): with a = r.w_j
+    != 0 at the first such w_j, each other w_i, b = r.w_i, becomes a w_i - b w_j over its gcd."""
+    values = [dot(r, w) for w in basis]
+    j = next((j for j, a in enumerate(values) if a), None)
+    if j is None:
+        return basis
+    a, wj = values[j], basis[j]
+    cut = [[a * x - b * y for x, y in zip(w, wj)]
+           for i, (w, b) in enumerate(zip(basis, values)) if i != j]
+    return [tuple(x // g for x in v) for v in cut for g in [gcd(*v)]]
+
+
 def _scaled_inverse(m):
     """(|det M| M^-1, |det M|) in integers for a nonsingular integer square M, else
     None: one `_echelon` of [M | I] gives +-det M [I | M^-1] in its first n rows."""
@@ -292,33 +307,14 @@ def solve_overdetermined(rows: Sequence[Sequence], rhs: Sequence):
     return tuple(Fraction(a[i][n], p) for i in range(n))
 
 
-def _kernel(rows):
-    """The right kernel of a nonempty row list in integers: (basis, p), the
-    basis of `nullspace` times the common pivot p of `_echelon`."""
-    n = len(rows[0])
-    a, pivots, p = _echelon(rows)
-    basis = []
-    for fc in range(n):
-        if fc in pivots:
-            continue
-        v = [0] * n
-        v[fc] = p
-        for i, pc in enumerate(pivots):
-            v[pc] = -a[i][fc]
-        basis.append(v)
-    return basis, p
-
-
 def nullspace(rows: Sequence[Sequence]) -> list:
-    """The reduced basis of the right nullspace of the given row list, exactly.
-
-    One vector per free column f, with 1 at f, 0 at the other free columns
-    and minus the reduced row entries at the pivot columns.
-    """
-    if not rows:
-        return []
-    basis, p = _kernel(rows)
-    return [tuple(Fraction(c, p) for c in v) for v in basis]
+    """The reduced basis of the right nullspace of the rows, exactly: one vector per free
+    column f of their `_echelon`, with 1 at f, 0 at the other free columns and minus the
+    reduced row entries at the pivot columns."""
+    a, pivots, p = _echelon(rows)
+    reduced, n = dict(zip(pivots, a)), len(rows[0]) if rows else 0
+    return [tuple(Fraction(-reduced[c][f], p) if c in reduced else Fraction(int(c == f))
+                  for c in range(n)) for f in range(n) if f not in reduced]
 
 
 def matrix_rank(rows: Sequence[Sequence]) -> int:

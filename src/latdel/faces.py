@@ -78,7 +78,7 @@ PM_FORMS: Dict[SignedPair, QuadraticForm] = {k: pm_form(*k) for k in SIGNED_PAIR
 
 
 def _primitive_form(form: QuadraticForm) -> QuadraticForm:
-    ints = primitive(integral([v for row in form.entries for v in row])[0])
+    ints = primitive([v for row in form.entries for v in row])
     g = form.rank
     return QuadraticForm(tuple(ints[i * g:(i + 1) * g] for i in range(g)))
 

@@ -2,11 +2,13 @@
 
 Everything here works over the rationals.  Dimensions are tiny (g <= 4), so
 the algorithms are the simple combinatorial ones.  One facet search,
-`cone_facets`, serves everything: a polytope is the cone over its lifted
-points (p, 1), and the pulling triangulations recurse on facets; a simplex
-takes one elimination.  The facets and normalized volume of a lattice
-polytope are computed once per translation class and its negative, and
-cached (`_lattice_polytope`).  A pointed cone is read from its facets too:
+`cone_facets`, serves everything: a depth-first walk over the ray subsets
+that cuts one integer kernel per prefix (`exact._cut`).  A polytope is the
+cone over its lifted points (p, 1), and the pulling triangulations recurse on
+facets; a simplex takes one elimination.  The facets, each with its vertex
+tuple at 0 as its class key, and the normalized volume of a lattice polytope
+are computed once per translation class and its negative, and cached
+(`_lattice_polytope`).  A pointed cone is read from its facets too:
 membership is one solve per simplex of its pulling triangulation, and a ray
 is extreme when the facets through it meet in a line; a cone that is not
 pointed is refused (`pointed_cone_facets`).  The star walks its
@@ -16,13 +18,13 @@ Voronoi cell from 0 (`_vertex_from_origin`) by the ratio test `_step`.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
 from math import gcd
 
 from .exact import (
+    _cut,
     _echelon,
-    _kernel,
     _scaled_inverse,
     dot,
     integral,
@@ -34,10 +36,8 @@ from .exact import (
 
 def _int_scaled(a, b):
     """Inequality a.x <= b as a primitive integer row (a, b)."""
-    row, _ = integral(tuple(a) + (b,))
-    if any(row):
-        row = primitive(row)
-    return tuple(row[:-1]), row[-1]
+    row = primitive(tuple(a) + (b,)) if any(a) or b else (0,) * (len(a) + 1)
+    return row[:-1], row[-1]
 
 
 def _lowest_terms(nums, den):
@@ -63,13 +63,14 @@ def _first_vertex(ineqs, d):
 
 def _vertex_from_origin(ineqs, d):
     """A vertex and its tight rows of a bounded {x : a.x <= b}, all b > 0: from 0, each
-    `_step` along the kernel of the rows tight so far raises their rank, so d steps at most."""
+    `_step` along the kernel of the rows tight so far raises their rank, so d steps at most;
+    the kernel is `_cut` by each row that becomes tight."""
     nums, den, tight = (0,) * d, 1, []
-    while True:
-        kernel, _ = _kernel([ineqs[i][0] for i in tight] or [(0,) * d])
-        if not kernel:
-            return nums, den, tight
-        nums, den, tight = _step(ineqs, nums, den, kernel[0])
+    kernel = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+    while kernel:
+        nums, den, now = _step(ineqs, nums, den, kernel[0])
+        kernel, tight = reduce(_cut, [ineqs[i][0] for i in now if i not in tight], kernel), now
+    return nums, den, tight
 
 
 def _step(ineqs, nums, den, u):
@@ -134,64 +135,62 @@ def _simplicial_facets(rays):
 def cone_facets(rays):
     """Facets of a pointed cone, as sorted (member indices, normal) pairs.
 
-    The normal is a primitive integer vector in the linear span of the rays,
-    >= 0 on every ray and vanishing exactly on the members.  Unless they are
-    `_simplicial_facets`, each is spanned by rank - 1 of the rays, so every
-    such subset is tried: its normal is the kernel of the subset stacked with
-    the equations of the span, when that is a line, read from `_kernel`.
+    The normal is a primitive integer vector in the linear span of the rays, >= 0 on
+    every ray and vanishing exactly on the members.  Unless they are `_simplicial_facets`,
+    each is spanned by rank - 1 of the rays, scaled to integers: a depth-first walk over
+    the subsets `_cut`s a basis of the span (the identity cut by the identity cut by the
+    rays) by one ray per level.  A ray that does not cut it ends the branch, as no subset
+    through it is independent; a kernel that is a line is a normal if it has one sign.
     """
-    rays = [tuple(r) for r in rays]
+    rays = [tuple(integral(r)[0]) for r in rays]
     simplicial = _simplicial_facets(rays)
     if simplicial is not None:
         return simplicial[0]
-    g = len(rays[0])
-    span_equations, _ = _kernel(rays)
-    facets = {}
-    for subset in combinations(range(len(rays)), g - len(span_equations) - 1):
-        stack = [rays[i] for i in subset] + span_equations
-        # rank-1 rays in a one-dimensional space leave an empty stack, which
-        # imposes nothing
-        kernel, _ = _kernel(stack or [(0,) * g])
-        if len(kernel) != 1:
-            continue
-        normal = kernel[0]
-        values = [dot(normal, r) for r in rays]
-        if all(v <= 0 for v in values):
-            normal, values = [-c for c in normal], [-v for v in values]
-        elif not all(v >= 0 for v in values):
-            continue
-        members = tuple(i for i, v in enumerate(values) if v == 0)
-        facets[members] = (members, primitive(normal))
+    eye = [tuple(int(i == j) for j in range(len(rays[0]))) for i in range(len(rays[0]))]
+    stack, facets = [(reduce(_cut, reduce(_cut, rays, eye), eye), 0)], {}
+    while stack:
+        basis, start = stack.pop()
+        if len(basis) > 1:
+            for i in range(start, len(rays) - len(basis) + 2):
+                cut = _cut(basis, rays[i])
+                if len(cut) < len(basis):
+                    stack.append((cut, i + 1))
+        elif basis:
+            normal, values = basis[0], [dot(basis[0], r) for r in rays]
+            if all(v <= 0 for v in values):
+                normal, values = tuple(-c for c in normal), [-v for v in values]
+            if all(v >= 0 for v in values):
+                members = tuple(i for i, v in enumerate(values) if v == 0)
+                facets[members] = (members, normal)
     return sorted(facets.values())
 
 
 @lru_cache(maxsize=1024)
 def _lattice_polytope(points):
-    """(facets, normalized volume) of a full-dimensional lattice polytope whose vertex
-    tuple starts at 0, as tuples; ValueError if flat.  Its negative m - P reversed, m =
-    points[-1], shares one computation: the smaller key's entry, mapped.  A simplex takes
-    one `_scaled_inverse` of the lifted points, else one `cone_facets` gives the facets (cone
-    normal (w, c): normal -w, offset c), and |det| sums over the pulling triangulation from
-    0: 0 joined to each simplex of `triangulate_cone` on each facet not through 0."""
+    """(facets, normalized volume) of a full-dimensional lattice polytope whose vertex tuple
+    starts at 0; ValueError if flat.  A facet is (members, normal, offset, its vertex tuple
+    moved to its first member).  Its negative m - P reversed, m = points[-1], shares one
+    computation: the smaller key's entry, mapped.  A simplex takes one `_scaled_inverse`, else
+    one `cone_facets` of the lifted points gives cone normals (w, c), normal -w and offset c,
+    and |det| sums over 0 joined to each simplex of `triangulate_cone` on each facet off 0."""
     n, m = len(points) - 1, points[-1]
     negative = tuple(vec_sub(m, p) for p in reversed(points))
-    if negative < points:  # its entry mapped: member j -> n - j, w -> -w, offset c -> c - w.m
+    if negative < points:  # its entry mapped: member j -> n - j, cone normal (w, c - w.m)
         facets, volume = _lattice_polytope(negative)
-        return tuple(sorted((tuple(n - j for j in k[::-1]), tuple(-v for v in w), c - dot(w, m))
-                            for k, w, c in facets)), volume
-    d, lifted = len(points[0]), _lift(points)
-    simplex = _simplicial_facets(lifted)
-    if simplex is not None:
-        facets, volume = simplex
-    else:
-        facets, volume = cone_facets(lifted), 0
-        for members, w in facets:
+        facets = sorted((tuple(n - j for j in k[::-1]), w + (c - dot(w, m),))
+                        for k, w, c, _ in facets)
+    else:  # a simplex has a volume; any other polytope sums it over its cone's facets
+        d, lifted = len(points[0]), _lift(points)
+        facets, volume = _simplicial_facets(lifted) or (cone_facets(lifted), 0)
+        for members, w in facets if not volume else ():
             for s in triangulate_cone([lifted[i] for i in members]) if w[d] else ():
                 inverse = _scaled_inverse([lifted[0]] + [lifted[members[i]] for i in s])
                 volume += inverse[1] if inverse else 0
-    if not volume:  # a flat polytope has no simplex of d + 1 lifted points
-        raise ValueError("polytope is not full-dimensional")
-    return tuple((m, tuple(-v for v in w[:d]), w[d]) for m, w in facets), volume
+        if not volume:  # a flat polytope has no simplex of d + 1 lifted points
+            raise ValueError("polytope is not full-dimensional")
+    keys = [tuple(vec_sub(points[i], points[k[0]]) for i in k) for k, _ in facets]
+    return tuple((k, tuple(-v for v in w[:-1]), w[-1], key)
+                 for (k, w), key in zip(facets, keys)), volume
 
 
 def _at_zero(points):
@@ -210,7 +209,7 @@ def polytope_facets(points):
     its translate at 0 (`_at_zero`), each offset shifted by normal.points[0].
     """
     (facets, _), t = _at_zero(points)
-    return [(m, n, c + dot(n, t)) for m, n, c in facets]
+    return [(m, n, c + dot(n, t)) for m, n, c, _ in facets]
 
 
 def facet_map(polytopes, on_boundary):
@@ -271,13 +270,13 @@ def normalized_volume(points):
 
 
 def primitive(v):
-    """The primitive integer vector in the direction of v."""
-    g = 0
-    for c in v:
-        g = gcd(g, abs(int(c)))
+    """The primitive integer vector in the direction of the rational v: its
+    numerators over a common denominator (`integral`), over their gcd."""
+    nums, _ = integral(v)
+    g = gcd(*nums)
     if g == 0:
         raise ValueError("zero vector has no direction")
-    return tuple(int(c) // g for c in v)
+    return tuple(c // g for c in nums)
 
 
 @lru_cache(maxsize=1024)

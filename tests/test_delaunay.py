@@ -247,7 +247,8 @@ def test_star_verifies_the_holes_of_the_walk(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "name, weights", [("dim4.K", None), ("dim4.V1", [3, 1, 4, 1, 5, 2, 6, 5, 3, 5])]
+    "name, weights",
+    [("dim4.K", None), ("dim4.V1", [3, 1, 4, 1, 5, 2, 6, 5, 3, 5]), ("dim4.G1234", None)],
 )
 def test_each_ratio_test_of_the_walk_finds_a_new_rep(monkeypatch, name, weights):
     # a class is crossed only while no known cell holds its other side, and a
@@ -259,8 +260,12 @@ def test_each_ratio_test_of_the_walk_finds_a_new_rep(monkeypatch, name, weights)
     pm_classes = {min(rep, negative(rep)) for rep in reps}
     classes, _ = delaunay.facet_classes(star.orbit_reps)
     assert len(steps) == len(pm_classes) - 1 < len(classes)
-    # unit K's 3 reps are each their own negative; the seeded V1's 24 pair up
-    assert (len(reps), len(steps)) == {"dim4.K": (3, 2), "dim4.V1": (24, 11)}[name]
+    # unit K's 3 reps are each their own negative; unit G1234's 20 and the
+    # seeded V1's 24 pair up, none their own negative
+    expected = {"dim4.K": (3, 2), "dim4.G1234": (20, 9), "dim4.V1": (24, 11)}[name]
+    assert (len(reps), len(steps)) == expected
+    if name != "dim4.K":
+        assert all(negative(rep) != rep for rep in reps)
 
 
 def test_reps_of_a_wall_form_are_refused_by_the_lemma():

@@ -3,7 +3,9 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from math import gcd
+
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latdel.exact import (
@@ -12,10 +14,12 @@ from latdel.exact import (
     POSITIVE_SEMIDEFINITE,
     QuadraticForm,
     SingularMatrixError,
+    _cut,
     _scaled_inverse,
     basis_sum,
     congruence_act,
     definiteness,
+    dot,
     evaluate,
     format_rational,
     matrix_rank,
@@ -142,3 +146,23 @@ def test_nullspace():
     assert len(kernel) == 1
     v = kernel[0]
     assert v[0] + v[1] == 0 and v[2] == 0 and any(v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(lambda n: st.tuples(
+        st.lists(st.tuples(*[st.integers(-3, 3)] * n), min_size=1, max_size=n).filter(
+            lambda rows: matrix_rank(rows) == len(rows)),
+        st.tuples(*[st.integers(-3, 3)] * n),
+    ))
+)
+def test_cut_gives_a_primitive_basis_of_the_part_orthogonal_to_the_row(case):
+    basis, r = case
+    cut = _cut(basis, r)
+    if all(dot(r, w) == 0 for w in basis):
+        assert cut == basis
+        return
+    # one dimension less, inside the span, orthogonal to r, primitive
+    assert len(cut) == len(basis) - 1 == matrix_rank(cut or [(0,) * len(r)])
+    assert matrix_rank(list(basis) + list(cut)) == len(basis)
+    assert all(dot(r, w) == 0 and gcd(*w) == 1 and type(w[0]) is int for w in cut)

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latdel.geometry import (
     cone_contains,
@@ -59,6 +61,33 @@ def test_degenerate_polytope_is_not_full_dimensional(points):
 def test_primitive():
     assert primitive((2, 4, -6)) == (1, 2, -3)
     assert primitive((0, -3)) == (0, -1)
+
+
+def test_primitive_scales_rationals_instead_of_truncating_them():
+    assert primitive((Fraction(3, 2), 1)) == (3, 2)
+    assert primitive((Fraction(1, 2), Fraction(1, 3))) == (3, 2)
+    assert primitive((Fraction(-1, 6), 0, Fraction(2, 9))) == (-3, 0, 4)
+    with pytest.raises(ValueError, match="zero vector has no direction"):
+        primitive((Fraction(0), 0))
+
+
+def test_extremal_rays_of_rational_vectors():
+    rays = [(Fraction(3, 2), 1), (Fraction(1, 3), 1)]
+    assert extremal_rays(rays) == [(1, 3), (3, 2)]
+    assert extremal_rays(rays + [(Fraction(5, 2), 1)]) == [(1, 3), (5, 2)]
+
+
+RATIONALS = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(RATIONALS, min_size=1, max_size=5).filter(any),
+    st.fractions(min_value=Fraction(1, 50), max_value=50, max_denominator=50),
+)
+def test_primitive_of_a_positive_multiple_is_the_same(v, t):
+    assert primitive([t * c for c in v]) == primitive(v)
+    assert primitive([-t * c for c in v]) == tuple(-c for c in primitive(v))
 
 
 def test_cone_contains():

@@ -947,6 +947,38 @@ def test_simplicial_cone_facets_match_fraction_nullspace(rays):
     assert_cone_facets_match_the_oracle(rays)
 
 
+def scaled_rays(rays):
+    """Ray i times its own positive rational (i + 2) / (2i + 3)."""
+    return [tuple(Fraction(i + 2, 2 * i + 3) * c for c in r) for i, r in enumerate(rays)]
+
+
+def test_cone_facets_match_the_oracle_where_the_search_prunes():
+    # the hypothesis cones stop at dimension 4: here K's twelve flattened
+    # generators in dimension 10, and the lifted vertices of every orbit rep
+    # of the rank-4 unit stars in dimension 5, each also with rational rays
+    k_rays = [integral(_flatten(PM_FORMS[k]))[0] for k in SIGNED_PAIRS]
+    assert len(k_rays[0]) == 10 and len(cone_facets(k_rays)) == 64
+    stars = [star_for(name) for name in catalog_names()]
+    reps = [_lift(rep.vertices) for star in stars if star.form.rank == 4 for rep in star.orbit_reps]
+    assert sum(star.form.rank == 4 for star in stars) == 17
+    assert max(map(len, reps)) == 8 and sum(len(r) > 5 for r in reps) > 0
+    for rays in [k_rays] + reps:
+        assert_cone_facets_match_the_oracle(rays)
+        assert_cone_facets_match_the_oracle(scaled_rays(rays))
+
+
+def test_facet_classes_read_from_the_cache_match_the_oracle():
+    # after a cache clear, a rep whose negative has the smaller key reads a
+    # mapped entry, its class keys recomputed from its own vertices
+    stars = [star_for(name) for name in catalog_names()]
+    keys = [rep.vertices for star in stars for rep in star.orbit_reps]
+    assert any(tuple(vec_sub(k[-1], v) for v in reversed(k)) < k for k in keys)
+    geometry._lattice_polytope.cache_clear()
+    for _ in ("cold", "warm"):
+        for star in stars:
+            assert facet_classes(star.orbit_reps)[0] == oracle_facet_classes(star.orbit_reps)[0]
+
+
 @settings(max_examples=200, deadline=None)
 @given(square_ray_sets(), st.data())
 def test_simplex_volume_matches_the_fraction_determinant(rows, data):
@@ -1622,7 +1654,7 @@ def oracle_check_local_delaunay(form: QuadraticForm, cells, facets):
     constant, putting every vertex w of B off A strictly outside A's sphere.
     """
     gram, _ = delaunay._integer_gram(form)
-    powers = [delaunay._power(gram, cell.center) for cell in cells]
+    powers = [delaunay._power(gram, cell.center, {}) for cell in cells]
     levels = [{s(v) for v in cell.vertices} for cell, s in zip(cells, powers)]
     for cell, level in zip(cells, levels):
         if len(level) != 1:
