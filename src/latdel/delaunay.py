@@ -11,11 +11,13 @@ for every lattice z.  The star is built modulo translation and x -> -x, by a wal
 over its orbit reps in integers, one ratio test per +- class of reps, and certified
 on the reps and their facet classes alone (`star_from_reps`), so it never trusts the
 walk; a lone cell by an empty-sphere sweep (`certify_cell`).  Every lattice point
-sweep, the coset minima included, is one integer Fincke-Pohst routine, `_sweep`.
+sweep, the coset minima included, is one integer Fincke-Pohst routine, `_sweep`, and
+every hole is kept in integers: rationals meet it only in `make_cell` and `center`.
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -37,7 +39,6 @@ from .exact import (
 )
 from .geometry import (
     _at_zero,
-    _lift,
     _step,
     _vertex_from_origin,
     facet_map,
@@ -65,19 +66,21 @@ class CertificationError(RuntimeError):
 
 @dataclass(frozen=True)
 class DelaunayCell:
-    """A Delaunay cell: sorted lattice vertices plus cached sphere data."""
+    """A Delaunay cell: sorted lattice vertices plus cached sphere data, the hole
+    in integers (nums, den), den > 0 and gcd(den, *nums) = 1; `center` reads it."""
 
     vertices: Tuple[Tuple[int, ...], ...]
-    center: Optional[Tuple[Fraction, ...]] = None
+    hole: Optional[Tuple[Tuple[int, ...], int]] = None
     sq_radius: Optional[Fraction] = None
 
+    @property
+    def center(self) -> Optional[Tuple[Fraction, ...]]:
+        return self.hole and tuple(Fraction(x, self.hole[1]) for x in self.hole[0])
+
     def translate(self, t) -> "DelaunayCell":
-        center = self.center and tuple(  # c + d over the denominator of c
-            Fraction(c.numerator + c.denominator * d, c.denominator) if d else c
-            for c, d in zip(self.center, t)
-        )
-        vertices = tuple(sorted(shift_points(self.vertices, t)))
-        return DelaunayCell(vertices, center, self.sq_radius)
+        nums, den = self.hole or ((), 1)  # c + t over the denominator of c
+        hole = self.hole and (tuple(x + den * d for x, d in zip(nums, t)), den)
+        return DelaunayCell(tuple(sorted(shift_points(self.vertices, t))), hole, self.sq_radius)
 
     def vertex_set(self):
         return set(self.vertices)
@@ -85,7 +88,8 @@ class DelaunayCell:
 
 def make_cell(vertices, center=None, sq_radius=None) -> DelaunayCell:
     verts = tuple(sorted(set(tuple(int(c) for c in v) for v in vertices)))
-    return DelaunayCell(verts, center, sq_radius)
+    hole = None if center is None else integral(center)  # a rational center enters here
+    return DelaunayCell(verts, hole and (tuple(hole[0]), hole[1]), sq_radius)
 
 
 @dataclass(frozen=True)
@@ -222,11 +226,11 @@ def _integer_gram(form: QuadraticForm):
     return [nums[i * g:(i + 1) * g] for i in range(g)], k
 
 
-def _power(gram, center, norms):
-    """v -> den vᵀGv - 2 (G nums).v for the center c = nums/den: with G a positive
-    multiple of the form, a positive multiple of Q[v-c] - Q[c].  Each vᵀGv is kept
-    in the dict norms, which the powers of one star share."""
-    nums, den = integral(center)
+def _power(gram, hole, norms):
+    """v -> den vᵀGv - 2 (G nums).v for the hole (nums, den), c = nums/den: with G
+    a positive multiple of the form, a positive multiple of Q[v-c] - Q[c].  Each
+    vᵀGv is kept in the dict norms, which the powers of one star share."""
+    nums, den = hole
     h = [2 * x for x in mat_vec(gram, nums)]
 
     def power(v):
@@ -242,11 +246,13 @@ def certify_cell(form: QuadraticForm, cell: DelaunayCell) -> EmptySphereCertific
     The check runs on the translate with the smallest vertex at 0, and the
     violations are translated back.  There the sphere is solved through the
     vertices (`cell_center`), never taken from the cell's own sphere data, so
-    every vertex lies on it.  Any violator e of B(e,e) - 2B(e,c) >= 0
-    satisfies B(e-c,e-c) < r^2 and hence B(e,e) < 4 r^2, so sweeping the ball
-    of squared radius 4 r^2 (`points_within`) is sound; equality must hold
-    exactly at the vertices.  The slack is tested in integers, by `_power`.
-    NotPositiveDefiniteError unless the form is definite, before any sphere.
+    every vertex lies on it.  The `nearest_points` to c are the violations if
+    they lie strictly inside; if not, r is at most the covering radius.  Any
+    violator e of B(e,e) - 2B(e,c) >= 0 satisfies B(e-c,e-c) < r^2 and hence
+    B(e,e) < 4 r^2, so sweeping that bounded ball (`points_within`) is sound;
+    equality must hold exactly at the vertices.  The slack is tested in
+    integers, by `_power`.  NotPositiveDefiniteError unless the form is
+    definite, before any sphere.
     """
     _integer_ldl(form)
     shift = min(cell.vertices)
@@ -256,15 +262,13 @@ def certify_cell(form: QuadraticForm, cell: DelaunayCell) -> EmptySphereCertific
     except (SingularMatrixError, NotCospherical):
         # report the vertices that break the sphere through a spanning subset
         return EmptySphereCertificate(cell, Fraction(0), tuple(cell.vertices))
-    bound = 4 * sq_radius
-    vertex_set = local.vertex_set()
-    power = _power(_integer_gram(form)[0], center, {})
-    violations = []
-    for e in points_within(form, (0,) * form.rank, bound):
-        slack = power(e)
-        if slack < 0 or (slack == 0) != (e in vertex_set):
-            violations.append(tuple(a + b for a, b in zip(e, shift)))
-    return EmptySphereCertificate(cell, bound, tuple(violations))
+    bound, power = 4 * sq_radius, _power(_integer_gram(form)[0], integral(center), {})
+    nearest = sorted(nearest_points(form, center))
+    if power(nearest[0]) < 0:
+        return EmptySphereCertificate(cell, bound, shift_points(nearest, shift))
+    vertex_set, swept = local.vertex_set(), points_within(form, (0,) * form.rank, bound)
+    bad = [e for e in swept if (s := power(e)) < 0 or (s == 0) != (e in vertex_set)]
+    return EmptySphereCertificate(cell, bound, shift_points(bad, shift))
 
 
 def canonical_orbit_rep(cell: DelaunayCell) -> DelaunayCell:
@@ -274,9 +278,11 @@ def canonical_orbit_rep(cell: DelaunayCell) -> DelaunayCell:
 
 
 def is_basic_simplex(cell: DelaunayCell) -> bool:
-    """True iff the cell is a simplex whose edge vectors form a Z-basis (lifted |det| 1)."""
-    inverse = _scaled_inverse(_lift(cell.vertices)) if cell.vertices else None
-    return inverse is not None and inverse[1] == 1
+    """True iff the cell is a unimodular simplex: g + 1 vertices, cached normalized volume 1."""
+    verts = cell.vertices
+    with suppress(ValueError):  # normalized_volume refuses a flat cell
+        return bool(verts) and len(verts) == len(verts[0]) + 1 and normalized_volume(verts) == 1
+    return False
 
 
 def facets_at_zero(cells):
@@ -303,7 +309,7 @@ def _lemma(gram, cells, placements, facets):
     of `facet_classes`: s once per cell, and w = u - v_B + v_A for u in B.
     """
     norms = {}  # vᵀGv once per point of the star
-    powers = [_power(gram, cell.center, norms) for cell in cells]
+    powers = [_power(gram, cell.hole, norms) for cell in cells]
     levels = [{s(v) for v in cell.vertices} for cell, s in zip(cells, powers)]
     for i, v in placements:
         if len(levels[i]) != 1:
@@ -367,8 +373,7 @@ def _walk_reps(factor, gram):
         m = vertices[-1]
         negative = tuple(vec_sub(m, w) for w in vertices[::-1]), vec_sub([den * c for c in m], nums)
         for vertices, nums in dict.fromkeys([(vertices, nums), negative]):  # once if A = -A
-            center = tuple(Fraction(x, den) for x in nums)
-            rep = reps[vertices] = make_cell(vertices, center, sq_radius)
+            rep = reps[vertices] = DelaunayCell(vertices, (nums, den), sq_radius)
             try:
                 classes, placements = facet_classes([rep])
             except ValueError:

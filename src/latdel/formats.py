@@ -62,7 +62,7 @@ def decode_form(obj, where: str = "form") -> QuadraticForm:
 
 def encode_cell(cell: DelaunayCell) -> dict:
     out = {"vertices": [list(v) for v in cell.vertices]}
-    if cell.center is not None:
+    if cell.hole is not None:
         out["center"] = [format_rational(c) for c in cell.center]
         out["sq_radius"] = format_rational(cell.sq_radius)
     return out

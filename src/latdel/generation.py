@@ -26,12 +26,11 @@ cell lies in a wall exactly when its outward normal is that wall's n.
 
 from __future__ import annotations
 
-from contextlib import suppress
 from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Optional, Tuple
 
-from .delaunay import DelaunayCell, facets_at_zero
+from .delaunay import DelaunayCell, facets_at_zero, is_basic_simplex
 from .exact import _echelon, dot, vec_sub
 from .geometry import (
     _lift,
@@ -130,9 +129,8 @@ def is_totally_generating(cell: DelaunayCell) -> GenerationReport:
     whose 0 is not a vertex, is refused (ValueError) before deciding."""
     zero = _require_origin(cell)
     gens = [p for p in cell.vertices if any(p)]
-    with suppress(ValueError):  # normalized_volume refuses a flat cell
-        if len(gens) == len(zero) and normalized_volume(cell.vertices) == 1:
-            return GenerationReport(True)  # a unimodular simplex: its rays are a Z-basis
+    if is_basic_simplex(cell):
+        return GenerationReport(True)  # a unimodular simplex: its rays are a Z-basis
     if gens and cone_contains(_lift(gens), zero + (1,)) is not None:
         raise ValueError("0 is not a vertex of the cell")
     points = [

@@ -394,7 +394,19 @@ def test_gen_does_not_trust_a_given_radius(tmp_path, capsys):
     )
     code, out, err = invoke(capsys, "gen", "--cell", str(cpath), "--form", fpath)
     assert (code, out) == (1, "")
-    assert err.startswith("error: ") and "(1, 0)" in err
+    assert err.startswith("error: ") and "(1, 1)" in err
+
+
+def test_gen_names_the_lattice_points_inside_a_far_sphere(tmp_path, capsys):
+    # the sphere through 0, (100, 0) and (0, 1) holds (50, 0) and (50, 1)
+    # nearest its center; they are the witness, without a sweep of its ball
+    fpath = write_form(tmp_path, "id2.json", [[1, 0], [0, 1]])
+    cpath = tmp_path / "cell.json"
+    cpath.write_text(formats.dumps({"vertices": [[0, 0], [100, 0], [0, 1]]}))
+    code, out, err = invoke(capsys, "gen", "--cell", str(cpath), "--form", fpath)
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and len(err.encode()) < 200
+    assert "(50, 0)" in err and "(50, 1)" in err
 
 
 def test_gen_failure_names_its_witness(tmp_path, capsys, monkeypatch):

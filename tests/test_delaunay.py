@@ -3,7 +3,6 @@
 import re
 from ast import literal_eval
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
 
@@ -112,6 +111,17 @@ def test_delaunay_star_v1_sample():
     assert all(is_basic_simplex(r) for r in star.orbit_reps)
 
 
+def test_star_from_reps_builds_no_fraction(monkeypatch):
+    # the holes stay integers through the lemma and every translate
+    star = delaunay_star(sample_interior(catalog("dim4.V1")))
+
+    def refuse(*args):
+        raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(delaunay, "Fraction", refuse)
+    assert star_from_reps(star.form, star.orbit_reps) == star
+
+
 def test_delaunay_star_rejects_semidefinite():
     with pytest.raises(NotPositiveDefiniteError):
         delaunay_star(form([[1, 0], [0, 0]]))
@@ -194,7 +204,7 @@ def test_local_delaunay_refuses_a_wall_form_with_equality():
     cells = []
     for cell in delaunay_star(sample_interior(catalog("dim4.V1"))).cells:
         center, sq_radius = cell_center(wall, cell.vertices)
-        cells.append(replace(cell, center=center, sq_radius=sq_radius))
+        cells.append(make_cell(cell.vertices, center, sq_radius))
     with pytest.raises(CertificationError) as info:
         lemma_on_cells(wall, cells, facets_at_zero(cells))
     assert str(info.value) == (
@@ -207,7 +217,8 @@ def test_local_delaunay_refuses_a_wall_form_with_equality():
 def test_local_delaunay_refuses_a_moved_hole():
     star = delaunay_star(HEX)
     cell = star.cells[0]
-    moved = replace(cell, center=tuple(c + Fraction(1, 97) for c in cell.center))
+    center = tuple(c + Fraction(1, 97) for c in cell.center)
+    moved = make_cell(cell.vertices, center, cell.sq_radius)
     cells = (moved,) + star.cells[1:]
     with pytest.raises(CertificationError, match="is not cospherical about its hole"):
         lemma_on_cells(HEX, cells, facets_at_zero(cells))
@@ -236,12 +247,13 @@ def test_star_verifies_the_holes_of_the_walk(monkeypatch):
     assert sum(len(polytope_facets(rep.vertices)) for rep in star.orbit_reps) == 6
     classes, _ = delaunay.facet_classes(star.orbit_reps)
     assert len(classes) == 3 and calls == {"_simplicial_facets": 1}
-    make = delaunay.make_cell
+    cell = delaunay.DelaunayCell
 
-    def moved(vertices, center, sq_radius):
-        return make(vertices, tuple(x + Fraction(1, 97) for x in center), sq_radius)
+    def moved(vertices, hole, sq_radius):  # the hole c + 1/(97 den)
+        nums, den = hole
+        return cell(vertices, (tuple(97 * x + 1 for x in nums), 97 * den), sq_radius)
 
-    monkeypatch.setattr(delaunay, "make_cell", moved)
+    monkeypatch.setattr(delaunay, "DelaunayCell", moved)
     with pytest.raises(CertificationError, match="is not cospherical about its hole"):
         delaunay_star(HEX)
 
@@ -273,7 +285,7 @@ def test_reps_of_a_wall_form_are_refused_by_the_lemma():
     # has the vertex across it on the sphere
     wall = sample_interior(catalog("dim4.V1capV2"))
     reps = [
-        replace(rep, center=center, sq_radius=sq_radius)
+        make_cell(rep.vertices, center, sq_radius)
         for rep in delaunay_star(sample_interior(catalog("dim4.V1"))).orbit_reps
         for center, sq_radius in [cell_center(wall, rep.vertices)]
     ]
@@ -348,6 +360,10 @@ def test_is_basic_simplex():
     assert is_basic_simplex(sigma)
     assert not is_basic_simplex(make_cell([(0, 0), (1, 0), (0, 1), (1, 1)]))
     assert not is_basic_simplex(make_cell([(0, 0), (2, 0), (0, 2)]))
+    # no vertices, three on a line, and a segment in rank 2 are no simplices
+    assert not is_basic_simplex(make_cell([]))
+    assert not is_basic_simplex(make_cell([(0, 0), (1, 1), (2, 2)]))
+    assert not is_basic_simplex(make_cell([(0, 0), (1, 0)]))
 
 
 @st.composite

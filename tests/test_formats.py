@@ -6,8 +6,10 @@ from pathlib import Path
 import pytest
 
 from latdel import formats
-from latdel.delaunay import delaunay_star, make_cell
+from latdel.catalog import catalog_names
+from latdel.delaunay import delaunay_star, make_cell, star_from_reps
 from latdel.exact import QuadraticForm
+from latdel.verify import star_for
 
 
 def form(rows):
@@ -46,6 +48,15 @@ def test_cell_round_trip():
         formats.decode_cell({"vertices": [[0, 0]], "center": ["0"], "sq_radius": "0"})
     with pytest.raises(formats.FormatError, match='cell: missing "sq_radius"'):
         formats.decode_cell({"vertices": [[0, 0]], "center": ["0", "0"]})
+    # every rep and cell of every catalog star, holes and radii included, and
+    # the decoded reps certify the same star
+    for name in catalog_names():
+        star = star_for(name)
+        for c in star.orbit_reps + star.cells:
+            decoded = formats.decode_cell(formats.encode_cell(c))
+            assert decoded == c and hash(decoded) == hash(c)
+        reps = [formats.decode_cell(formats.encode_cell(c)) for c in star.orbit_reps]
+        assert star_from_reps(star.form, reps) == star
 
 
 def test_catalog_data_file_matches_embedded():

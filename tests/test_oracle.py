@@ -1616,7 +1616,7 @@ def lemma_cases():
         cells = []
         for cell in star_for(fine).cells:
             center, sq_radius = cell_center(form, cell.vertices)
-            cells.append(replace(cell, center=center, sq_radius=sq_radius))
+            cells.append(make_cell(cell.vertices, center, sq_radius))
         cases.append((form, cells, False))
     return cases
 
@@ -1654,7 +1654,7 @@ def oracle_check_local_delaunay(form: QuadraticForm, cells, facets):
     constant, putting every vertex w of B off A strictly outside A's sphere.
     """
     gram, _ = delaunay._integer_gram(form)
-    powers = [delaunay._power(gram, cell.center, {}) for cell in cells]
+    powers = [delaunay._power(gram, cell.hole, {}) for cell in cells]
     levels = [{s(v) for v in cell.vertices} for cell, s in zip(cells, powers)]
     for cell, level in zip(cells, levels):
         if len(level) != 1:
@@ -1700,14 +1700,15 @@ def test_lemma_on_the_reps_matches_the_translates():
         # one hole moved off its sphere
         reps = list(star.orbit_reps)
         k = len(reps) // 2
-        reps[k] = replace(reps[k], center=tuple(c + Fraction(1, 97) for c in reps[k].center))
+        moved = tuple(c + Fraction(1, 97) for c in reps[k].center)
+        reps[k] = make_cell(reps[k].vertices, moved, reps[k].sq_radius)
         text = assert_lemma_on_reps_matches_the_translates(star.form, reps)
         assert text.endswith("is not cospherical about its hole")
     # the reps of a fine star re-centred under the form of its wall
     for coarse, fine in (("dim4.V1capV2", "dim4.V1"), ("dim4.V2capV3", "dim4.V2"), ("dim4.W0", "dim4.V3")):
         form = star_for(coarse).form
         reps = [
-            replace(rep, center=center, sq_radius=sq_radius)
+            make_cell(rep.vertices, center, sq_radius)
             for rep in star_for(fine).orbit_reps
             for center, sq_radius in [cell_center(form, rep.vertices)]
         ]
@@ -1727,7 +1728,7 @@ def test_local_delaunay_on_cells_matches_the_translate_lemma():
 def test_translate_matches_the_fraction_sum():
     vertices = ((0, 0), (1, 0), (0, 1))
     for d, n in product((1, 2, 3), range(-4, 5)):
-        cell = DelaunayCell(vertices, (Fraction(n, d), Fraction(1 - 2 * n, d)), Fraction(n * n, d))
+        cell = make_cell(vertices, (Fraction(n, d), Fraction(1 - 2 * n, d)), Fraction(n * n, d))
         for t in product(range(-3, 4), repeat=2):
             moved, center = cell.translate(t), tuple(c + x for c, x in zip(cell.center, t))
             assert moved.center == center and repr(moved.center) == repr(center)
