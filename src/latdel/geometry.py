@@ -1,9 +1,10 @@
 """Exact polyhedral helpers: vertex enumeration, facets, triangulation.
 
 Everything here works over the rationals.  Dimensions are tiny (g <= 4), so
-the algorithms are the simple combinatorial ones.  One facet search,
-`cone_facets`, serves everything: a depth-first walk over the ray subsets
-that cuts one integer kernel per prefix (`exact._cut`).  A polytope is the
+the algorithms are the simple combinatorial ones.  One facet routine,
+`cone_facets`, serves everything: double description, one ray at a time, on
+integer normals that it joins as `exact._cut` does; the vertices of a
+polyhedron are its polar (`vertex_enumeration`).  A polytope is the
 cone over its lifted points (p, 1), and the pulling triangulations recurse on
 facets; a simplex takes one elimination.  The facets, each with its vertex
 tuple at 0 as its class key, and the normalized volume of a lattice polytope
@@ -19,12 +20,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import combinations
 from math import gcd
 
 from .exact import (
     _cut,
-    _echelon,
     _scaled_inverse,
     dot,
     integral,
@@ -34,31 +33,12 @@ from .exact import (
 )
 
 
-def _int_scaled(a, b):
-    """Inequality a.x <= b as a primitive integer row (a, b)."""
-    row = primitive(tuple(a) + (b,)) if any(a) or b else (0,) * (len(a) + 1)
-    return row[:-1], row[-1]
-
-
 def _lowest_terms(nums, den):
     """The point nums / den as (integer numerators, positive denominator)."""
     if den < 0:
         nums, den = [-v for v in nums], -den
     g = gcd(den, *nums)
     return tuple(v // g for v in nums), den // g
-
-
-def _first_vertex(ineqs, d):
-    """Some vertex and its tight rows, from the first feasible nonsingular d-subset; or None."""
-    nonsingular = list(range(d))
-    for subset in combinations([a + (b,) for a, b in ineqs], d):
-        reduced, pivots, den = _echelon(subset)
-        if pivots != nonsingular:
-            continue
-        nums, den = _lowest_terms([row[d] for row in reduced], den)
-        if all(dot(a, nums) <= b * den for a, b in ineqs):
-            return nums, den, [i for i, (a, b) in enumerate(ineqs) if dot(a, nums) == b * den]
-    return None
 
 
 def _vertex_from_origin(ineqs, d):
@@ -93,29 +73,20 @@ def _step(ineqs, nums, den, u):
 
 
 def vertex_enumeration(inequalities):
-    """All vertices of the polyhedron {x : a.x <= b for (a, b) given}.
+    """All vertices of the polyhedron {x : a.x <= b for (a, b) given}, as sorted rational tuples.
 
-    The polyhedron must be bounded and may miss 0; the vertices are sorted
-    rational tuples.  From `_first_vertex` the walk follows the edges, the
-    extreme rays of the tight rows' cone {u : a.u <= 0}, by ratio tests; the
-    graph of a polytope is connected (Balinski), so it reaches every vertex.
+    The polar of `cone_facets`: a vertex v spans, as (v, 1), an extreme ray of the cone
+    {(x, t) : a.x <= b t, t >= 0}, the dual of the cone over the rows (-a, b) and (0, ..., 0, 1),
+    so it is read off a facet normal (w, t) of that cone with t > 0.  When the a's have rank
+    < d the polyhedron holds a line and has no vertex; an empty one has only normals at t = 0.
     """
     if not inequalities:
         return []
     d = len(inequalities[0][0])
-    ineqs = sorted({_int_scaled(a, b) for a, b in inequalities})
-    start = _first_vertex(ineqs, d)
-    if start is None:
+    if matrix_rank([a for a, _ in inequalities]) < d:
         return []
-    seen, stack = {start[:2]}, [start]
-    while stack:
-        nums, den, tight = stack.pop()
-        for _, normal in cone_facets([ineqs[i][0] for i in tight]):
-            nxt = _step(ineqs, nums, den, tuple(-c for c in normal))
-            if nxt is not None and nxt[:2] not in seen:
-                seen.add(nxt[:2])
-                stack.append(nxt)
-    return sorted(tuple(Fraction(v, den) for v in nums) for nums, den in seen)
+    rows = [tuple(-c for c in a) + (b,) for a, b in inequalities] + [(0,) * d + (1,)]
+    return sorted(tuple(Fraction(c, w[d]) for c in w[:d]) for _, w in cone_facets(rows) if w[d])
 
 
 def _lift(points):
@@ -133,36 +104,44 @@ def _simplicial_facets(rays):
 
 
 def cone_facets(rays):
-    """Facets of a pointed cone, as sorted (member indices, normal) pairs.
+    """Facets of a cone, as sorted (member indices, normal) pairs.
 
-    The normal is a primitive integer vector in the linear span of the rays, >= 0 on
-    every ray and vanishing exactly on the members.  Unless they are `_simplicial_facets`,
-    each is spanned by rank - 1 of the rays, scaled to integers: a depth-first walk over
-    the subsets `_cut`s a basis of the span (the identity cut by the identity cut by the
-    rays) by one ray per level.  A ray that does not cut it ends the branch, as no subset
-    through it is independent; a kernel that is a line is a normal if it has one sign.
+    The normal is a primitive integer vector in the linear span of the rays, >= 0 on every ray
+    and vanishing exactly on the members: an extreme ray of the dual cone in that span, by
+    double description (Motzkin et al., 1953; Fukuda and Prodon, 1996).  The rays that `_cut`
+    the identity are independent, and the columns of their `_scaled_inverse`, in the basis of
+    the span (the identity cut by the identity cut by the rays), start the normals.  Each
+    further ray keeps the normals >= 0 on it and joins each adjacent pair of opposite sign as
+    `_cut` does.  A pair is not adjacent when fewer than rank - 2 rays are tight on both, or when
+    a third normal is tight on every ray on which both are tight; the tight rays of each normal
+    are kept as a bit set.
     """
     rays = [tuple(integral(r)[0]) for r in rays]
-    simplicial = _simplicial_facets(rays)
-    if simplicial is not None:
-        return simplicial[0]
-    eye = [tuple(int(i == j) for j in range(len(rays[0]))) for i in range(len(rays[0]))]
-    stack, facets = [(reduce(_cut, reduce(_cut, rays, eye), eye), 0)], {}
-    while stack:
-        basis, start = stack.pop()
-        if len(basis) > 1:
-            for i in range(start, len(rays) - len(basis) + 2):
-                cut = _cut(basis, rays[i])
-                if len(cut) < len(basis):
-                    stack.append((cut, i + 1))
-        elif basis:
-            normal, values = basis[0], [dot(basis[0], r) for r in rays]
-            if all(v <= 0 for v in values):
-                normal, values = tuple(-c for c in normal), [-v for v in values]
-            if all(v >= 0 for v in values):
-                members = tuple(i for i, v in enumerate(values) if v == 0)
-                facets[members] = (members, normal)
-    return sorted(facets.values())
+    n = len(rays[0])
+    eye = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    kernel, start = eye, []
+    for i, r in enumerate(rays):
+        cut = _cut(kernel, r)
+        if len(cut) < len(kernel):
+            kernel, start = cut, start + [i]
+    span = reduce(_cut, kernel, eye)
+    inverse = _scaled_inverse([[dot(rays[i], b) for b in span] for i in start]) or [[]]
+    normals = [(sum(1 << j for j in start if j != i), primitive([dot(c, x) for x in zip(*span)]))
+               for i, c in zip(start, zip(*inverse[0]))]
+    for i, r in enumerate(rays):
+        if i in start:
+            continue
+        signed = [(dot(w, r), z, w) for z, w in normals]
+        joined = [(z | (v == 0) << i, w) for v, z, w in signed if v >= 0]
+        for a, zu, u in signed:
+            for b, zw, w in signed if a > 0 else ():
+                tight = zu & zw
+                if (b < 0 and tight.bit_count() >= len(span) - 2
+                        and sum(z & tight == tight for z, _ in normals) == 2):
+                    normal = primitive([a * x - b * y for x, y in zip(w, u)])
+                    joined.append((tight | 1 << i, normal))
+        normals = joined
+    return sorted((tuple(j for j in range(len(rays)) if z >> j & 1), w) for z, w in normals)
 
 
 @lru_cache(maxsize=1024)

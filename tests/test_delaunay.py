@@ -43,7 +43,7 @@ from latdel.exact import (
 )
 from latdel.geometry import polytope_facets
 
-from test_oracle import lemma_on_cells
+from test_oracle import _int_scaled, lemma_on_cells
 
 
 def form(rows):
@@ -392,7 +392,7 @@ def pd_forms(draw):
 def check_walk_start(form):
     # from 0, inside the Voronoi cell, a vertex in at most g ratio tests
     g = form.rank
-    ineqs = [geometry._int_scaled(a, b) for a, b, _ in voronoi_inequalities(form)]
+    ineqs = [_int_scaled(a, b) for a, b, _ in voronoi_inequalities(form)]
     with mock.patch.object(geometry, "_step", side_effect=geometry._step) as step:
         nums, den, tight = geometry._vertex_from_origin(ineqs, g)
     assert all(dot(a, nums) <= b * den for a, b in ineqs)

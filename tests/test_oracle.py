@@ -82,6 +82,7 @@ from latdel.faces import (
     ROOTS,
     SIGNED_PAIRS,
     _classification,
+    _k_facets,
     apply_to_face,
     enumerate_faces,
     facial_certificate,
@@ -103,7 +104,6 @@ from latdel.generation import (
     parallelepiped_points,
 )
 from latdel.geometry import (
-    _int_scaled,
     _lift,
     cone_contains,
     cone_facets,
@@ -200,6 +200,12 @@ def test_affine_dimension():
     assert affine_dimension([(0, 0), (1, 0), (0, 1), (1, 1)]) == 2
     assert affine_dimension([(0, 0), (2, 2)]) == 1
     assert affine_dimension([(5, 5)]) == 0
+
+
+def _int_scaled(a, b):
+    """Inequality a.x <= b as a primitive integer row (a, b)."""
+    row = primitive(tuple(a) + (b,)) if any(a) or b else (0,) * (len(a) + 1)
+    return row[:-1], row[-1]
 
 
 def oracle_star(form):
@@ -793,6 +799,12 @@ def test_walk_on_empty_and_degenerate_inputs():
         assert vertex_enumeration(point) == [(Fraction(0),) * d]
         empty = point + [(cube[0][0], -1)]
         assert vertex_enumeration(empty) == oracle_vertices(empty) == []
+    # a polyhedron that holds a line has no vertex: a half-plane and a strip;
+    # a quadrant and a half-line, which hold none, have one
+    assert vertex_enumeration([((1, 0), 1)]) == []
+    assert vertex_enumeration([((1, 0), 1), ((-1, 0), 1)]) == []
+    assert vertex_enumeration([((-1, 0), 0), ((0, -1), 0)]) == [(0, 0)]
+    assert vertex_enumeration([((1,), 1)]) == [(1,)]
 
 
 @settings(max_examples=150, deadline=None)
@@ -942,7 +954,7 @@ def test_cone_facets_match_fraction_nullspace(rays):
 @settings(max_examples=200, deadline=None)
 @given(square_ray_sets())
 def test_simplicial_cone_facets_match_fraction_nullspace(rays):
-    # independent rays take one elimination; singular ones the subset search
+    # `_simplicial_facets` answers independent rays only, `cone_facets` every set
     assert (geometry._simplicial_facets(rays) is None) == (oracle_determinant(rays) == 0)
     assert_cone_facets_match_the_oracle(rays)
 
@@ -965,6 +977,41 @@ def test_cone_facets_match_the_oracle_where_the_search_prunes():
     for rays in [k_rays] + reps:
         assert_cone_facets_match_the_oracle(rays)
         assert_cone_facets_match_the_oracle(scaled_rays(rays))
+
+
+def rank4_generator_rays():
+    """{primitive flattened generator: its names} over every generator of every
+    rank-4 catalog cone."""
+    named = {}
+    for name in catalog_names():
+        cone = catalog(name)
+        for gname, g in zip(cone.generator_names, cone.generators):
+            if cone.ambient_rank == 4:
+                named.setdefault(primitive(integral(_flatten(g))[0]), set()).add(gname)
+    return named
+
+
+def test_the_rank4_generator_cone_costs_its_facets_not_its_ray_subsets():
+    # the 19 distinct generators span the 10-dimensional space of forms; a walk
+    # over their ray subsets made 166,817 kernel cuts, and the all-subsets
+    # oracle takes minutes, so each facet is certified directly instead
+    named = rank4_generator_rays()
+    rays = sorted(named)
+    with mock.patch.object(geometry, "_cut", wraps=geometry._cut) as cut:
+        facets = cone_facets(rays)
+    assert len(rays) == 19 and len(facets) == 82 and cut.call_count < 200
+    for members, normal in facets:
+        assert all(type(c) is int for c in normal) and gcd(*normal) == 1
+        assert all(dot(normal, r) >= 0 for r in rays)
+        assert matrix_rank([rays[i] for i in members]) == 9
+    # the two rays that are not extreme: omega, a third of a sum of other
+    # generators (omega_third), and e_34125
+    kept = extremal_rays(rays)
+    assert sorted(sorted(named[r]) for r in rays if r not in kept) == [["e_12345"], ["e_34125"]]
+    _k_facets.cache_clear()
+    with mock.patch.object(geometry, "_cut", wraps=geometry._cut) as cut:
+        assert len(_k_facets()) == 64
+    assert cut.call_count < 100
 
 
 def test_facet_classes_read_from_the_cache_match_the_oracle():
