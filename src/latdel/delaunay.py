@@ -10,9 +10,10 @@ minimum of its class mod 2, because z and e - z lie outside the empty sphere
 for every lattice z.  The star is built modulo translation and x -> -x, by a walk
 over its orbit reps in integers, one ratio test per +- class of reps, and certified
 on the reps and their facet classes alone (`star_from_reps`), so it never trusts the
-walk; a lone cell by an empty-sphere sweep (`certify_cell`).  Every lattice point
-sweep, the coset minima included, is one integer Fincke-Pohst routine, `_sweep`, and
-every hole is kept in integers: rationals meet it only in `make_cell` and `center`.
+walk; a lone cell by the lattice points nearest its center (`certify_cell`).
+Every lattice point sweep, the coset minima included, is one integer Fincke-Pohst
+routine, `_sweep`, and every hole is kept in integers: rationals meet it only in
+`make_cell` and `center`.
 """
 
 from __future__ import annotations
@@ -95,7 +96,6 @@ def make_cell(vertices, center=None, sq_radius=None) -> DelaunayCell:
 @dataclass(frozen=True)
 class EmptySphereCertificate:
     cell: DelaunayCell
-    checked_norm_bound: Fraction
     violations: tuple
 
     @property
@@ -241,34 +241,25 @@ def _power(gram, hole, norms):
 
 
 def certify_cell(form: QuadraticForm, cell: DelaunayCell) -> EmptySphereCertificate:
-    """Exhaustive empty-sphere check for a cell.
+    """Exact empty-sphere check for a cell, where it stands.
 
-    The check runs on the translate with the smallest vertex at 0, and the
-    violations are translated back.  There the sphere is solved through the
-    vertices (`cell_center`), never taken from the cell's own sphere data, so
-    every vertex lies on it.  The `nearest_points` to c are the violations if
-    they lie strictly inside; if not, r is at most the covering radius.  Any
-    violator e of B(e,e) - 2B(e,c) >= 0 satisfies B(e-c,e-c) < r^2 and hence
-    B(e,e) < 4 r^2, so sweeping that bounded ball (`points_within`) is sound;
-    equality must hold exactly at the vertices.  The slack is tested in
-    integers, by `_power`.  NotPositiveDefiniteError unless the form is
-    definite, before any sphere.
+    A full-dimensional cell is a Delaunay cell exactly when the lattice points
+    nearest the center c of the sphere through its vertices are its vertices
+    (Conway and Sloane, SPLAG ch. 2).  The sphere is solved through the vertices
+    (`cell_center`), never taken from the cell's own sphere data, so the nearest
+    distance d is at most the radius r.  If d < r, the nearest points lie strictly
+    inside and none is a vertex; if d = r, none lies inside and those on the sphere
+    are the nearest.  Either way the violations are the `nearest_points` to c that
+    are not vertices, sorted; a flat or not cospherical cell reports every vertex.
+    NotPositiveDefiniteError unless the form is definite, before any sphere.
     """
     _integer_ldl(form)
-    shift = min(cell.vertices)
-    local = canonical_orbit_rep(cell)
     try:
-        center, sq_radius = cell_center(form, local.vertices)
+        center, _ = cell_center(form, cell.vertices)
     except (SingularMatrixError, NotCospherical):
-        # report the vertices that break the sphere through a spanning subset
-        return EmptySphereCertificate(cell, Fraction(0), tuple(cell.vertices))
-    bound, power = 4 * sq_radius, _power(_integer_gram(form)[0], integral(center), {})
-    nearest = sorted(nearest_points(form, center))
-    if power(nearest[0]) < 0:
-        return EmptySphereCertificate(cell, bound, shift_points(nearest, shift))
-    vertex_set, swept = local.vertex_set(), points_within(form, (0,) * form.rank, bound)
-    bad = [e for e in swept if (s := power(e)) < 0 or (s == 0) != (e in vertex_set)]
-    return EmptySphereCertificate(cell, bound, shift_points(bad, shift))
+        return EmptySphereCertificate(cell, tuple(cell.vertices))
+    nearest = nearest_points(form, center)
+    return EmptySphereCertificate(cell, tuple(sorted(nearest - cell.vertex_set())))
 
 
 def canonical_orbit_rep(cell: DelaunayCell) -> DelaunayCell:

@@ -10,9 +10,9 @@ facets; a simplex takes one elimination.  The facets, each with its vertex
 tuple at 0 as its class key, and the normalized volume of a lattice polytope
 are computed once per translation class and its negative, and cached
 (`_lattice_polytope`).  A pointed cone is read from its facets too:
-membership is one solve per simplex of its pulling triangulation, and a ray
-is extreme when the facets through it meet in a line; a cone that is not
-pointed is refused (`pointed_cone_facets`).  The star walks its
+membership is one solve per simplex of its pulling triangulation, and its
+extreme rays are the facet normals of its dual; a cone that is not pointed
+is refused (`pointed_cone_facets`).  The star walks its
 Voronoi cell from 0 (`_vertex_from_origin`) by the ratio test `_step`.
 """
 
@@ -290,14 +290,11 @@ def cone_contains(rays, x):
 def extremal_rays(vectors):
     """The primitive generators of the extreme rays of a pointed cone, sorted.
 
-    A ray is extreme exactly when the smallest face holding it, cut out in
-    the span of the cone by the normals of the facets through the ray, is a
-    line: when those normals have rank dim - 1.
+    The polar of `cone_facets`, as in `vertex_enumeration`: the extreme rays of a
+    pointed cone are the facet normals of its dual in its span, the cone over the
+    normals of its facets (`pointed_cone_facets`).
     """
     rays = sorted({primitive(v) for v in vectors})
     if not rays:
         return []
-    facets = pointed_cone_facets(rays)
-    rank = matrix_rank(rays)
-    through = [[n for members, n in facets if i in members] for i in range(len(rays))]
-    return [r for r, normals in zip(rays, through) if matrix_rank(normals) == rank - 1]
+    return sorted(w for _, w in cone_facets([n for _, n in pointed_cone_facets(rays)]))

@@ -103,7 +103,7 @@ def cells_tiling(star: DelaunayStar, coarse: DelaunayCell):
     rep qualifies there exactly when its vertex set minus that vertex is a
     subset of the coarse vertex set minus w: one set inclusion per rep and
     w; only a match becomes a cell.  The result must tile the coarse cell
-    exactly (checked by the normalized volume).
+    exactly, or a FusionError names the cell and both normalized volumes.
     """
     at = [(w, {vec_sub(v, w) for v in coarse.vertices}) for w in coarse.vertices]
     found = {}
@@ -115,8 +115,10 @@ def cells_tiling(star: DelaunayStar, coarse: DelaunayCell):
                 found[cell.vertices] = cell
     pieces = [found[v] for v in sorted(found)]
     total = sum(normalized_volume(list(p.vertices)) for p in pieces)
-    if total != normalized_volume(list(coarse.vertices)):
-        raise FusionError("refinement does not tile the coarse cell")
+    whole = normalized_volume(list(coarse.vertices))
+    if total != whole:
+        raise FusionError("refinement does not tile the coarse cell %r: its pieces have "
+                          "normalized volume %d, the cell %d" % (coarse.vertices, total, whole))
     return pieces
 
 

@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from latdel import cli, formats, verify
+from latdel.catalog import catalog_names
 from latdel.cli import run
 from latdel.generation import GenerationReport
 
@@ -208,11 +209,42 @@ def test_fuse_exits_1_on_a_fusion_lemma_violation(monkeypatch, capsys):
     )
     # without one fine class, the coarse square is not tiled
     stars["dim2.V1"] = replace(fine, orbit_reps=fine.orbit_reps[1:])
-    assert invoke(capsys, *argv) == (1, "", "error: refinement does not tile the coarse cell\n")
+    assert invoke(capsys, *argv) == (
+        1,
+        "",
+        "error: refinement does not tile the coarse cell ((0, 0), (0, 1), (1, 0), (1, 1)): "
+        "its pieces have normalized volume 1, the cell 2\n",
+    )
     # unknown cones and non-faces stay usage errors
     stars["dim2.V1"] = fine
     assert invoke(capsys, "fuse", "--coarse", "dim2.nope", "--fine", "dim2.V1")[0] == 2
     assert invoke(capsys, "fuse", "--coarse", "dim2.V1", "--fine", "dim2.V1capV2")[0] == 2
+
+
+def test_fuse_keeps_the_exit_code_contract_on_every_pair_of_catalog_cones(capsys):
+    # the stars of K's rigid D4 sample and of G1234's sample on its inner wall do
+    # not refine the walls below them; each failure names the coarse cell
+    names = catalog_names()
+    codes, failures = [], {}
+    for coarse in names:
+        for fine in names:
+            if coarse != fine:
+                code, out, err = invoke(capsys, "fuse", "--coarse", coarse, "--fine", fine)
+                codes.append(code)
+                if code:
+                    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+                if code == 1:
+                    failures[coarse, fine] = err
+    assert len(codes) == 462 and [codes.count(c) for c in (0, 1, 2)] == [10, 3, 449]
+    prefix = "error: refinement does not tile the coarse cell "
+    assert failures == {
+        ("dim4.V1capV2", "dim4.K"): prefix + "((0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 1), "
+        "(0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 1, 1)): its pieces have normalized volume 0, the cell 2\n",
+        ("dim4.W0", "dim4.K"): prefix + "((0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0), "
+        "(0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 1, 1)): its pieces have normalized volume 0, the cell 3\n",
+        ("dim4.V2capV3", "dim4.G1234"): prefix + "((0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0), "
+        "(0, 0, 1, 1), (0, 1, 1, 1), (1, 0, 1, 1)): its pieces have normalized volume 1, the cell 2\n",
+    }
 
 
 def test_gen(tmp_path, capsys):
@@ -409,6 +441,35 @@ def test_gen_names_the_lattice_points_inside_a_far_sphere(tmp_path, capsys):
     assert "(50, 0)" in err and "(50, 1)" in err
 
 
+A2_2I3 = [[2, 1, 0, 0, 0], [1, 2, 0, 0, 0], [0, 0, 2, 0, 0], [0, 0, 0, 2, 0], [0, 0, 0, 0, 2]]
+ON_SPHERE = [
+    # (form, cell, witness): each witness lies on the sphere through the cell,
+    # none inside it, and is named where the cell stands
+    ([[1, 0], [0, 1]], [[0, 0], [1, 0], [0, 1]], ((1, 1),)),
+    ([[1, 0], [0, 1]], [[3, -2], [4, -2], [3, -1]], ((4, -1),)),
+    ([[2, 1, 0], [1, 2, 0], [0, 0, 2]], [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]],
+     ((0, 1, 1), (1, 0, 1))),
+    (A2_2I3, [[0] * 5] + [[int(i == j) for j in range(5)] for i in range(5)], (
+        (0, 0, 0, 1, 1), (0, 0, 1, 0, 1), (0, 0, 1, 1, 0), (0, 0, 1, 1, 1), (0, 1, 0, 0, 1),
+        (0, 1, 0, 1, 0), (0, 1, 0, 1, 1), (0, 1, 1, 0, 0), (0, 1, 1, 0, 1), (0, 1, 1, 1, 0),
+        (0, 1, 1, 1, 1), (1, 0, 0, 0, 1), (1, 0, 0, 1, 0), (1, 0, 0, 1, 1), (1, 0, 1, 0, 0),
+        (1, 0, 1, 0, 1), (1, 0, 1, 1, 0), (1, 0, 1, 1, 1),
+    )),
+]
+
+
+@pytest.mark.parametrize("rows, vertices, witness", ON_SPHERE)
+def test_gen_names_the_lattice_points_on_the_sphere(tmp_path, capsys, rows, vertices, witness):
+    fpath = write_form(tmp_path, "form.json", rows)
+    cpath = tmp_path / "cell.json"
+    cpath.write_text(formats.dumps({"vertices": vertices}))
+    assert invoke(capsys, "gen", "--cell", str(cpath), "--form", fpath) == (
+        1,
+        "",
+        "error: the cell is not a Delaunay cell of the form: %r\n" % (witness,),
+    )
+
+
 def test_gen_failure_names_its_witness(tmp_path, capsys, monkeypatch):
     fpath = write_form(tmp_path, "id2.json", [[1, 0], [0, 1]])
     cpath = tmp_path / "cell.json"
@@ -537,7 +598,7 @@ def payloads(draw):
 )
 @given(command=st.sampled_from(["del", "gen"]), payload=payloads(), mod=st.booleans())
 def test_malformed_payloads_keep_the_exit_code_contract(tmp_path, command, payload, mod):
-    # small integers keep every run short: the star and the empty-sphere sweep
+    # small integers keep every run short: the star and the nearest-point sweep
     # enumerate lattice points in balls that grow with the entries
     form, cell, pieces = payload
     paths = {}

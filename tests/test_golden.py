@@ -13,7 +13,10 @@ were recorded before the coset sweeps were rewritten in integers.
 verify_all.json is the stdout of `latdel verify --suite all`; it is
 compared in tests/test_verify.py, where that run already happens, and by CI.
 demo_*.txt hold the stdout of the three scripts under demos/, recorded
-before `faces.group_G` returned root permutations.
+before `faces.group_G` returned root permutations.  gen_*dim4.V1capV2.json
+hold `latdel gen` on a cell of that sample's star, alone and with its
+pieces from the V1 star, recorded before the empty-sphere check of a lone
+cell became a nearest-point check.
 """
 
 import hashlib
@@ -23,6 +26,7 @@ from pathlib import Path
 
 import pytest
 
+from latdel import formats
 from latdel.cli import run
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -62,6 +66,26 @@ LONG_SWEEPS = ["diag1e8", "skew101"]
 def test_stdout_matches_golden(capsys, argv, name):
     assert run(argv) == 0
     assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / name).read_bytes()
+
+
+# a cell of the dim4.V1capV2 star, and the two cells of the dim4.V1 star that tile it
+WALL_CELL = [(0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 1), (0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 1, 1)]
+WALL_PIECES = [WALL_CELL[:4] + WALL_CELL[5:], WALL_CELL[:3] + WALL_CELL[4:]]
+
+
+@pytest.mark.parametrize("pieces, name", [
+    (None, "gen_dim4.V1capV2.json"), (WALL_PIECES, "gen_pieces_dim4.V1capV2.json"),
+])
+def test_gen_stdout_matches_golden(tmp_path, capsys, pieces, name):
+    cell = tmp_path / "cell.json"
+    cell.write_text(formats.dumps({"vertices": [list(v) for v in WALL_CELL]}))
+    argv = ["gen", "--cell", str(cell), "--form", str(GOLDEN / "form_dim4.V1capV2.json")]
+    if pieces:
+        (tmp_path / "pieces.json").write_text(formats.dumps([{"vertices": p} for p in pieces]))
+        argv += ["--pieces", str(tmp_path / "pieces.json")]
+    assert run(argv) == 0
+    out = capsys.readouterr()
+    assert (out.out.encode("utf-8"), out.err) == ((GOLDEN / name).read_bytes(), "")
 
 
 def test_verify_all_golden_is_the_benchmark_paper_output():

@@ -12,13 +12,14 @@ cone cover, pairwise polytope intersections (a vertex enumeration of the joined 
 systems) and a ray-by-ray cover for the tiling at 0 of simplicial
 generation, a box scan for the lattice points of a cell that it leaves
 unlisted, the former matcher that builds every shifted rep for the
-set-inclusion matcher `cells_tiling`, one empty-sphere sweep per orbit rep (`certify_cell`) for
-Delaunay's lemma, the earlier lemma on a translate of a rep per facet class
+set-inclusion matcher `cells_tiling`, the former empty-sphere sweep of the
+ball of norm 4 r^2 (`oracle_ball_sweep`) for the nearest-point check of a lone
+cell (`certify_cell`) and, once per orbit rep, for Delaunay's lemma, the
+earlier lemma on a translate of a rep per facet class
 (`oracle_check_local_delaunay`) for the lemma on the reps themselves, a walk
-over every vertex of the Voronoi cell
-(`vertex_enumeration`) for the walk over the orbit reps of a star, and the
-earlier `Fraction` Fincke-Pohst sweep for the integer sweep of the lattice
-points in a ball and the coset minima."""
+over every vertex of the Voronoi cell (`vertex_enumeration`) for the walk
+over the orbit reps of a star, and the earlier `Fraction` Fincke-Pohst sweep
+for the integer sweep of the lattice points in a ball and the coset minima."""
 
 import random
 from dataclasses import replace
@@ -39,7 +40,12 @@ from latdel.catalog import _flatten, catalog, catalog_names, sample_interior
 from latdel.delaunay import (
     CertificationError,
     DelaunayStar,
+    EmptySphereCertificate,
+    NotCospherical,
     NotPositiveDefiniteError,
+    _integer_gram,
+    _integer_ldl,
+    _power,
     canonical_orbit_rep,
     cell_center,
     certify_cell,
@@ -1497,8 +1503,10 @@ def oracle_cells_tiling(star, coarse):
                 found[cell.vertices] = cell
     pieces = [found[v] for v in sorted(found)]
     total = sum(normalized_volume(list(p.vertices)) for p in pieces)
-    if total != normalized_volume(list(coarse.vertices)):
-        raise FusionError("refinement does not tile the coarse cell")
+    whole = normalized_volume(list(coarse.vertices))
+    if total != whole:
+        raise FusionError("refinement does not tile the coarse cell %r: its pieces have "
+                          "normalized volume %d, the cell %d" % (coarse.vertices, total, whole))
     return pieces
 
 
@@ -1550,7 +1558,20 @@ def test_cells_tiling_matches_the_oracle_on_the_wrong_wall():
     # the V3 star does not refine the wall between V1 and V2
     items = [(star_for("dim4.V3"), rep) for rep in star_for("dim4.V1capV2").orbit_reps]
     errors = assert_tilings_match_the_oracle(items)
-    assert errors and set(errors) == {"refinement does not tile the coarse cell"}
+    failed = [  # (coarse cell, normalized volume of its pieces, of the cell)
+        (((0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 1), (0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 1, 1)), 1, 2),
+        (((0, 0, 0, 0), (0, 0, 1, 0), (0, 0, 1, 1), (0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 1, 1)), 1, 2),
+        (((0, 0, 0, 0), (0, 1, 0, 0), (0, 1, 0, 1), (0, 1, 1, 1), (1, 1, 1, 1)), 0, 1),
+        (((0, 0, 0, 0), (0, 1, 0, 0), (0, 1, 1, 0), (0, 1, 1, 1), (1, 1, 1, 1)), 0, 1),
+        (((0, 0, 0, 0), (0, 1, 0, 0), (1, 0, 0, 0), (1, 1, 0, 0), (1, 1, 0, 1), (1, 1, 1, 1)), 1, 2),
+        (((0, 0, 0, 0), (0, 1, 0, 0), (1, 0, 0, 0), (1, 1, 0, 0), (1, 1, 1, 0), (1, 1, 1, 1)), 1, 2),
+        (((0, 0, 0, 0), (1, 0, 0, 0), (1, 0, 0, 1), (1, 0, 1, 1), (1, 1, 1, 1)), 0, 1),
+        (((0, 0, 0, 0), (1, 0, 0, 0), (1, 0, 1, 0), (1, 0, 1, 1), (1, 1, 1, 1)), 0, 1),
+    ]
+    assert sorted(set(errors)) == [
+        "refinement does not tile the coarse cell %r: its pieces have normalized volume %d, "
+        "the cell %d" % witness for witness in failed
+    ]
 
 
 def test_a_warm_pass_over_the_walls_makes_no_elimination(monkeypatch):
@@ -1601,10 +1622,42 @@ def test_wall_reps_make_no_vertex_enumeration(monkeypatch):
     assert calls == []
 
 
+def oracle_ball_sweep(form: QuadraticForm, cell: DelaunayCell) -> EmptySphereCertificate:
+    """The former `certify_cell`: an exhaustive empty-sphere sweep of the ball of
+    norm 4 r^2 about 0 for the translate of the cell at 0, the bound no longer kept.
+
+    The check runs on the translate with the smallest vertex at 0, and the
+    violations are translated back.  There the sphere is solved through the
+    vertices (`cell_center`), never taken from the cell's own sphere data, so
+    every vertex lies on it.  The `nearest_points` to c are the violations if
+    they lie strictly inside; if not, r is at most the covering radius.  Any
+    violator e of B(e,e) - 2B(e,c) >= 0 satisfies B(e-c,e-c) < r^2 and hence
+    B(e,e) < 4 r^2, so sweeping that bounded ball (`points_within`) is sound;
+    equality must hold exactly at the vertices.  The slack is tested in
+    integers, by `_power`.  NotPositiveDefiniteError unless the form is
+    definite, before any sphere.
+    """
+    _integer_ldl(form)
+    shift = min(cell.vertices)
+    local = canonical_orbit_rep(cell)
+    try:
+        center, sq_radius = cell_center(form, local.vertices)
+    except (SingularMatrixError, NotCospherical):
+        # report the vertices that break the sphere through a spanning subset
+        return EmptySphereCertificate(cell, tuple(cell.vertices))
+    bound, power = 4 * sq_radius, _power(_integer_gram(form)[0], integral(center), {})
+    nearest = sorted(nearest_points(form, center))
+    if power(nearest[0]) < 0:
+        return EmptySphereCertificate(cell, shift_points(nearest, shift))
+    vertex_set, swept = local.vertex_set(), points_within(form, (0,) * form.rank, bound)
+    bad = [e for e in swept if (s := power(e)) < 0 or (s == 0) != (e in vertex_set)]
+    return EmptySphereCertificate(cell, shift_points(bad, shift))
+
+
 def sweep_accepts(form, cells):
-    """The ball sweep: `certify_cell` on every orbit rep of the cells."""
+    """The ball sweep: `oracle_ball_sweep` on every orbit rep of the cells."""
     reps = {canonical_orbit_rep(c).vertices: canonical_orbit_rep(c) for c in cells}
-    return all(certify_cell(form, rep).ok for rep in reps.values())
+    return all(oracle_ball_sweep(form, rep).ok for rep in reps.values())
 
 
 def lemma_on_cells(form, cells, facets):
@@ -1676,6 +1729,48 @@ def test_local_delaunay_agrees_with_the_ball_sweep():
         verdicts.append(expected)
     assert verdicts.count(True) == len(catalog_names()) + 3
     assert verdicts.count(False) >= 8
+
+
+def random_point_sets(count, seed=0):
+    """(form, cell) pairs: a definite integer form A^T A + D of rank 1-3, D
+    diagonal in 1-2, and up to 2^g + 1 points of {-1, ..., 2}^g moved by a
+    vector of {-3, ..., 3}^g; most are no Delaunay cell, many are flat."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        g = rng.randint(1, 3)
+        a = [[rng.randint(-1, 1) for _ in range(g)] for _ in range(g)]
+        rows = [[sum(r[i] * r[j] for r in a) + (i == j) * rng.randint(1, 2) for j in range(g)]
+                for i in range(g)]
+        points = [[rng.randint(-1, 2) for _ in range(g)] for _ in range(rng.randint(g + 1, 2**g + 1))]
+        shift = [rng.randint(-3, 3) for _ in range(g)]
+        yield form(rows), make_cell([vec_sub(p, shift) for p in points])
+
+
+def test_nearest_points_certificate_matches_the_ball_sweep():
+    stars = [star_for(name) for name in catalog_names()]
+    reps = [(star.form, rep) for star in stars for rep in star.orbit_reps]
+    assert len(reps) == 373
+    shifts = [tuple((k + i) % 5 - 2 for i in range(f.rank)) for k, (f, _) in enumerate(reps)]
+    cases = [(f, rep.translate(t)) for (f, rep), t in zip(reps, shifts)]
+    assert all(any(cell.vertices[0]) for _, cell in cases)
+    # a rep less one vertex, where the rest still spans, has that vertex on its
+    # sphere and no lattice point inside
+    dropped = [(f, make_cell([w for w in cell.vertices if w != v]), v)
+               for f, cell in cases if len(cell.vertices) > f.rank + 1 for v in cell.vertices]
+    cases += [(f, cell) for f, cell, _ in dropped] + list(random_point_sets(300))
+    certs = [certify_cell(f, cell) for f, cell in cases]
+    assert certs == [oracle_ball_sweep(f, cell) for f, cell in cases]
+    # the oracle sweeps at 0 wherever the cell stands, so each rep at 0 is checked
+    # against the certificate of its moved copy, moved back
+    for (f, rep), t, cert in zip(reps, shifts, certs):
+        back = tuple(-c for c in t)
+        assert certify_cell(f, rep).violations == shift_points(cert.violations, back)
+    # besides the accepted cells, refused ones whose witnesses are lattice
+    # points nearer the center than the vertices or beside them on the sphere
+    named = [c.violations not in ((), c.cell.vertices) for c in certs]
+    assert sum(c.ok for c in certs) > 373 and named.count(True) > 100
+    on_sphere = [certify_cell(f, cell).violations == (v,) for f, cell, v in dropped]
+    assert len(on_sphere) > 100 and on_sphere.count(True) > 50
 
 
 def oracle_facet_classes(reps):
