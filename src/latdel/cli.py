@@ -109,7 +109,8 @@ def _cmd_gen(args) -> int:
     cell = formats.load_cell(args.cell)
     form = formats.load_form(args.form)
     # the pieces' sphere data is never checked, so it is not echoed back
-    pieces = [make_cell(p.vertices) for p in formats.load_cells(args.pieces)] if args.pieces else []
+    given = [] if args.pieces is None else formats.load_cells(args.pieces)
+    pieces = [make_cell(p.vertices) for p in given]
     for path, c in [(args.cell, cell)] + [(args.pieces, p) for p in pieces]:
         if len(c.vertices[0]) != form.rank:
             return _fail_usage("%s: vertex length is not the form's rank %d" % (path, form.rank))
@@ -126,7 +127,7 @@ def _cmd_gen(args) -> int:
     zero = tuple(0 for _ in cell.vertices[0])
     shift = zero if zero in cell.vertices else min(cell.vertices)
     back = tuple(-c for c in shift)
-    if args.pieces:
+    if args.pieces is not None:
         pieces = [p.translate(back) for p in pieces]
         try:
             report = is_simplicially_generating(cell.translate(back), pieces)
@@ -171,22 +172,18 @@ def _cmd_tables(args) -> int:
 def _cmd_faces(args) -> int:
     from . import faces as face_mod
 
-    faces = face_mod._classification()[0]
-    report = formats.encode_face_report(
-        (f.dropped, f.graph.shape, face_mod.classify_face(f.dropped)) for f in faces
-    )
-    for row, f in zip(report, faces):
-        row["type"] = face_mod.classify_type(f.dropped)
-    _emit(
+    rows = [
         {
-            "faces": report,
-            "counts": {
-                "total": len(report),
-                "BF": sum(1 for r in report if r["orbit"] == "BF"),
-                "RT": sum(1 for r in report if r["orbit"] == "RT"),
-            },
+            "dropped": [[p, q, "+" if s > 0 else "-"] for p, q, s in f.dropped],
+            "shape": f.graph.shape,
+            "orbit": face_mod.classify_face(f.dropped),
+            "type": face_mod.classify_type(f.dropped),
         }
-    )
+        for f in face_mod.enumerate_faces()
+    ]
+    orbits = [row["orbit"] for row in rows]
+    counts = {"total": len(rows), "BF": orbits.count("BF"), "RT": orbits.count("RT")}
+    _emit({"faces": rows, "counts": counts})
     return 0
 
 
@@ -247,6 +244,8 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "catalog" and args.action == "show" and not args.name:
         parser.error("catalog show requires a cone name")
+    if args.command == "catalog" and args.action == "list" and args.name is not None:
+        parser.error("catalog list takes no cone name")
     try:
         return args.func(args)
     except (

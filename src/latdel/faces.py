@@ -1,8 +1,9 @@
 """The 64 codimension-one faces of the perfect cone K and their orbits.
 
 After the change of variables (x1, x2, x3, x4) -> (x1+x2, x1-x2, x1-x3,
-x1-x4) the twelve generators of K become the twelve forms (x_i +- x_j)^2.
-The faces are the facets of the cone over all twelve, flattened, found by
+x1-x4) the twelve generators of K become the twelve forms (x_i +- x_j)^2,
+kept as integer vectors, as is a catalog generator carried to its ray (`k_ray`).
+The faces are the facets of the cone over the twelve rays, found by
 `geometry.cone_facets` with primitive integer functionals; each has nine
 generators, so it is bookkept by which three of them are absent.  Each
 absent generator (p, q, sign) is an edge of a colored graph on {1,2,3,4}:
@@ -28,8 +29,8 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Dict, Optional, Tuple
 
-from .catalog import NamedCone, _flatten, _vector_square, catalog
-from .exact import QuadraticForm, congruence_act, integral
+from .catalog import NamedCone, catalog
+from .exact import integral, mat_vec
 from .geometry import cone_facets, primitive
 
 BLACK = "black"
@@ -69,36 +70,22 @@ ROOTS = tuple(tuple(e * c for c in _pair_vector(*k)) for k in SIGNED_PAIRS for e
 _ROOT_INDEX = {v: i for i, v in enumerate(ROOTS)}
 
 
-def pm_form(p: int, q: int, sign: int) -> QuadraticForm:
-    """(x_p + sign * x_q)^2 as a rank-4 matrix."""
-    return _vector_square(4, _pair_vector(p, q, sign))
+# the twelve rays (x_p + sign * x_q)^2 of K as integer vectors, in the order of
+# SIGNED_PAIRS: the entries i <= j of v v^T for the roots v = e_p + sign * e_q
+K_RAYS = tuple(tuple(a * b for i, a in enumerate(v) for b in v[i:]) for v in ROOTS[::2])
+_RAY_PAIR = dict(zip(K_RAYS, SIGNED_PAIRS))
 
 
-PM_FORMS: Dict[SignedPair, QuadraticForm] = {k: pm_form(*k) for k in SIGNED_PAIRS}
-
-
-def _primitive_form(form: QuadraticForm) -> QuadraticForm:
-    ints = primitive([v for row in form.entries for v in row])
-    g = form.rank
-    return QuadraticForm(tuple(ints[i * g:(i + 1) * g] for i in range(g)))
-
-
-_PM_LOOKUP = {_primitive_form(f).entries: k for k, f in PM_FORMS.items()}
-
-
-def identify_pm(form: QuadraticForm) -> Optional[SignedPair]:
-    """The signed pair whose form is a positive multiple of the input."""
-    try:
-        prim = _primitive_form(form)
-    except ValueError:
-        return None
-    return _PM_LOOKUP.get(prim.entries)
-
-
-def voronoi_transform(form: QuadraticForm) -> QuadraticForm:
+def k_ray(form) -> Optional[SignedPair]:
+    """The signed pair whose ray is a positive multiple of V^T B V, or None, for
+    the form B scaled to integers and V = VORONOI_MATRIX: column j of V^T B V is
+    V^T (B v_j) for the column v_j of V, and its entries from j on are row j's."""
     if form.rank != 4:
         raise ValueError("the Voronoi transformation acts on rank-4 forms")
-    return congruence_act(VORONOI_MATRIX, form)
+    nums, _ = integral([v for row in form.entries for v in row])
+    b, cols = [nums[i:i + 4] for i in range(0, 16, 4)], tuple(zip(*VORONOI_MATRIX))
+    image = [v for j, c in enumerate(cols) for v in mat_vec(cols, mat_vec(b, c))[j:]]
+    return _RAY_PAIR.get(primitive(image)) if any(image) else None
 
 
 @dataclass(frozen=True)
@@ -142,10 +129,9 @@ class KFace:
 def _k_facets():
     """{three dropped signed pairs: functional} for the facets of K, read from
     `cone_facets` over its twelve flattened generators as integer rays."""
-    rays = [integral(_flatten(PM_FORMS[k]))[0] for k in SIGNED_PAIRS]
     return {
         tuple(sorted(k for i, k in enumerate(SIGNED_PAIRS) if i not in members)): normal
-        for members, normal in cone_facets(rays)
+        for members, normal in cone_facets(K_RAYS)
     }
 
 
@@ -233,13 +219,13 @@ def apply_to_face(perm, dropped):
     return tuple(sorted(perm[k] for k in dropped))
 
 
-def orbit_classify(faces, generators):
+def orbit_classify(faces):
     """Split the faces into the two G-orbits BF (48) and RT (16).
 
     Any generating set of G gives the same orbits as the whole group, so
     the 11 generators are enough.
     """
-    perms = [pair_permutation(g) for g in generators]
+    perms = [pair_permutation(g) for g in group_generators()]
     remaining = {f.dropped: f for f in faces}
     orbits = []
     while remaining:
@@ -262,7 +248,7 @@ def orbit_classify(faces, generators):
 @lru_cache(maxsize=None)
 def _classification():
     faces = enumerate_faces()
-    return faces, orbit_classify(faces, group_generators())
+    return faces, orbit_classify(faces)
 
 
 def classify_face(dropped) -> str:
@@ -283,13 +269,13 @@ def classify_type(dropped) -> str:
 def face_of_cone(cone: NamedCone):
     """The K-face obtained from a 9-dimensional catalog cone.
 
-    The cone's generators are carried through the Voronoi transformation;
-    they must land on nine distinct (x_i +- x_j)^2 rays, and the face is
-    encoded by the three missing ones.
+    The cone's generators are carried through the Voronoi transformation
+    (`k_ray`); they must land on nine distinct (x_i +- x_j)^2 rays, and the
+    face is encoded by the three missing ones.
     """
     kept = set()
     for form in cone.generators:
-        key = identify_pm(voronoi_transform(form))
+        key = k_ray(form)
         if key is None:
             raise ValueError(
                 "a generator of %s is not carried onto a K ray" % cone.name

@@ -116,20 +116,6 @@ def encode_generation_report(report: GenerationReport) -> dict:
     }
 
 
-def encode_face_report(faces_with_orbits) -> list:
-    """Face report rows: [{dropped: [[p,q,"+"|"-"]], shape, orbit}]."""
-    rows = []
-    for dropped, shape, orbit in faces_with_orbits:
-        rows.append(
-            {
-                "dropped": [[p, q, "+" if s > 0 else "-"] for p, q, s in dropped],
-                "shape": shape,
-                "orbit": orbit,
-            }
-        )
-    return rows
-
-
 def encode_catalog() -> list:
     out = []
     for name in catalog_names():

@@ -297,6 +297,16 @@ def test_gen_rejects_non_refining_pieces(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_gen_reads_an_empty_pieces_path_as_a_path(tmp_path, capsys):
+    # an empty path is refused as `del --form ""` is, not taken for no --pieces
+    fpath = write_form(tmp_path, "id2.json", [[1, 0], [0, 1]])
+    cpath = tmp_path / "cell.json"
+    cpath.write_text(formats.dumps({"vertices": [[0, 0], [1, 0], [0, 1]]}))
+    code, out, err = invoke(capsys, "gen", "--cell", str(cpath), "--form", fpath, "--pieces", "")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_gen_rejects_lower_dimensional_pieces(tmp_path, capsys):
     # the triangle and the segment <(0, 1), (1, 1)> are no refinement of the
     # unit square, any more than the triangle alone
@@ -661,6 +671,15 @@ def test_identical_invocations_identical_bytes(capsys):
     _, first, _ = invoke(capsys, "catalog", "show", "dim4.K")
     _, second, _ = invoke(capsys, "catalog", "show", "dim4.K")
     assert first == second
+
+
+@pytest.mark.parametrize("argv", [["catalog", "list", "dim4.K"], ["catalog", "show"]])
+def test_catalog_refuses_a_name_after_list_and_none_after_show(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines()[-1].startswith("latdel: error: catalog ")
 
 
 def test_unknown_flag_rejected(capsys):

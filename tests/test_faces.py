@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from latdel.catalog import catalog, difference_form
+from latdel.catalog import catalog, catalog_names, difference_form
 from latdel.exact import QuadraticForm, mat_mul
 from latdel.faces import (
     BLACK,
@@ -22,13 +22,10 @@ from latdel.faces import (
     graph_of,
     group_G,
     group_generators,
-    identify_pm,
-    pm_form,
     root_permutation,
-    voronoi_transform,
 )
 
-from test_oracle import identity_matrix
+from test_oracle import identify_pm, identity_matrix, pm_form, voronoi_transform
 
 
 def test_voronoi_transform_examples():
@@ -114,6 +111,29 @@ def test_v1capv2_face():
     assert graph_of(dropped).shape == TRIANGLE
     assert set(graph_of(dropped).colors) == {BLACK}
     assert classify_face(dropped) == "BF"
+
+
+# the K-face of each catalog cone, or the text of the error that refuses it
+FACE_OF_CONE = {
+    "dim4.W0": ((1, 3, 1), (1, 4, 1), (3, 4, -1)),
+    "dim4.V1capV2": ((1, 3, 1), (1, 4, 1), (3, 4, 1)),
+    "dim4.K": "dim4.K does not span a codim-1 face of K",
+}
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_face_of_cone_on_every_catalog_cone(name):
+    cone = catalog(name)
+    if cone.ambient_rank != 4:
+        expected = "the Voronoi transformation acts on rank-4 forms"
+    else:
+        expected = FACE_OF_CONE.get(name, "a generator of %s is not carried onto a K ray" % name)
+    if isinstance(expected, str):
+        with pytest.raises(ValueError) as info:
+            face_of_cone(cone)
+        assert str(info.value) == expected
+    else:
+        assert face_of_cone(cone) == expected
 
 
 def test_classify_named_cone():

@@ -18,17 +18,19 @@ cell (`certify_cell`) and, once per orbit rep, for Delaunay's lemma, the
 earlier lemma on a translate of a rep per facet class
 (`oracle_check_local_delaunay`) for the lemma on the reps themselves, a walk
 over every vertex of the Voronoi cell (`vertex_enumeration`) for the walk
-over the orbit reps of a star, and the earlier `Fraction` Fincke-Pohst sweep
-for the integer sweep of the lattice points in a ball and the coset minima."""
+over the orbit reps of a star, the earlier `Fraction` Fincke-Pohst sweep
+for the integer sweep of the lattice points in a ball and the coset minima,
+and the former form-level match of a generator to its ray of K
+(`identify_pm` of `voronoi_transform`) for the integer `faces.k_ray`."""
 
 import random
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 from math import gcd, isqrt, lcm
 from operator import mul
-from typing import Tuple
+from typing import Dict, Optional, Tuple
 from unittest import mock
 
 import pytest
@@ -36,7 +38,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from latdel import formats
-from latdel.catalog import _flatten, catalog, catalog_names, sample_interior
+from latdel.catalog import _flatten, _vector_square, catalog, catalog_names, sample_interior
 from latdel.delaunay import (
     CertificationError,
     DelaunayStar,
@@ -84,9 +86,12 @@ from latdel.exact import (
     vec_sub,
 )
 from latdel.faces import (
-    PM_FORMS,
+    K_RAYS,
     ROOTS,
     SIGNED_PAIRS,
+    VORONOI_MATRIX,
+    SignedPair,
+    _pair_vector,
     _classification,
     _k_facets,
     apply_to_face,
@@ -94,6 +99,7 @@ from latdel.faces import (
     facial_certificate,
     group_G,
     group_generators,
+    k_ray,
     pair_permutation,
     root_permutation,
 )
@@ -520,6 +526,74 @@ def test_generator_orbits_are_orbits_of_every_element():
             assert {apply_to_face(perm, d) for d in orbit} == orbit
         seed = min(orbit)
         assert {apply_to_face(perm, seed) for perm in perms} == orbit
+
+
+def pm_form(p: int, q: int, sign: int) -> QuadraticForm:
+    """(x_p + sign * x_q)^2 as a rank-4 matrix."""
+    return _vector_square(4, _pair_vector(p, q, sign))
+
+
+PM_FORMS: Dict[SignedPair, QuadraticForm] = {k: pm_form(*k) for k in SIGNED_PAIRS}
+
+
+def _primitive_form(form: QuadraticForm) -> QuadraticForm:
+    ints = primitive([v for row in form.entries for v in row])
+    g = form.rank
+    return QuadraticForm(tuple(ints[i * g:(i + 1) * g] for i in range(g)))
+
+
+_PM_LOOKUP = {_primitive_form(f).entries: k for k, f in PM_FORMS.items()}
+
+
+def identify_pm(form: QuadraticForm) -> Optional[SignedPair]:
+    """The signed pair whose form is a positive multiple of the input."""
+    try:
+        prim = _primitive_form(form)
+    except ValueError:
+        return None
+    return _PM_LOOKUP.get(prim.entries)
+
+
+def voronoi_transform(form: QuadraticForm) -> QuadraticForm:
+    if form.rank != 4:
+        raise ValueError("the Voronoi transformation acts on rank-4 forms")
+    return congruence_act(VORONOI_MATRIX, form)
+
+
+def scaled_form(form, c):
+    return QuadraticForm(tuple(tuple(c * v for v in row) for row in form.entries))
+
+
+def seeded_symmetric_forms(count, seed=0):
+    """Integer symmetric 4x4 forms: every other one a square w w^T of a small
+    integer w, so that some land on a ray of K, the rest with entries in -2..2."""
+    rng = random.Random(seed)
+    forms = []
+    for n in range(count):
+        if n % 2:
+            w = [rng.randint(-1, 1) for _ in range(4)]
+            rows = [[a * b for b in w] for a in w]
+        else:
+            rows = [[0] * 4 for _ in range(4)]
+            for i, j in combinations_with_replacement(range(4), 2):
+                rows[i][j] = rows[j][i] = rng.randint(-2, 2)
+        forms.append(QuadraticForm(tuple(tuple(Fraction(v) for v in row) for row in rows)))
+    return forms
+
+
+def test_k_ray_matches_the_form_level_identification():
+    generators = [g for name in catalog_names() for g in catalog(name).generators
+                  if catalog(name).ambient_rank == 4]
+    forms = [scaled_form(g, c) for g in generators for c in (1, 3, Fraction(1, 2), -1, 0)]
+    forms += seeded_symmetric_forms(400)
+    found = [k_ray(f) for f in forms]
+    assert found == [identify_pm(voronoi_transform(f)) for f in forms]
+    # both outcomes occur: every K ray is met, and forms miss every ray
+    assert set(found) == set(SIGNED_PAIRS) | {None}
+    assert all(k_ray(scaled_form(g, 0)) is None for g in generators)
+    for ask in (k_ray, voronoi_transform):
+        with pytest.raises(ValueError, match="^the Voronoi transformation acts on rank-4 forms$"):
+            ask(catalog("dim3.V").generators[0])
 
 
 def fraction_rref(rows, ncols):
@@ -976,6 +1050,7 @@ def test_cone_facets_match_the_oracle_where_the_search_prunes():
     # of the rank-4 unit stars in dimension 5, each also with rational rays
     k_rays = [integral(_flatten(PM_FORMS[k]))[0] for k in SIGNED_PAIRS]
     assert len(k_rays[0]) == 10 and len(cone_facets(k_rays)) == 64
+    assert tuple(map(tuple, k_rays)) == K_RAYS
     stars = [star_for(name) for name in catalog_names()]
     reps = [_lift(rep.vertices) for star in stars if star.form.rank == 4 for rep in star.orbit_reps]
     assert sum(star.form.rank == 4 for star in stars) == 17
