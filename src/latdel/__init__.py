@@ -9,7 +9,6 @@ from .exact import (
     evaluate,
     format_rational,
     parse_rational,
-    solve_linear,
 )
 from .delaunay import (
     DelaunayCell,
@@ -45,7 +44,6 @@ __all__ = [
     "nearest_points",
     "parse_rational",
     "sample_interior",
-    "solve_linear",
     "DelaunayCell",
     "DelaunayStar",
 ]

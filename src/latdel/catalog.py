@@ -1,7 +1,7 @@
 """Catalog of named cones of quadratic forms in ranks 2, 3 and 4.
 
-The generator matrices are stored verbatim (not regenerated from index
-formulas) so transcription stays independently testable.  Names follow the
+The generators are built from index formulas; omega is the only literal matrix,
+and tests/golden/catalog.json pins them all.  Names follow the
 "dimG.NAME" scheme, e.g. "dim2.V1", "dim4.V1capV2", "dim4.K", "dim4.F12",
 "dim4.G1234".
 """
@@ -76,15 +76,9 @@ F12_2 = _vector_square(2, (1, 1))
 OMEGA = QuadraticForm(
     ((2, 1, -1, -1), (1, 2, -1, -1), (-1, -1, 2, 0), (-1, -1, 0, 2))
 )
-F_1234 = QuadraticForm(
-    ((1, 1, -1, -1), (1, 1, -1, -1), (-1, -1, 1, 1), (-1, -1, 1, 1))
-)
-G_123 = QuadraticForm(
-    ((1, 1, -1, 0), (1, 1, -1, 0), (-1, -1, 1, 0), (0, 0, 0, 0))
-)
-G_124 = QuadraticForm(
-    ((1, 1, 0, -1), (1, 1, 0, -1), (0, 0, 0, 0), (-1, -1, 0, 1))
-)
+F_1234 = _vector_square(4, (1, 1, -1, -1))
+G_123 = _vector_square(4, (1, 1, -1, 0))
+G_124 = _vector_square(4, (1, 1, 0, -1))
 
 
 def e_generator(n: int, i: int, j: int) -> QuadraticForm:

@@ -22,12 +22,13 @@ from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import factorial, floor, isqrt
+from math import factorial, floor, isqrt, lcm
 from typing import Optional, Tuple
 
 from .exact import (
     QuadraticForm,
     SingularMatrixError,
+    _integer_gram,
     _scaled_inverse,
     dot,
     integral,
@@ -110,23 +111,24 @@ class DelaunayStar:
     orbit_reps: Tuple[DelaunayCell, ...]
 
 
-def _integer_ldl(form: QuadraticForm):
-    """(scale, weights, rows) in integers, scale * B(e, e) the sum of
-    weights[i] (rows[i] . e)^2: the in-order B = U^T D U of `ldl`, row i of U
-    times its least denominator q_i, so rows[i][i] = q_i, and d_i / q_i^2 over
-    the scale.  NotPositiveDefiniteError unless B is definite."""
-    factor = ldl(form)
-    if factor is None or not all(factor[0]):
+def _integer_ldl(gram):
+    """(scale, weights, rows) in integers, scale * B(e, e) the sum of weights[i] (rows[i] . e)^2,
+    for the `_integer_gram` (G, k) of B: the rows of `ldl`, p_i times row i of U, and as d_i =
+    p_i / p_{i-1}, weights[i] = m / (p_i p_{i-1}) and scale = k m, for m the lcm of those
+    products; no Fraction is built.  NotPositiveDefiniteError unless B is definite."""
+    (gram, k), factor = gram, ldl(gram[0])
+    if factor is None or not all(factor[1]):
         raise NotPositiveDefiniteError("form is not positive definite")
-    rows = [integral(row) for row in factor[1]]
-    weights, scale = integral([d / (q * q) for d, (_, q) in zip(factor[0], rows)])
-    return scale, weights, [nums for nums, _ in rows]
+    rows, pivots = factor
+    products = [p * q for p, q in zip(pivots, [1] + pivots)]
+    m = lcm(*products)
+    return k * m, [m // p for p in products], rows
 
 
 def _sweep(factor, residues, m, bound):
     """[(e, scale * B(e, e))] for every integer e = residues (mod m) with
     B(e, e) <= bound, by the `_integer_ldl` factor: Fincke-Pohst in integers.
-    With e fixed after i, s = rows[i] . e = q_i e_i + t, and weights[i] s^2
+    With e fixed after i, s = rows[i] . e = q_i e_i + t, q_i = rows[i][i] > 0, and weights[i] s^2
     fits the budget left when |s| <= isqrt(budget // weights[i])."""
     scale, weights, rows = factor
     total, out, e = floor(scale * bound), [], [0] * len(rows)
@@ -154,7 +156,7 @@ def points_within(form: QuadraticForm, alpha, bound: Fraction):
     alpha, bound = tuple(Fraction(a) for a in alpha), Fraction(bound)
     if bound < 0:
         return []
-    factor = _integer_ldl(form)
+    factor = _integer_ldl(_integer_gram(form))
     a, m = integral(alpha)
     found = _sweep(factor, [-c % m for c in a], m, m * m * bound)
     return sorted(tuple((c + b) // m for c, b in zip(e, a)) for e, _ in found)
@@ -164,7 +166,7 @@ def nearest_points(form: QuadraticForm, alpha):
     """All lattice points attaining the minimum of ||b - alpha|| in B: one
     `_sweep`, bounded by the rounding floor(alpha + 1/2), gives every
     candidate's distance in integers."""
-    factor = _integer_ldl(form)
+    factor = _integer_ldl(_integer_gram(form))
     a, m = integral([Fraction(c) for c in alpha])
     start = [m * ((2 * c + m) // (2 * m)) - c for c in a]
     found = _sweep(factor, [-c % m for c in a], m, norm(form, start))
@@ -194,7 +196,7 @@ def voronoi_inequalities(form: QuadraticForm):
     `_coset_minima`, divided back by the scale of the integer Gram matrix.
     """
     gram = _integer_gram(form)
-    (_, k), minima = gram, _coset_minima(_integer_ldl(form), gram)
+    (_, k), minima = gram, _coset_minima(_integer_ldl(gram), gram)
     return [(tuple(Fraction(2 * c, k) for c in ge), Fraction(v, k), e) for e, ge, v in minima]
 
 
@@ -217,13 +219,6 @@ def cell_center(form: QuadraticForm, vertices):
     except ValueError:
         raise NotCospherical("vertices are not cospherical")
     return tuple(c + b for c, b in zip(center, base)), norm(form, center)
-
-
-def _integer_gram(form: QuadraticForm):
-    """(G, k): G the Gram matrix times the least positive integer k making it integral."""
-    nums, k = integral([x for row in form.entries for x in row])
-    g = form.rank
-    return [nums[i * g:(i + 1) * g] for i in range(g)], k
 
 
 def _power(gram, hole, norms):
@@ -253,7 +248,7 @@ def certify_cell(form: QuadraticForm, cell: DelaunayCell) -> EmptySphereCertific
     are not vertices, sorted; a flat or not cospherical cell reports every vertex.
     NotPositiveDefiniteError unless the form is definite, before any sphere.
     """
-    _integer_ldl(form)
+    _integer_ldl(_integer_gram(form))
     try:
         center, _ = cell_center(form, cell.vertices)
     except (SingularMatrixError, NotCospherical):
@@ -423,7 +418,8 @@ def star_from_reps(form: QuadraticForm, reps) -> DelaunayStar:
 def delaunay_star(form: QuadraticForm) -> DelaunayStar:
     """All maximal Delaunay cells containing 0: the orbit reps of `_walk_reps`,
     one ratio test per +- class of reps beyond the first, certified by `star_from_reps`."""
-    factor = _integer_ldl(form)  # raises unless definite
+    gram = _integer_gram(form)
+    factor = _integer_ldl(gram)  # raises unless definite
     if not 0 < form.rank <= 4:
         raise UnsupportedRankError("only ranks up to 4 are supported (and at least 1)")
-    return star_from_reps(form, _walk_reps(factor, _integer_gram(form)))
+    return star_from_reps(form, _walk_reps(factor, gram))

@@ -4,11 +4,12 @@ All arithmetic is exact, in `int` and `fractions.Fraction`; nothing in this
 package ever rounds.  Vectors are plain tuples (ints for lattice vectors,
 Fractions for rational vectors) and matrices are tuples of row tuples.
 
-Row elimination lives in three routines only: `_echelon`, a fraction-free
-(Bareiss) Gauss-Jordan core under the rank, nullspace, solves and the scaled
-inverse with its |det|; `_cut`, which cuts an integer kernel basis by one row,
-under the facet search; and `ldl`, the in-order symmetric LDL^T under
-definiteness and the integer lattice point sweep.
+Row elimination lives in three routines only, all in integers: `_echelon`, a
+fraction-free (Bareiss) Gauss-Jordan core under the rank, nullspace, solves and
+the scaled inverse with its |det|; `_cut`, which cuts an integer kernel basis by
+one row, under the facet search; and `ldl`, the fraction-free in-order symmetric
+LDL^T under definiteness and the integer lattice point sweep.  A form is scaled
+to integers in one place, `_integer_gram`.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from typing import Iterable, Sequence, Tuple
 
 Rational = Fraction
 LatticeVector = Tuple[int, ...]
-RationalVector = Tuple[Fraction, ...]
 Matrix = Tuple[Tuple[Fraction, ...], ...]
 
 POSITIVE_DEFINITE = "positive_definite"
@@ -163,39 +163,45 @@ def form_scale(c, form: QuadraticForm) -> QuadraticForm:
     return QuadraticForm(tuple(tuple(c * v for v in row) for row in form.entries))
 
 
-def ldl(form: QuadraticForm):
-    """In-order B = U^T D U with U unit upper triangular, for semidefinite B.
+def _integer_gram(form: QuadraticForm):
+    """(G, k): G the Gram matrix times the least positive integer k making it integral,
+    the one place a form's entries are scaled to integers."""
+    g, (nums, k) = form.rank, integral([x for row in form.entries for x in row])
+    return [nums[i * g:(i + 1) * g] for i in range(g)], k
 
-    Returns (d, u), or None when B is indefinite: a negative pivot, or a zero
-    pivot whose residual row is nonzero.  A zero pivot with a zero residual
-    row only lowers the rank.  The pivots stay in index order, as the
-    integer Fincke-Pohst sweep of `delaunay._sweep` needs: it reads d and the
-    rows of U once per form, scaled to integers by `delaunay._integer_ldl`.
-    """
-    n = form.rank
-    a = [list(row) for row in form.entries]
-    d = []
-    u = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        pivot = a[i][i]
-        if pivot < 0 or (pivot == 0 and any(a[i][i + 1:])):
+
+def ldl(gram):
+    """In-order G = U^T D U, U unit upper triangular, for an integer semidefinite G:
+    Bareiss elimination (Math. Comp. 22, 1968) in index order, without row swaps.
+
+    Returns (rows, pivots), or None when G is indefinite: a negative pivot, or a zero
+    pivot whose residual row is nonzero.  A zero pivot with a zero residual row only
+    lowers the rank; its row stays zero.  Row i is p_i times row i of U, and d_i =
+    p_i / p_{i-1} over the nonzero pivots (p_{-1} = 1): each is a leading principal minor
+    of G without the zero-pivot indices, so every update divides exactly.  The index
+    order is the one the integer Fincke-Pohst sweep of `delaunay._sweep` needs."""
+    n = len(gram)
+    a = [list(row) for row in gram]
+    pivots, prev = [], 1
+    for i, row in enumerate(a):
+        p = row[i]
+        if p < 0 or (p == 0 and any(row[i + 1:])):
             return None
-        d.append(pivot)
-        if pivot == 0:
-            continue
-        u[i][i + 1:] = [x / pivot for x in a[i][i + 1:]]
-        for r in range(i + 1, n):
-            for c in range(i + 1, n):
-                a[r][c] -= u[i][r] * a[i][c]
-    return d, u
+        pivots.append(p)
+        if p:
+            for r in range(i + 1, n):  # the upper triangle, as the residual stays symmetric
+                f = row[r]
+                a[r][r:] = [(p * x - f * y) // prev for x, y in zip(a[r][r:], row[r:])]
+            prev = p
+    return [[0] * i + row[i:] for i, row in enumerate(a)], pivots
 
 
 def definiteness(form: QuadraticForm) -> str:
-    """Exact classification by the in-order LDL^T of `ldl`."""
-    factor = ldl(form)
+    """Exact classification by the pivots of `ldl` on the `_integer_gram`."""
+    factor = ldl(_integer_gram(form)[0])
     if factor is None:
         return INDEFINITE
-    return POSITIVE_DEFINITE if all(factor[0]) else POSITIVE_SEMIDEFINITE
+    return POSITIVE_DEFINITE if all(factor[1]) else POSITIVE_SEMIDEFINITE
 
 
 def congruence_act(a: Matrix, form: QuadraticForm) -> QuadraticForm:
@@ -205,8 +211,7 @@ def congruence_act(a: Matrix, form: QuadraticForm) -> QuadraticForm:
     if len(a) != n or any(len(row) != n for row in a):
         raise ValueError("congruence needs a square matrix of the form's rank")
     ai, s = integral([Fraction(v) for row in a for v in row])
-    bi, t = integral([v for row in form.entries for v in row])
-    ai, bi = ([flat[i * n:(i + 1) * n] for i in range(n)] for flat in (ai, bi))
+    ai, (bi, t) = [ai[i * n:(i + 1) * n] for i in range(n)], _integer_gram(form)
     if len(_echelon(ai)[1]) < n:
         raise SingularMatrixError("congruence by a singular matrix")
     c = mat_mul(transpose(ai), mat_mul(bi, ai))
@@ -276,18 +281,6 @@ def _scaled_inverse(m):
         if pivots[-1] < n:
             return [[x if p > 0 else -x for x in row[n:]] for row in reduced[:n]], abs(p)
     return None
-
-
-def solve_linear(m: Matrix, b: Sequence) -> RationalVector:
-    """Solve M x = b exactly; raises SingularMatrixError when M is singular."""
-    n = len(m)
-    if any(len(row) != n for row in m) or len(b) != n:
-        raise ValueError("dimension mismatch")
-    try:
-        return solve_overdetermined(m, b)
-    except ValueError:
-        # a square system is inconsistent only when M is singular
-        raise SingularMatrixError("singular")
 
 
 def solve_overdetermined(rows: Sequence[Sequence], rhs: Sequence):

@@ -30,7 +30,7 @@ from itertools import combinations
 from typing import Dict, Optional, Tuple
 
 from .catalog import NamedCone, catalog
-from .exact import integral, mat_vec
+from .exact import _integer_gram, mat_vec
 from .geometry import cone_facets, primitive
 
 BLACK = "black"
@@ -78,12 +78,11 @@ _RAY_PAIR = dict(zip(K_RAYS, SIGNED_PAIRS))
 
 def k_ray(form) -> Optional[SignedPair]:
     """The signed pair whose ray is a positive multiple of V^T B V, or None, for
-    the form B scaled to integers and V = VORONOI_MATRIX: column j of V^T B V is
+    the `_integer_gram` of the form B and V = VORONOI_MATRIX: column j of V^T B V is
     V^T (B v_j) for the column v_j of V, and its entries from j on are row j's."""
     if form.rank != 4:
         raise ValueError("the Voronoi transformation acts on rank-4 forms")
-    nums, _ = integral([v for row in form.entries for v in row])
-    b, cols = [nums[i:i + 4] for i in range(0, 16, 4)], tuple(zip(*VORONOI_MATRIX))
+    b, cols = _integer_gram(form)[0], tuple(zip(*VORONOI_MATRIX))
     image = [v for j, c in enumerate(cols) for v in mat_vec(cols, mat_vec(b, c))[j:]]
     return _RAY_PAIR.get(primitive(image)) if any(image) else None
 

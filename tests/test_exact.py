@@ -25,7 +25,6 @@ from latdel.exact import (
     matrix_rank,
     nullspace,
     parse_rational,
-    solve_linear,
     solve_overdetermined,
 )
 from latdel.catalog import OMEGA
@@ -128,17 +127,16 @@ def test_determinant_refuses_matrices_that_are_not_square():
         assert _scaled_inverse(m) is None
 
 
-def test_solve_linear():
-    assert solve_linear(((2, 0), (0, 3)), (4, 9)) == (Fraction(2), Fraction(3))
-    with pytest.raises(SingularMatrixError):
-        solve_linear(((0, 0), (0, 0)), (1, 0))
-
-
 def test_solve_overdetermined():
     rows = [(1, 0), (0, 1), (1, 1)]
     assert solve_overdetermined(rows, (2, 3, 5)) == (Fraction(2), Fraction(3))
     with pytest.raises(ValueError):
         solve_overdetermined(rows, (2, 3, 6))
+    # the singular square system: unsolvable is inconsistent, solvable is singular
+    with pytest.raises(ValueError, match="^inconsistent$"):
+        solve_overdetermined(((0, 0), (0, 0)), (1, 0))
+    with pytest.raises(SingularMatrixError):
+        solve_overdetermined(((0, 0), (0, 0)), (0, 0))
 
 
 def test_nullspace():

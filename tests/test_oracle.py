@@ -1712,7 +1712,7 @@ def oracle_ball_sweep(form: QuadraticForm, cell: DelaunayCell) -> EmptySphereCer
     integers, by `_power`.  NotPositiveDefiniteError unless the form is
     definite, before any sphere.
     """
-    _integer_ldl(form)
+    _integer_ldl(_integer_gram(form))
     shift = min(cell.vertices)
     local = canonical_orbit_rep(cell)
     try:
@@ -1972,18 +1972,66 @@ def _int_interval(c: Fraction, t: Fraction):
     return range(lo, hi + 1)
 
 
+def oracle_ldl(form: QuadraticForm):
+    """The former `exact.ldl`, in `Fraction`s: in-order B = U^T D U with U unit
+    upper triangular, for semidefinite B.
+
+    Returns (d, u), or None when B is indefinite: a negative pivot, or a zero
+    pivot whose residual row is nonzero.  A zero pivot with a zero residual
+    row only lowers the rank.  The pivots stay in index order.
+    """
+    n = form.rank
+    a = [list(row) for row in form.entries]
+    d = []
+    u = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        pivot = a[i][i]
+        if pivot < 0 or (pivot == 0 and any(a[i][i + 1:])):
+            return None
+        d.append(pivot)
+        if pivot == 0:
+            continue
+        u[i][i + 1:] = [x / pivot for x in a[i][i + 1:]]
+        for r in range(i + 1, n):
+            for c in range(i + 1, n):
+                a[r][c] -= u[i][r] * a[i][c]
+    return d, u
+
+
+@settings(max_examples=200, deadline=None)
+@given(symmetric_matrices())
+def test_fraction_free_ldl_matches_the_fraction_ldl(entries):
+    # on the integer Gram k B, d_i = p_i / p_{i-1} over the nonzero pivots is k times
+    # the Fraction pivot and row i over p_i is row i of U; a zero pivot leaves a zero row
+    form = QuadraticForm(entries)
+    gram, k = _integer_gram(form)
+    factor, reference = ldl(gram), oracle_ldl(form)
+    assert (factor is None) == (reference is None)
+    if factor is None:
+        return
+    (rows, pivots), (d, u), prev = factor, reference, 1
+    for i, p in enumerate(pivots):
+        assert (p == 0) == (d[i] == 0)
+        if p:
+            assert Fraction(p, prev) == k * d[i]
+            assert [Fraction(x, p) for x in rows[i]] == u[i]
+            prev = p
+        else:
+            assert not any(rows[i])
+
+
 def oracle_points_within(form: QuadraticForm, alpha, bound: Fraction):
     """All lattice points x with B(x - alpha, x - alpha) <= bound.
 
     Fincke-Pohst style enumeration from the exact in-order U^T D U of
-    `ldl`; the returned list is provably exhaustive and sorted.
+    `oracle_ldl`; the returned list is provably exhaustive and sorted.
     """
     n = form.rank
     alpha = tuple(Fraction(a) for a in alpha)
     bound = Fraction(bound)
     if bound < 0:
         return []
-    factor = ldl(form)
+    factor = oracle_ldl(form)
     if factor is None or not all(factor[0]):
         raise NotPositiveDefiniteError("form is not positive definite")
     d, u = factor
