@@ -89,7 +89,10 @@ class DelaunayCell:
 
 
 def make_cell(vertices, center=None, sq_radius=None) -> DelaunayCell:
-    verts = tuple(sorted(set(tuple(int(c) for c in v) for v in vertices)))
+    verts = [tuple(v) for v in vertices]
+    if any(c != int(c) for v in verts for c in v):
+        raise ValueError("vertex coordinates must be integers")
+    verts = tuple(sorted({tuple(map(int, v)) for v in verts}))
     hole = None if center is None else integral(center)  # a rational center enters here
     return DelaunayCell(verts, hole and (tuple(hole[0]), hole[1]), sq_radius)
 
@@ -360,10 +363,7 @@ def _walk_reps(factor, gram):
         negative = tuple(vec_sub(m, w) for w in vertices[::-1]), vec_sub([den * c for c in m], nums)
         for vertices, nums in dict.fromkeys([(vertices, nums), negative]):  # once if A = -A
             rep = reps[vertices] = DelaunayCell(vertices, (nums, den), sq_radius)
-            try:
-                classes, placements = facet_classes([rep])
-            except ValueError:
-                raise CertificationError("star cell %r is not full-dimensional" % (vertices,))
+            classes, placements = facet_classes([rep])
             for facet, holders in classes.items():
                 for i, normal in holders:
                     held.add((facet, normal))
@@ -378,13 +378,16 @@ def _walk_reps(factor, gram):
 
 
 def facet_classes(reps):
-    """(map, placements): a `geometry.facet_map` of the facets of the reps up to
-    translation, each moved so its smallest vertex is 0, over the placements
-    (r, v) that hold them, the translates reps[r] - v; every facet of the tiling
-    is in a class.  The moved facets are the keys cached with the facets (`_at_zero`)."""
+    """(map, placements): a `geometry.facet_map` of the facets of the reps up to translation,
+    each moved so its smallest vertex is 0, over the placements (r, v) that hold them, the
+    translates reps[r] - v; every facet of the tiling is in a class.  The moved facets are
+    the keys cached with the facets (`_at_zero`).  CertificationError if a rep is flat."""
     classes, index = {}, {}
     for r, rep in enumerate(reps):
-        (facets, _), _ = _at_zero(rep.vertices)
+        try:
+            (facets, _), _ = _at_zero(rep.vertices)
+        except ValueError:
+            raise CertificationError("star cell %r is not full-dimensional" % (rep.vertices,))
         for members, normal, _, facet in facets:
             v = rep.vertices[members[0]]
             classes.setdefault(facet, []).append((index.setdefault((r, v), len(index)), normal))
@@ -398,7 +401,7 @@ def star_from_reps(form: QuadraticForm, reps) -> DelaunayStar:
     translates over a point are equally many off codimension 2, and the
     tiling invariant makes them one.  Delaunay's lemma once per class pair, on
     the reps (`_lemma`), checks each hole and makes the lift of Q convex: every
-    sphere is empty."""
+    sphere is empty.  A rep without a hole is refused before the lemma."""
     classes, placements = facet_classes(reps)
     unpaired = unpaired_facets(classes)
     if unpaired:
@@ -408,6 +411,9 @@ def star_from_reps(form: QuadraticForm, reps) -> DelaunayStar:
             "the reps %r, not by two on opposite sides"
             % (unpaired[0], [canonical_orbit_rep(rep).vertices for rep in holders])
         )
+    for rep in reps:
+        if rep.hole is None:
+            raise CertificationError("rep %r has no hole" % (rep.vertices,))
     _lemma(_integer_gram(form)[0], reps, placements, classes)
     cells = [rep.translate(tuple(-c for c in v)) for rep in reps for v in rep.vertices]
     cells.sort(key=lambda cell: cell.vertices)

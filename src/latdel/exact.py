@@ -289,6 +289,8 @@ def solve_overdetermined(rows: Sequence[Sequence], rhs: Sequence):
     Returns the unique solution, raises SingularMatrixError when the rows do
     not determine one, and ValueError("inconsistent") when no solution exists.
     """
+    if len(rhs) != len(rows):
+        raise ValueError("dimension mismatch")
     if not rows:
         raise SingularMatrixError("singular")
     n = len(rows[0])

@@ -267,13 +267,15 @@ def _simplicial_pieces(rays):
 def cone_contains(rays, x):
     """Exact membership of x in the pointed cone spanned by the rays.
 
-    Returns the coefficient witness (full length, zeros for rays outside
-    the simplex that holds x) or None.  The simplicial cones of the pulling
-    triangulation, cached per ray tuple, cover the cone, and each has
-    unique coefficients, so one solve per simplex decides.  Every simplex
-    spans the cone's span, so a point off it fails the first solve.
+    Returns the coefficient witness (full length, zeros for rays outside the simplex
+    that holds x) or None; ValueError if x and a ray differ in length.  The simplicial
+    cones of the pulling triangulation, cached per ray tuple, cover the cone, and each
+    has unique coefficients, so one solve per simplex decides.  Every simplex spans
+    the cone's span, so a point off it fails the first solve.
     """
     rays = tuple(tuple(r) for r in rays)
+    if any(len(r) != len(x) for r in rays):
+        raise ValueError("dimension mismatch")
     for simplex, cols in _simplicial_pieces(rays):
         try:
             coeffs = solve_overdetermined(cols, x)

@@ -150,6 +150,9 @@ def test_chamber_coordinates_reconstruct():
     total = form_add(*[form_scale(c, gens[n]) for n, c in coords.items() if c])
     assert total == OMEGA
     assert coords["e_12345"] == 1
+    # a rank-5 form has 15 entries to the 10 of the basis: refused, not truncated
+    with pytest.raises(ValueError, match="^dimension mismatch$"):
+        chamber_coordinates((1, 2, 3, 4), form([[2 * (i == j) for j in range(5)] for i in range(5)]))
 
 
 def test_generators_semidefinite():

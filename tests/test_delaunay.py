@@ -325,6 +325,24 @@ def test_a_doubled_rep_breaks_the_tiling_invariant():
         star_from_reps(ID2, [rect])
 
 
+def test_star_from_reps_refuses_a_rep_without_a_hole_or_flat():
+    # the unit square pairs its facet classes but carries no sphere data
+    with pytest.raises(CertificationError) as info:
+        star_from_reps(ID2, [make_cell([(0, 0), (1, 0), (0, 1), (1, 1)])])
+    assert str(info.value) == "rep ((0, 0), (0, 1), (1, 0), (1, 1)) has no hole"
+    flat = make_cell([(0, 0), (1, 0), (2, 0)], (1, 0), 1)
+    with pytest.raises(CertificationError) as info:
+        star_from_reps(ID2, [flat])
+    assert str(info.value) == "star cell ((0, 0), (1, 0), (2, 0)) is not full-dimensional"
+
+
+def test_make_cell_refuses_a_coordinate_that_is_not_an_integer():
+    with pytest.raises(ValueError, match="^vertex coordinates must be integers$"):
+        make_cell([(0, 0), (Fraction(1, 2), 0), (0, 1.9)])
+    # integral values of other types are read as the integers they are
+    assert make_cell([(Fraction(2), 0.0), (2, 0)]).vertices == ((2, 0),)
+
+
 def test_delaunay_star_certifies_through_star_from_reps(monkeypatch):
     # the certificate the tests above run on given reps is the one every star
     # runs: one call per star, the form factored once

@@ -137,6 +137,9 @@ def test_solve_overdetermined():
         solve_overdetermined(((0, 0), (0, 0)), (1, 0))
     with pytest.raises(SingularMatrixError):
         solve_overdetermined(((0, 0), (0, 0)), (0, 0))
+    # a right side shorter than the rows is refused, not truncated to (1, 2)
+    with pytest.raises(ValueError, match="^dimension mismatch$"):
+        solve_overdetermined(rows, (1, 2))
 
 
 def test_nullspace():

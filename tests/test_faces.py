@@ -79,6 +79,13 @@ def test_group_order():
     # the half-integral matrix of all 1/2 sends e1+e2 to (1,1,1,1)
     with pytest.raises(RuntimeError):
         root_permutation(tuple((Fraction(1, 2),) * 4 for _ in range(4)))
+    # (1/3) P for a signed permutation matrix P sends each root r to r/3, and
+    # 2 sigma = J - 2I sends e1+e2 to (-1,-1,1,1): both are off the root set
+    flip, sigma = group_generators()[0], group_generators()[-1]
+    with pytest.raises(RuntimeError):
+        root_permutation(tuple(tuple(v / 3 for v in row) for row in flip))
+    with pytest.raises(RuntimeError):
+        root_permutation(tuple(tuple(2 * v for v in row) for row in sigma))
 
 
 def test_orbit_sizes_and_all_red_triangles():

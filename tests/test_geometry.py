@@ -96,6 +96,9 @@ def test_cone_contains():
     assert coeffs == (Fraction(1), Fraction(1))
     assert cone_contains(rays, (0, -1)) is None
     assert cone_contains(rays, (0, 0)) is not None
+    # a point longer than the rays is refused, not read as its first two entries
+    with pytest.raises(ValueError, match="^dimension mismatch$"):
+        cone_contains([(1, 0), (0, 1)], (1, 1, 5))
 
 
 def test_extremal_rays():
