@@ -265,10 +265,9 @@ def chamber_side(split, form: QuadraticForm) -> str:
     (in both, i.e. y_ab = y_cd) or "outside".
     """
     a, b, c, d = split
-    try:
-        chamber_coordinates(split, form)
-    except ValueError:
-        raise ValueError("form is not in the span of G_%d%d%d%d" % (a, b, c, d))
+    if form.rank != 4:  # the 10 generators span every rank-4 form
+        raise ValueError("ambient ranks disagree")
+    chamber_coordinates(split, form)  # KeyError for a split that names no G_abcd
     in_abcd = contains(_chamber_cone(a, b, c, d), form) is not None
     in_cdab = contains(_chamber_cone(c, d, a, b), form) is not None
     if in_abcd and in_cdab:

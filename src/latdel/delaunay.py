@@ -21,6 +21,7 @@ from __future__ import annotations
 from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from math import factorial, floor, isqrt, lcm
 from typing import Optional, Tuple
@@ -93,6 +94,10 @@ def make_cell(vertices, center=None, sq_radius=None) -> DelaunayCell:
     if any(c != int(c) for v in verts for c in v):
         raise ValueError("vertex coordinates must be integers")
     verts = tuple(sorted({tuple(map(int, v)) for v in verts}))
+    if center is not None and not all(type(c) in (int, Fraction) for c in center):
+        raise TypeError("center must be one int or Fraction per coordinate, got %r" % (center,))
+    if center is not None and {len(center)} != {len(v) for v in verts}:
+        raise ValueError("center %r is not as long as the vertices" % (center,))
     hole = None if center is None else integral(center)  # a rational center enters here
     return DelaunayCell(verts, hole and (tuple(hole[0]), hole[1]), sq_radius)
 
@@ -112,6 +117,13 @@ class DelaunayStar:
     form: QuadraticForm
     cells: Tuple[DelaunayCell, ...]
     orbit_reps: Tuple[DelaunayCell, ...]
+
+    @cached_property
+    def shapes(self):
+        """{shape: (rep, normalized volume)}, fewest vertices first, built on first read: a rep's
+        shape is its vertex set moved so that its smallest vertex is at 0."""
+        return {frozenset(canonical_orbit_rep(r).vertices): (r, normalized_volume(r.vertices))
+                for r in sorted(self.orbit_reps, key=lambda r: len(r.vertices))}
 
 
 def _integer_ldl(gram):
@@ -401,7 +413,11 @@ def star_from_reps(form: QuadraticForm, reps) -> DelaunayStar:
     translates over a point are equally many off codimension 2, and the
     tiling invariant makes them one.  Delaunay's lemma once per class pair, on
     the reps (`_lemma`), checks each hole and makes the lift of Q convex: every
-    sphere is empty.  A rep without a hole is refused before the lemma."""
+    sphere is empty.  A rep that is not a cell of the form's rank is refused before its facets,
+    and one without a hole before the lemma."""
+    for rep in reps:
+        if not rep.vertices or any(len(v) != form.rank for v in rep.vertices):
+            raise CertificationError("rep %r is not a cell of rank %d" % (rep.vertices, form.rank))
     classes, placements = facet_classes(reps)
     unpaired = unpaired_facets(classes)
     if unpaired:

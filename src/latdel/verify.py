@@ -2,11 +2,15 @@
 the low-dimension decompositions and the simplicial-generation theorems.
 
 One matcher, `cells_tiling`, places translates of a fine star's orbit
-representatives inside a coarse cell.  `fusion_check` runs it over the
-orbit representatives of a wall star, and the tables and the theorem read
-their tilings from those fusion maps.  The expected tables are hard-coded
-and the computed side is rebuilt from scratch (stars, fusion maps, cell
-naming), so a run is an exact diff against the printed source of truth.
+representatives inside a coarse cell.  Their shapes are an index kept on
+the star (`DelaunayStar.shapes`); as translation keeps lexicographic order,
+k of a cell's n sorted vertices start among its first n - k + 1, the only
+anchors tried, and a rep of n vertices is one lookup of the cell's shape.
+`fusion_check` runs it over the orbit representatives of a wall star, and
+the tables and the theorem read their tilings from those fusion maps.  The
+expected tables are hard-coded and the computed side is rebuilt from scratch
+(stars, fusion maps, cell naming), so a run is an exact diff against the
+printed source of truth.
 """
 
 from __future__ import annotations
@@ -89,32 +93,29 @@ class FusionReport:
         return self.fusions + tuple((c, (c,)) for c in self.unchanged)
 
 
-@lru_cache(maxsize=4096)
-def _at_origin(vertices):  # a rep's sorted vertices minus its first, as a set
-    return frozenset(vec_sub(v, vertices[0]) for v in vertices)
-
-
 def cells_tiling(star: DelaunayStar, coarse: DelaunayCell):
     """The Delaunay cells of the star's decomposition inside a coarse cell.
 
-    Candidates are lattice translates of the star's orbit representatives;
-    a translate qualifies when all its vertices are vertices of the coarse
-    cell.  Then the rep's smallest vertex lands on a coarse vertex w, and the
-    rep qualifies there exactly when its vertex set minus that vertex is a
-    subset of the coarse vertex set minus w: one set inclusion per rep and
-    w; only a match becomes a cell.  The result must tile the coarse cell
-    exactly, or a FusionError names the cell and both normalized volumes.
+    A translate of an orbit rep fits when its vertices are coarse ones: when
+    its rep's shape (the index `DelaunayStar.shapes`) lies in the coarse
+    vertices from w on, moved by -w, for its smallest vertex w.  Translation
+    keeps lexicographic order, so k of the n sorted coarse vertices have their
+    smallest among the first n - k + 1: only those anchors are tried, a rep of
+    over n vertices never, and one of n by one lookup of the cell's own shape.
+    A piece has its rep's volume; the pieces must tile the cell exactly, or a
+    FusionError names the cell and both normalized volumes.
     """
-    at = [(w, {vec_sub(v, w) for v in coarse.vertices}) for w in coarse.vertices]
-    found = {}
-    for rep in star.orbit_reps:
-        shape = _at_origin(rep.vertices)
-        for w, near in at:
-            if shape <= near:
-                cell = rep.translate(vec_sub(w, rep.vertices[0]))
-                found[cell.vertices] = cell
-    pieces = [found[v] for v in sorted(found)]
-    total = sum(normalized_volume(list(p.vertices)) for p in pieces)
+    verts, shapes = coarse.vertices, star.shapes
+    n, g = len(verts), star.form.rank  # a rep has at least g + 1 vertices
+    at = [(w, frozenset(vec_sub(v, w) for v in verts[i:])) for i, w in zip(range(n - g), verts)]
+    placed = [(w, shapes[near]) for w, near in at[:1] if near in shapes]  # k = n
+    for shape, hit in shapes.items():  # fewest vertices first
+        if len(shape) >= n:
+            break
+        placed += [(w, hit) for w, near in at[:n + 1 - len(shape)] if shape <= near]
+    pieces = sorted((rep.translate(vec_sub(w, rep.vertices[0])) for w, (rep, _) in placed),
+                    key=lambda cell: cell.vertices)
+    total = sum(volume for _, (_, volume) in placed)
     whole = normalized_volume(list(coarse.vertices))
     if total != whole:
         raise FusionError("refinement does not tile the coarse cell %r: its pieces have "

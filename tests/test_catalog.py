@@ -10,6 +10,7 @@ from latdel.catalog import (
     F_1234,
     G_123,
     OMEGA,
+    _flatten,
     catalog,
     catalog_names,
     chamber_coordinates,
@@ -22,7 +23,7 @@ from latdel.catalog import (
     square_form,
     verify_matrix_identities,
 )
-from latdel.exact import QuadraticForm, form_add, form_scale
+from latdel.exact import QuadraticForm, form_add, form_scale, matrix_rank
 
 
 def form(rows):
@@ -137,6 +138,15 @@ def test_chamber_side():
             d,
         )
     assert chamber_side((1, 2, 3, 4), e_generator(4, 1, 2)) == "outside"
+
+
+def test_chamber_side_refuses_a_form_of_another_rank():
+    # the 10 generators of each G_abcd span the 10 entries of a rank-4 form, so
+    # the rank is the only fault, named as `contains` names it
+    for name in ("dim4.G1234", "dim4.G1324", "dim4.G1423"):
+        assert matrix_rank([_flatten(g) for g in catalog(name).generators]) == 10
+    with pytest.raises(ValueError, match="^ambient ranks disagree$"):
+        chamber_side((1, 2, 3, 4), form([[2 * (i == j) for j in range(5)] for i in range(5)]))
 
 
 def test_chamber_coordinates_reconstruct():

@@ -1,8 +1,10 @@
 """Delaunay stars, holes, empty-sphere certificates, canonical reps."""
 
+import pickle
 import re
 from ast import literal_eval
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
 
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latdel import delaunay, geometry
+from latdel import delaunay, formats, geometry
 from latdel.catalog import catalog, catalog_names, sample_interior
 from latdel.delaunay import (
     CertificationError,
@@ -41,7 +43,7 @@ from latdel.exact import (
     matrix_rank,
     shift_points,
 )
-from latdel.geometry import polytope_facets
+from latdel.geometry import normalized_volume, polytope_facets
 
 from test_oracle import _int_scaled, lemma_on_cells
 
@@ -341,6 +343,54 @@ def test_make_cell_refuses_a_coordinate_that_is_not_an_integer():
         make_cell([(0, 0), (Fraction(1, 2), 0), (0, 1.9)])
     # integral values of other types are read as the integers they are
     assert make_cell([(Fraction(2), 0.0), (2, 0)]).vertices == ((2, 0),)
+
+
+def test_star_from_reps_refuses_a_rep_that_is_not_a_cell_of_the_forms_rank(monkeypatch):
+    # refused before the facet classes are read: a rep without vertices has no
+    # smallest one, and a rank-3 simplex with its hole cannot tile the plane
+    monkeypatch.setattr(delaunay, "facet_classes", mock.Mock(side_effect=AssertionError))
+    with pytest.raises(CertificationError) as info:
+        star_from_reps(ID2, [make_cell([])])
+    assert str(info.value) == "rep () is not a cell of rank 2"
+    corners = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    simplex = make_cell(corners, *cell_center(form([[1, 0, 0], [0, 1, 0], [0, 0, 1]]), corners))
+    with pytest.raises(CertificationError) as info:
+        star_from_reps(ID2, [simplex])
+    assert str(info.value) == (
+        "rep ((0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0)) is not a cell of rank 2"
+    )
+
+
+def test_make_cell_refuses_a_center_that_is_not_one_rational_per_coordinate():
+    triangle = [(0, 0), (1, 0), (0, 1)]
+    for center in ((Fraction(1, 2),), (Fraction(1, 2),) * 3):
+        with pytest.raises(ValueError, match="is not as long as the vertices$"):
+            make_cell(triangle, center)
+    with pytest.raises(ValueError, match="is not as long as the vertices$"):
+        make_cell([], (0, 0))
+    # a float or a string is no rational, as `parse_rational` holds for a float
+    for center in ((0.5, 0.5), ("1/2", "1/2"), (True, 0)):
+        with pytest.raises(TypeError, match="^center must be one int or Fraction per coordinate"):
+            make_cell(triangle, center)
+    assert make_cell(triangle, (Fraction(1, 2), 1)).hole == ((1, 2), 2)
+
+
+def test_the_shape_index_is_read_on_demand_and_leaves_the_star_as_it_was():
+    star = delaunay_star(sample_interior(catalog("dim4.V1capV2")))
+    assert "shapes" not in star.__dict__  # delaunay_star never reads it
+    before, copy = formats.encode_star(star), replace(star)
+    shapes = star.shapes
+    assert star.shapes is shapes and "shapes" not in copy.__dict__
+    assert [len(shape) for shape in shapes] == sorted(len(r.vertices) for r in star.orbit_reps)
+    for shape, (rep, volume) in shapes.items():
+        assert shape == set(canonical_orbit_rep(rep).vertices)
+        assert volume == normalized_volume(rep.vertices)
+    assert sum(volume for _, volume in shapes.values()) == 24
+    assert formats.encode_star(star) == before
+    assert star == copy and hash(star) == hash(copy)
+    again = pickle.loads(pickle.dumps(star))
+    assert again == star and hash(again) == hash(star)
+    assert formats.encode_star(again) == before
 
 
 def test_delaunay_star_certifies_through_star_from_reps(monkeypatch):

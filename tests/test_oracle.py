@@ -24,6 +24,7 @@ and the former form-level match of a generator to its ray of K
 (`identify_pm` of `voronoi_transform`) for the integer `faces.k_ray`."""
 
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
@@ -103,7 +104,7 @@ from latdel.faces import (
     pair_permutation,
     root_permutation,
 )
-from latdel import delaunay, exact, generation, geometry
+from latdel import delaunay, exact, generation, geometry, verify
 from latdel.generation import (
     GenerationReport,
     _overlap,
@@ -1647,6 +1648,59 @@ def test_cells_tiling_matches_the_oracle_on_the_wrong_wall():
         "refinement does not tile the coarse cell %r: its pieces have normalized volume %d, "
         "the cell %d" % witness for witness in failed
     ]
+
+
+def catalog_tiling_items(moved):
+    """(fine star, coarse cell) for every orbit rep of every catalog star, at 0
+    or moved by a seeded vector, tiled by every catalog star of its rank."""
+    stars = [star_for(name) for name in catalog_names()]
+    rng = random.Random(0)
+    items = []
+    for star in stars:
+        for rep in star.orbit_reps:
+            t = tuple(rng.randint(-3, 3) for _ in range(star.form.rank))
+            coarse = rep.translate(t) if moved else rep
+            items += [(fine, coarse) for fine in stars if fine.form.rank == star.form.rank]
+    return items
+
+
+@pytest.mark.parametrize("moved", [False, True])
+def test_cells_tiling_matches_the_oracle_on_every_catalog_rep(moved):
+    # 6159 cases each way, 12318 in all, split so that each half stays short
+    items = catalog_tiling_items(moved)
+    assert len(items) == 6159
+    assert len(items) - len(assert_tilings_match_the_oracle(items)) == 2117
+    sizes = lambda star: {len(r.vertices) for r in star.orbit_reps}
+    # reps of more vertices than the cell, such as K's 8-vertex cells against simplices
+    assert any(max(sizes(fine)) == 8 and len(coarse.vertices) == 5 for fine, coarse in items)
+    # the cell is itself a rep of the fine star, found by the k = n lookup
+    assert any(frozenset(canonical_orbit_rep(c).vertices) in f.shapes for f, c in items)
+    # stars whose reps differ in size, and cells that do not sit at 0
+    assert any(len(sizes(fine)) > 1 for fine, _ in items)
+    assert any(any(min(coarse.vertices)) for _, coarse in items) == moved
+
+
+def test_a_warm_pass_makes_one_volume_lookup_per_tiling(monkeypatch):
+    # the shape index is built once per star, on its first read, and a pass
+    # over the walls then looks up only each coarse cell's own volume
+    items = wall_items()
+    fresh = {id(star): replace(star) for star, _ in items}  # the index not yet read
+    items = [(fresh[id(star)], rep) for star, rep in items]
+    assert not any("shapes" in star.__dict__ for star in fresh.values())
+    calls = Counter()
+
+    def counted(name, function):
+        return lambda *args: calls.update([name]) or function(*args)
+
+    for module in (verify, delaunay):
+        monkeypatch.setattr(module, "normalized_volume", counted("volume", module.normalized_volume))
+    monkeypatch.setattr(DelaunayStar.shapes, "func", counted("index", DelaunayStar.shapes.func))
+    first = [cells_tiling(*item) for item in items]
+    assert calls == {"index": 3, "volume": 58 + 3 * 24}
+    calls.clear()
+    assert [cells_tiling(*item) for item in items] == first
+    assert calls == {"volume": 58}
+    assert sum(map(len, first)) == 72
 
 
 def test_a_warm_pass_over_the_walls_makes_no_elimination(monkeypatch):
