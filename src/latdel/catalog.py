@@ -11,17 +11,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Tuple
 
 from .exact import (
     POSITIVE_SEMIDEFINITE,
     POSITIVE_DEFINITE,
     QuadraticForm,
+    _rational,
     definiteness,
     form_add,
     form_scale,
     matrix_rank,
-    solve_overdetermined,
 )
 from .geometry import cone_contains
 
@@ -35,23 +36,20 @@ class NamedCone:
 
     @property
     def dimension(self) -> int:
-        rows = [_flatten(g) for g in self.generators]
-        return matrix_rank(rows)
+        return matrix_rank(_flatten(*self.generators))
 
 
-def _flatten(form: QuadraticForm):
-    n = form.rank
-    return tuple(form.entries[i][j] for i in range(n) for j in range(i, n))
+def _flatten(*forms: QuadraticForm):
+    """The entries i <= j of each form times the forms' common scale, as integer vectors,
+    which a linear combination of the forms carries with its coefficients."""
+    scale = lcm(*[f.scale for f in forms])
+    return [tuple(scale // f.scale * f.gram[i][j] for i in range(f.rank) for j in range(i, f.rank))
+            for f in forms]
 
 
 def _vector_square(n: int, coeffs) -> QuadraticForm:
     """(sum_i coeffs[i] x_{i+1})^2."""
-    return QuadraticForm(
-        tuple(
-            tuple(Fraction(coeffs[i] * coeffs[j]) for j in range(n))
-            for i in range(n)
-        )
-    )
+    return QuadraticForm(tuple(tuple(coeffs[i] * coeffs[j] for j in range(n)) for i in range(n)))
 
 
 def difference_form(n: int, i: int, j: int) -> QuadraticForm:
@@ -90,20 +88,16 @@ def e_generator(n: int, i: int, j: int) -> QuadraticForm:
 
 def split_form(a: int, b: int, c: int, d: int) -> QuadraticForm:
     """e_{ab,cde}: 2 sum x_i^2 + 2 x_a x_b - 2 sum_{i in ab, j in cd} x_i x_j."""
-    m = [[Fraction(0)] * 4 for _ in range(4)]
-    for i in range(4):
-        m[i][i] = Fraction(2)
-    m[a - 1][b - 1] = m[b - 1][a - 1] = Fraction(1)
+    m = [[2 * (i == j) for j in range(4)] for i in range(4)]
+    m[a - 1][b - 1] = m[b - 1][a - 1] = 1
     for i in (a, b):
         for j in (c, d):
-            m[i - 1][j - 1] = m[j - 1][i - 1] = Fraction(-1)
-    return QuadraticForm(tuple(tuple(row) for row in m))
+            m[i - 1][j - 1] = m[j - 1][i - 1] = -1
+    return QuadraticForm(m)
 
 
 def _pairs4():
-    return [(i, j) for i, j in combinations(range(1, 5), 2)] + [
-        (i, 5) for i in range(1, 5)
-    ]
+    return list(combinations(range(1, 5), 2)) + [(i, 5) for i in range(1, 5)]
 
 
 def _ename(i, j):
@@ -140,41 +134,22 @@ def _build_catalog():
     add("dim4.V2", 4, not12 + [("e_12345", OMEGA)])
     add("dim4.V2capV3", 4, not12_34 + [("e_12345", OMEGA)])
     add("dim4.V3", 4, not12_34 + [("e_12345", OMEGA), ("f_1234", F_1234)])
-    add(
-        "dim4.V4",
-        4,
-        not12_34 + [("e_34125", split_form(3, 4, 1, 2)), ("f_1234", F_1234)],
-    )
+    add("dim4.V4", 4, not12_34 + [("e_34125", split_form(3, 4, 1, 2)), ("f_1234", F_1234)])
     add("dim4.W0", 4, not12_34 + [("f_1234", F_1234)])
-    add(
-        "dim4.K",
-        4,
-        not12 + [("g_123", G_123), ("g_124", G_124), ("f_1234", F_1234)],
-    )
+    add("dim4.K", 4, not12 + [("g_123", G_123), ("g_124", G_124), ("f_1234", F_1234)])
 
     # chambers F_ab and G_abcd (Igusa's notation); {c,d} complements {a,b}
     for a, b in combinations(range(1, 5), 2):
         c, d = [k for k in range(1, 5) if k not in (a, b)]
         notab = [(n, g) for n, g in all4 if n != _ename(a, b)]
-        add(
-            "dim4.F%d%d" % (a, b),
-            4,
-            notab + [("e_%d%d%d%d5" % (a, b, c, d), split_form(a, b, c, d))],
-        )
+        add("dim4.F%d%d" % (a, b), 4,
+            notab + [("e_%d%d%d%d5" % (a, b, c, d), split_form(a, b, c, d))])
     for a, b in ((1, 2), (1, 3), (1, 4)):
         c, d = [k for k in range(1, 5) if k not in (a, b)]
-        notabcd = [
-            (n, g) for n, g in all4 if n not in (_ename(a, b), _ename(c, d))
-        ]
-        add(
-            "dim4.G%d%d%d%d" % (a, b, c, d),
-            4,
-            notabcd
-            + [
-                ("e_%d%d%d%d5" % (a, b, c, d), split_form(a, b, c, d)),
-                ("e_%d%d%d%d5" % (c, d, a, b), split_form(c, d, a, b)),
-            ],
-        )
+        notabcd = [(n, g) for n, g in all4 if n not in (_ename(a, b), _ename(c, d))]
+        add("dim4.G%d%d%d%d" % (a, b, c, d), 4, notabcd + [
+            ("e_%d%d%d%d5" % (a, b, c, d), split_form(a, b, c, d)),
+            ("e_%d%d%d%d5" % (c, d, a, b), split_form(c, d, a, b))])
     return cones
 
 
@@ -194,8 +169,8 @@ def catalog(name: str) -> NamedCone:
 def sample_interior(cone: NamedCone, weights=None) -> QuadraticForm:
     """A form in the relative interior: the strictly positive generator sum."""
     if weights is None:
-        weights = [Fraction(1)] * len(cone.generators)
-    weights = [Fraction(w) for w in weights]
+        weights = [1] * len(cone.generators)  # no Fraction for unit weights
+    weights = [_rational(w) for w in weights]
     if len(weights) != len(cone.generators):
         raise ValueError("need one weight per generator")
     if any(w <= 0 for w in weights):
@@ -207,7 +182,8 @@ def contains(cone: NamedCone, form: QuadraticForm):
     """Exact nonnegative-combination membership; returns coefficients or None."""
     if form.rank != cone.ambient_rank:
         raise ValueError("ambient ranks disagree")
-    return cone_contains([_flatten(g) for g in cone.generators], _flatten(form))
+    *rays, x = _flatten(*cone.generators, form)
+    return cone_contains(rays, x)
 
 
 def verify_matrix_identities():
@@ -221,9 +197,7 @@ def verify_matrix_identities():
     pairs = _pairs4()
     not12 = [e_generator(4, i, j) for i, j in pairs if (i, j) != (1, 2)]
     not12_34 = [e_generator(4, i, j) for i, j in pairs if (i, j) not in ((1, 2), (3, 4))]
-    omega_rhs = form_scale(
-        Fraction(1, 3), form_add(*(not12 + [F_1234, G_123, G_124]))
-    )
+    omega_rhs = form_scale(Fraction(1, 3), form_add(*(not12 + [F_1234, G_123, G_124])))
     split_lhs = form_add(OMEGA, split_form(3, 4, 1, 2))
     split_rhs = form_add(*(not12_34 + [F_1234]))
     w0 = catalog("dim4.W0")
@@ -258,16 +232,17 @@ def _chamber_cone(a, b, c, d) -> NamedCone:
 def chamber_side(split, form: QuadraticForm) -> str:
     """Which half-chamber of G_abcd the form lies in.
 
-    The form is expanded in the 10-generator simplicial basis of G_abcd;
-    y_ab (resp. y_cd) is the coefficient of e_abcde (resp. e_cdabe).  The
-    chamber halves themselves are the two Voronoi-type subcones, so the side
-    is decided by exact membership in them: "F_abcd", "F_cdab", "boundary"
-    (in both, i.e. y_ab = y_cd) or "outside".
+    In the 10-generator simplicial basis of G_abcd, y_ab (resp. y_cd) is the
+    coefficient of e_abcde (resp. e_cdabe).  The chamber halves themselves are
+    the two Voronoi-type subcones, so the side is decided by exact membership in
+    them, with no solve in that basis: "F_abcd", "F_cdab", "boundary" (in both,
+    i.e. y_ab = y_cd) or "outside".  The split only names the catalog's G_abcd.
     """
     a, b, c, d = split
-    if form.rank != 4:  # the 10 generators span every rank-4 form
+    if form.rank != 4:
         raise ValueError("ambient ranks disagree")
-    chamber_coordinates(split, form)  # KeyError for a split that names no G_abcd
+    pair1, pair2 = sorted([tuple(sorted((a, b))), tuple(sorted((c, d)))])
+    catalog("dim4.G%d%d%d%d" % (pair1 + pair2))  # KeyError for a split that names no G_abcd
     in_abcd = contains(_chamber_cone(a, b, c, d), form) is not None
     in_cdab = contains(_chamber_cone(c, d, a, b), form) is not None
     if in_abcd and in_cdab:
@@ -277,16 +252,6 @@ def chamber_side(split, form: QuadraticForm) -> str:
     if in_cdab:
         return "F_%d%d%d%d" % (c, d, a, b)
     return "outside"
-
-
-def chamber_coordinates(split, form: QuadraticForm):
-    """Coefficients of the form in the simplicial generator basis of G_abcd."""
-    a, b, c, d = split
-    pair1, pair2 = sorted([tuple(sorted((a, b))), tuple(sorted((c, d)))])
-    cone = catalog("dim4.G%d%d%d%d" % (pair1 + pair2))
-    gens = [_flatten(g) for g in cone.generators]
-    coeffs = solve_overdetermined(list(zip(*gens)), _flatten(form))
-    return dict(zip(cone.generator_names, coeffs))
 
 
 def check_generator_semidefiniteness():

@@ -29,7 +29,6 @@ from typing import Optional, Tuple
 from .exact import (
     QuadraticForm,
     SingularMatrixError,
-    _integer_gram,
     _scaled_inverse,
     dot,
     integral,
@@ -91,6 +90,8 @@ class DelaunayCell:
 
 def make_cell(vertices, center=None, sq_radius=None) -> DelaunayCell:
     verts = [tuple(v) for v in vertices]
+    if len({len(v) for v in verts}) > 1:
+        raise ValueError("vertices %r are not all of one length" % (verts,))
     if any(c != int(c) for v in verts for c in v):
         raise ValueError("vertex coordinates must be integers")
     verts = tuple(sorted({tuple(map(int, v)) for v in verts}))
@@ -126,18 +127,18 @@ class DelaunayStar:
                 for r in sorted(self.orbit_reps, key=lambda r: len(r.vertices))}
 
 
-def _integer_ldl(gram):
+def _integer_ldl(form):
     """(scale, weights, rows) in integers, scale * B(e, e) the sum of weights[i] (rows[i] . e)^2,
-    for the `_integer_gram` (G, k) of B: the rows of `ldl`, p_i times row i of U, and as d_i =
-    p_i / p_{i-1}, weights[i] = m / (p_i p_{i-1}) and scale = k m, for m the lcm of those
+    for the integer Gram G = kB of the form B: the rows of `ldl`, p_i times row i of U, and as
+    d_i = p_i / p_{i-1}, weights[i] = m / (p_i p_{i-1}) and scale = k m, for m the lcm of those
     products; no Fraction is built.  NotPositiveDefiniteError unless B is definite."""
-    (gram, k), factor = gram, ldl(gram[0])
+    factor = ldl(form.gram)
     if factor is None or not all(factor[1]):
         raise NotPositiveDefiniteError("form is not positive definite")
     rows, pivots = factor
     products = [p * q for p, q in zip(pivots, [1] + pivots)]
     m = lcm(*products)
-    return k * m, [m // p for p in products], rows
+    return form.scale * m, [m // p for p in products], rows
 
 
 def _sweep(factor, residues, m, bound):
@@ -171,7 +172,7 @@ def points_within(form: QuadraticForm, alpha, bound: Fraction):
     alpha, bound = tuple(Fraction(a) for a in alpha), Fraction(bound)
     if bound < 0:
         return []
-    factor = _integer_ldl(_integer_gram(form))
+    factor = _integer_ldl(form)
     a, m = integral(alpha)
     found = _sweep(factor, [-c % m for c in a], m, m * m * bound)
     return sorted(tuple((c + b) // m for c, b in zip(e, a)) for e, _ in found)
@@ -181,7 +182,7 @@ def nearest_points(form: QuadraticForm, alpha):
     """All lattice points attaining the minimum of ||b - alpha|| in B: one
     `_sweep`, bounded by the rounding floor(alpha + 1/2), gives every
     candidate's distance in integers."""
-    factor = _integer_ldl(_integer_gram(form))
+    factor = _integer_ldl(form)
     a, m = integral([Fraction(c) for c in alpha])
     start = [m * ((2 * c + m) // (2 * m)) - c for c in a]
     found = _sweep(factor, [-c % m for c in a], m, norm(form, start))
@@ -189,13 +190,13 @@ def nearest_points(form: QuadraticForm, alpha):
     return {tuple((c + b) // m for c, b in zip(e, a)) for e, v in found if v == best}
 
 
-def _coset_minima(factor, gram):
-    """(e, Ge, G[e]) for the `_integer_gram` (G, k) and the minima e of the nonzero
+def _coset_minima(factor, form):
+    """(e, Ge, G[e]) for the integer Gram G of the form and the minima e of the nonzero
     cosets of X/2X, coset by coset in `product` order, each coset's sorted: one
     `_sweep` of the factor modulo 2 per coset, bounded by its 0/1 representative."""
-    (gram, k), minima = gram, []
+    gram, minima = form.gram, []
     for parity in filter(any, product((0, 1), repeat=len(gram))):
-        found = _sweep(factor, parity, 2, Fraction(dot(parity, mat_vec(gram, parity)), k))
+        found = _sweep(factor, parity, 2, norm(form, parity))
         best = min(v for _, v in found)
         for e in sorted(e for e, v in found if v == best):
             ge = mat_vec(gram, e)
@@ -210,8 +211,7 @@ def voronoi_inequalities(form: QuadraticForm):
     suffice to define the cell (and include every facet vector): the
     `_coset_minima`, divided back by the scale of the integer Gram matrix.
     """
-    gram = _integer_gram(form)
-    (_, k), minima = gram, _coset_minima(_integer_ldl(gram), gram)
+    k, minima = form.scale, _coset_minima(_integer_ldl(form), form)
     return [(tuple(Fraction(2 * c, k) for c in ge), Fraction(v, k), e) for e, ge, v in minima]
 
 
@@ -225,8 +225,8 @@ def cell_center(form: QuadraticForm, vertices):
     verts = [tuple(v) for v in vertices]
     base = min(verts)
     diffs = [w for w in (vec_sub(v, base) for v in verts) if any(w)]
-    rows = [tuple(2 * c for c in mat_vec(form.entries, w)) for w in diffs]
-    rhs = [norm(form, w) for w in diffs]
+    gws = [mat_vec(form.gram, w) for w in diffs]  # 2Gw.c = G[w], for G = kB: k cancels
+    rows, rhs = [[2 * x for x in gw] for gw in gws], list(map(dot, diffs, gws))
     try:
         center = solve_overdetermined(rows, rhs)
     except SingularMatrixError:
@@ -263,7 +263,7 @@ def certify_cell(form: QuadraticForm, cell: DelaunayCell) -> EmptySphereCertific
     are not vertices, sorted; a flat or not cospherical cell reports every vertex.
     NotPositiveDefiniteError unless the form is definite, before any sphere.
     """
-    _integer_ldl(_integer_gram(form))
+    _integer_ldl(form)
     try:
         center, _ = cell_center(form, cell.vertices)
     except (SingularMatrixError, NotCospherical):
@@ -302,7 +302,7 @@ def _lemma(gram, cells, placements, facets):
     """Delaunay's lemma in integers: raises CertificationError unless it holds.
 
     For a cell's hole c, s = `_power` is a positive multiple of Q[v-c] - Q[c]
-    in integers, for G the `_integer_gram`.  A full-dimensional cell has one
+    in integers, for G the integer Gram.  A full-dimensional cell has one
     equidistant point, so s constant on its vertices verifies the hole.  Each
     facet of the `facet_map` must have two cells A and B, and s_A(w) must
     exceed that constant, putting every vertex w of B off A strictly outside
@@ -346,7 +346,7 @@ def check_tiling(g: int, reps):
         )
 
 
-def _walk_reps(factor, gram):
+def _walk_reps(factor, form):
     """The orbit reps of the star, sorted; their `polytope_facets` fill the cache.
 
     It starts at the hole `geometry._vertex_from_origin` reaches from 0.  The Voronoi
@@ -358,10 +358,10 @@ def _walk_reps(factor, gram):
     the sides of their normals.  A class is crossed only while no known cell holds its
     other side, so each ratio test finds a new +- class of reps; as the cells of a
     tiling are connected through facets, every rep is found."""
-    minima = _coset_minima(factor, gram)
+    minima = _coset_minima(factor, form)
     rows = sorted((primitive(tuple(2 * c for c in ge) + (v,)), e) for e, ge, v in minima)
     ineqs = [(row[:-1], row[-1]) for row, _ in rows]
-    (gram, k), g = gram, len(gram[0])
+    gram, k, g = form.gram, form.scale, form.rank
     adj, _ = _scaled_inverse(gram)  # adj(G) = det(G) G^-1, as det G > 0
     reps, held, stack = {}, set(), []
 
@@ -430,7 +430,7 @@ def star_from_reps(form: QuadraticForm, reps) -> DelaunayStar:
     for rep in reps:
         if rep.hole is None:
             raise CertificationError("rep %r has no hole" % (rep.vertices,))
-    _lemma(_integer_gram(form)[0], reps, placements, classes)
+    _lemma(form.gram, reps, placements, classes)
     cells = [rep.translate(tuple(-c for c in v)) for rep in reps for v in rep.vertices]
     cells.sort(key=lambda cell: cell.vertices)
     check_tiling(form.rank, reps)
@@ -440,8 +440,7 @@ def star_from_reps(form: QuadraticForm, reps) -> DelaunayStar:
 def delaunay_star(form: QuadraticForm) -> DelaunayStar:
     """All maximal Delaunay cells containing 0: the orbit reps of `_walk_reps`,
     one ratio test per +- class of reps beyond the first, certified by `star_from_reps`."""
-    gram = _integer_gram(form)
-    factor = _integer_ldl(gram)  # raises unless definite
+    factor = _integer_ldl(form)  # raises unless definite
     if not 0 < form.rank <= 4:
         raise UnsupportedRankError("only ranks up to 4 are supported (and at least 1)")
-    return star_from_reps(form, _walk_reps(factor, gram))
+    return star_from_reps(form, _walk_reps(factor, form))

@@ -8,8 +8,9 @@ Row elimination lives in three routines only, all in integers: `_echelon`, a
 fraction-free (Bareiss) Gauss-Jordan core under the rank, nullspace, solves and
 the scaled inverse with its |det|; `_cut`, which cuts an integer kernel basis by
 one row, under the facet search; and `ldl`, the fraction-free in-order symmetric
-LDL^T under definiteness and the integer lattice point sweep.  A form is scaled
-to integers in one place, `_integer_gram`.
+LDL^T under definiteness and the integer lattice point sweep.  A form is its
+integer Gram matrix and scale (`QuadraticForm.gram` and `.scale`), which every
+layer reads; its rational entries are built only for parsing and output.
 """
 
 from __future__ import annotations
@@ -61,6 +62,11 @@ def format_rational(value) -> str:
     return "%d/%d" % (value.numerator, value.denominator)
 
 
+def _rational(value):
+    """An int or Fraction as it is, anything else through `Fraction()`."""
+    return value if isinstance(value, (int, Fraction)) else Fraction(value)
+
+
 def basis_sum(rank: int, indices: Iterable[int]) -> LatticeVector:
     """The lattice vector s_I = sum of the basis vectors s_i, i in I (1-based)."""
     coords = [0] * rank
@@ -86,10 +92,6 @@ def dot(x: Sequence, y: Sequence):
     return sum(map(mul, x, y))
 
 
-def as_matrix(rows: Iterable[Iterable]) -> Matrix:
-    return tuple(tuple(Fraction(v) for v in row) for row in rows)
-
-
 def transpose(m: Matrix) -> Matrix:
     return tuple(zip(*m))
 
@@ -103,41 +105,56 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(dot(row, col) for col in bt) for row in a)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class QuadraticForm:
-    """A symmetric bilinear form, stored as an exact rational matrix."""
+    """A symmetric bilinear form B, which is its integer Gram matrix `gram` = kB and its
+    `scale` k, the least positive integer making kB integral: every layer reads these.
+    Entries may be ints, Fractions or anything `Fraction()` parses; as k is least,
+    forms are equal exactly when their entries are."""
 
-    entries: Matrix
+    gram: Tuple[Tuple[int, ...], ...]
+    scale: int
 
-    def __post_init__(self):
-        entries = as_matrix(self.entries)
-        n = len(entries)
-        for row in entries:
-            if len(row) != n:
-                raise ValueError("matrix must be square")
-        for i in range(n):
-            for j in range(i):
-                if entries[i][j] != entries[j][i]:
-                    raise ValueError("matrix must be symmetric")
-        object.__setattr__(self, "entries", entries)
+    def __init__(self, entries):
+        rows = [[_rational(v) for v in row] for row in entries]
+        n = len(rows)
+        if any(len(row) != n for row in rows):
+            raise ValueError("matrix must be square")
+        if any(rows[i][j] != rows[j][i] for i in range(n) for j in range(i)):
+            raise ValueError("matrix must be symmetric")
+        nums, k = integral([v for row in rows for v in row])
+        object.__setattr__(self, "gram", tuple(tuple(nums[i * n:(i + 1) * n]) for i in range(n)))
+        object.__setattr__(self, "scale", k)
+
+    @property
+    def entries(self) -> Matrix:
+        """The exact rational matrix B, built on each read."""
+        return tuple(tuple(Fraction(v, self.scale) for v in row) for row in self.gram)
 
     @property
     def rank(self) -> int:
         """Ambient rank g (the matrix size, not the linear-algebra rank)."""
-        return len(self.entries)
+        return len(self.gram)
 
     def __repr__(self):
-        rows = "; ".join(
-            " ".join(format_rational(v) for v in row) for row in self.entries
-        )
+        rows = "; ".join(" ".join(map(format_rational, row)) for row in self.entries)
         return "QuadraticForm[%s]" % rows
 
 
+def _over(rows, k) -> QuadraticForm:
+    """The form of the symmetric integer rows over k > 0, in lowest terms."""
+    g = gcd(k, *[x for row in rows for x in row])
+    form = object.__new__(QuadraticForm)
+    object.__setattr__(form, "gram", tuple(tuple(x // g for x in row) for row in rows))
+    object.__setattr__(form, "scale", k // g)
+    return form
+
+
 def evaluate(form: QuadraticForm, x: Sequence, y: Sequence) -> Fraction:
-    """The inner product x^T B y determined by the form."""
+    """The inner product x^T B y determined by the form, x^T G y over k."""
     if len(x) != form.rank or len(y) != form.rank:
         raise ValueError("dimension mismatch")
-    return dot(x, mat_vec(form.entries, y))
+    return Fraction(dot(x, mat_vec(form.gram, y)), form.scale)
 
 
 def norm(form: QuadraticForm, x: Sequence) -> Fraction:
@@ -149,25 +166,14 @@ def form_add(*forms: QuadraticForm) -> QuadraticForm:
     ranks = {f.rank for f in forms}
     if len(ranks) != 1:
         raise ValueError("dimension mismatch")
-    n = ranks.pop()
-    return QuadraticForm(
-        tuple(
-            tuple(sum(f.entries[i][j] for f in forms) for j in range(n))
-            for i in range(n)
-        )
-    )
+    n, k = ranks.pop(), lcm(*[f.scale for f in forms])
+    return _over([[sum(f.gram[i][j] * (k // f.scale) for f in forms) for j in range(n)]
+                  for i in range(n)], k)
 
 
 def form_scale(c, form: QuadraticForm) -> QuadraticForm:
-    c = Fraction(c)
-    return QuadraticForm(tuple(tuple(c * v for v in row) for row in form.entries))
-
-
-def _integer_gram(form: QuadraticForm):
-    """(G, k): G the Gram matrix times the least positive integer k making it integral,
-    the one place a form's entries are scaled to integers."""
-    g, (nums, k) = form.rank, integral([x for row in form.entries for x in row])
-    return [nums[i * g:(i + 1) * g] for i in range(g)], k
+    c = _rational(c)
+    return _over([[c.numerator * x for x in row] for row in form.gram], c.denominator * form.scale)
 
 
 def ldl(gram):
@@ -197,8 +203,8 @@ def ldl(gram):
 
 
 def definiteness(form: QuadraticForm) -> str:
-    """Exact classification by the pivots of `ldl` on the `_integer_gram`."""
-    factor = ldl(_integer_gram(form)[0])
+    """Exact classification by the pivots of `ldl` on the integer Gram."""
+    factor = ldl(form.gram)
     if factor is None:
         return INDEFINITE
     return POSITIVE_DEFINITE if all(factor[1]) else POSITIVE_SEMIDEFINITE
@@ -210,12 +216,11 @@ def congruence_act(a: Matrix, form: QuadraticForm) -> QuadraticForm:
     n = form.rank
     if len(a) != n or any(len(row) != n for row in a):
         raise ValueError("congruence needs a square matrix of the form's rank")
-    ai, s = integral([Fraction(v) for row in a for v in row])
-    ai, (bi, t) = [ai[i * n:(i + 1) * n] for i in range(n)], _integer_gram(form)
+    ai, s = integral([_rational(v) for row in a for v in row])
+    ai = [ai[i * n:(i + 1) * n] for i in range(n)]
     if len(_echelon(ai)[1]) < n:
         raise SingularMatrixError("congruence by a singular matrix")
-    c = mat_mul(transpose(ai), mat_mul(bi, ai))
-    return QuadraticForm(tuple(tuple(Fraction(v, s * s * t) for v in row) for row in c))
+    return _over(mat_mul(transpose(ai), mat_mul(form.gram, ai)), s * s * form.scale)
 
 
 def integral(values):

@@ -126,9 +126,9 @@ def cells_tiling(star: DelaunayStar, coarse: DelaunayCell):
 def _is_face_of(coarse_name: str, fine_name: str) -> bool:
     coarse = catalog(coarse_name)
     fine = catalog(fine_name)
-    gens = set(f.entries for f in fine.generators)
+    gens = set(fine.generators)
     return (
-        all(g.entries in gens for g in coarse.generators)
+        all(g in gens for g in coarse.generators)
         and coarse.dimension < fine.dimension
     )
 

@@ -1,6 +1,7 @@
 """The cone catalog: generators, sampling, membership, identities, chambers."""
 
 from fractions import Fraction
+from importlib import import_module
 
 import pytest
 
@@ -10,10 +11,10 @@ from latdel.catalog import (
     F_1234,
     G_123,
     OMEGA,
+    _chamber_cone,
     _flatten,
     catalog,
     catalog_names,
-    chamber_coordinates,
     chamber_side,
     check_generator_semidefiniteness,
     contains,
@@ -23,11 +24,22 @@ from latdel.catalog import (
     square_form,
     verify_matrix_identities,
 )
-from latdel.exact import QuadraticForm, form_add, form_scale, matrix_rank
+from latdel.exact import QuadraticForm, form_add, form_scale, matrix_rank, solve_overdetermined
 
 
 def form(rows):
     return QuadraticForm(tuple(tuple(Fraction(v) for v in row) for row in rows))
+
+
+def chamber_coordinates(split, form: QuadraticForm):
+    """Coefficients of the form in the simplicial generator basis of G_abcd: the
+    former `catalog.chamber_coordinates`, which nothing in the package calls."""
+    a, b, c, d = split
+    pair1, pair2 = sorted([tuple(sorted((a, b))), tuple(sorted((c, d)))])
+    cone = catalog("dim4.G%d%d%d%d" % (pair1 + pair2))
+    *gens, flat = _flatten(*cone.generators, form)
+    coeffs = solve_overdetermined(list(zip(*gens)), flat)
+    return dict(zip(cone.generator_names, coeffs))
 
 
 def test_catalog_dim2_generators():
@@ -144,9 +156,40 @@ def test_chamber_side_refuses_a_form_of_another_rank():
     # the 10 generators of each G_abcd span the 10 entries of a rank-4 form, so
     # the rank is the only fault, named as `contains` names it
     for name in ("dim4.G1234", "dim4.G1324", "dim4.G1423"):
-        assert matrix_rank([_flatten(g) for g in catalog(name).generators]) == 10
+        assert matrix_rank(_flatten(*catalog(name).generators)) == 10
     with pytest.raises(ValueError, match="^ambient ranks disagree$"):
         chamber_side((1, 2, 3, 4), form([[2 * (i == j) for j in range(5)] for i in range(5)]))
+
+
+def test_chamber_side_solves_only_for_its_two_memberships(monkeypatch):
+    # the split is looked up, not solved for: a split that names no G_abcd is a KeyError
+    # before any solve, and the side costs the solves of its two memberships alone
+    solves = []
+    for name in ("latdel.catalog", "latdel.geometry"):
+        monkeypatch.setattr(import_module(name), "solve_overdetermined",
+                            lambda *a: solves.append(a) or solve_overdetermined(*a), raising=False)
+    with pytest.raises(KeyError, match="unknown cone 'dim4.G1213'"):
+        chamber_side((1, 2, 1, 3), OMEGA)
+    assert solves == []
+    for f in (OMEGA, F_1234, e_generator(4, 1, 2)):
+        for split in ((1, 2, 3, 4), (3, 4, 1, 2)):
+            contains(_chamber_cone(*split), f)
+        memberships = len(solves)
+        chamber_side((1, 2, 3, 4), f)
+        assert len(solves) == 2 * memberships
+        solves.clear()
+
+
+def test_coefficients_are_those_of_the_form_at_every_scale():
+    # the flattened Grams are taken over one common scale, so a form of scale 3
+    # gets the coefficients of its entries, not those of its integer Gram
+    v1 = catalog("dim4.V1")
+    third = form_scale(Fraction(1, 3), sample_interior(v1))
+    assert third.scale == 3
+    assert contains(v1, third) == (Fraction(1, 3),) * 10
+    assert contains(catalog("dim2.V1"), form([["1/2", "1/3"], ["1/3", "1/2"]])) is None
+    assert contains(catalog("dim2.V1capV2"), form([["1/2", 0], [0, "1/3"]])) == (
+        Fraction(1, 2), Fraction(1, 3))
 
 
 def test_chamber_coordinates_reconstruct():

@@ -345,6 +345,15 @@ def test_make_cell_refuses_a_coordinate_that_is_not_an_integer():
     assert make_cell([(Fraction(2), 0.0), (2, 0)]).vertices == ((2, 0),)
 
 
+def test_make_cell_refuses_vertices_of_different_lengths():
+    # no polytope: refused before the volume or the certificate reads it, as a file is
+    with pytest.raises(ValueError, match=r"^vertices \[\(0, 0\), \(1,\), \(0, 1\)\] are not all "):
+        make_cell([(0, 0), (1,), (0, 1)])
+    with pytest.raises(ValueError, match="are not all of one length$"):
+        make_cell([(0, 0, 0), (1, 0)], (0, 0))
+    assert make_cell([(1, 0), (0, 1), (1, 0)]).vertices == ((0, 1), (1, 0))
+
+
 def test_star_from_reps_refuses_a_rep_that_is_not_a_cell_of_the_forms_rank(monkeypatch):
     # refused before the facet classes are read: a rep without vertices has no
     # smallest one, and a rank-3 simplex with its hole cannot tile the plane
@@ -395,13 +404,13 @@ def test_the_shape_index_is_read_on_demand_and_leaves_the_star_as_it_was():
 
 def test_delaunay_star_certifies_through_star_from_reps(monkeypatch):
     # the certificate the tests above run on given reps is the one every star
-    # runs: one call per star, the form factored once
+    # runs: one call per star, the form factored once (it was scaled when built)
     calls = Counter()
-    for name in ("star_from_reps", "_integer_ldl", "_integer_gram"):
+    for name in ("star_from_reps", "_integer_ldl"):
         original = getattr(delaunay, name)
         monkeypatch.setattr(delaunay, name, lambda *a, f=original, n=name: calls.update([n]) or f(*a))
     delaunay_star(sample_interior(catalog("dim3.V")))
-    assert calls == {"star_from_reps": 1, "_integer_ldl": 1, "_integer_gram": 2}
+    assert calls == {"star_from_reps": 1, "_integer_ldl": 1}
 
 
 def test_certify_cell_refuses_a_form_that_is_not_positive_definite():

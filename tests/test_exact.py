@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+import pickle
+
 import pytest
 from math import gcd
 
@@ -68,6 +70,46 @@ def test_basis_sum():
 def test_quadratic_form_rejects_asymmetric():
     with pytest.raises(ValueError):
         form([[1, 2], [0, 1]])
+
+
+@pytest.mark.parametrize("entries, gram, scale, text", [
+    ([[2, -1], [-1, 2]], ((2, -1), (-1, 2)), 1, "2 -1; -1 2"),
+    ([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), 1]], ((3, 2), (2, 6)), 6, "1/2 1/3; 1/3 1"),
+    ([[0.5, 0.25], [0.25, 1.0]], ((2, 1), (1, 4)), 4, "1/2 1/4; 1/4 1"),
+    ([["1/2", "-2/4"], [Fraction(-1, 2), "3"]], ((1, -1), (-1, 6)), 2, "1/2 -1/2; -1/2 3"),
+    ([[Fraction(2, 2), 0], [0, "4/2"]], ((1, 0), (0, 2)), 1, "1 0; 0 2"),
+    ([], (), 1, ""),
+])
+def test_a_form_is_its_integer_gram_and_least_scale(entries, gram, scale, text):
+    # ints, Fractions, floats and "p/q" strings, denominators mixed or cancelling: the
+    # form is kB with k least, so equality and hash follow the entries
+    f = QuadraticForm(entries)
+    assert (f.gram, f.scale, f.rank, repr(f)) == (gram, scale, len(gram), "QuadraticForm[%s]" % text)
+    rational = tuple(tuple(Fraction(v) for v in row) for row in entries)
+    assert f.entries == rational and all(type(v) is Fraction for row in f.entries for v in row)
+    for same in (QuadraticForm(rational), QuadraticForm(f.entries), pickle.loads(pickle.dumps(f))):
+        assert same == f and hash(same) == hash(f) and repr(same) == repr(f)
+    with pytest.raises(AttributeError):
+        f.entries = rational
+
+
+def test_forms_are_equal_exactly_when_their_entries_are():
+    assert QuadraticForm([[Fraction(2, 2)]]) == QuadraticForm([[1]]) == QuadraticForm([["3/3"]])
+    assert hash(QuadraticForm([[Fraction(2, 2)]])) == hash(QuadraticForm([[1]]))
+    assert QuadraticForm([[Fraction(1, 2)]]) != QuadraticForm([[1]])  # gram 1 at scales 2 and 1
+    assert QuadraticForm([[2]]) != QuadraticForm([[1]])
+    assert len({QuadraticForm([[1, "1/2"], [0.5, 1]]), form([[1, Fraction(1, 2)], [0.5, 1]])}) == 1
+
+
+def test_quadratic_form_refusals_are_unchanged():
+    with pytest.raises(ValueError, match="^matrix must be square$"):
+        QuadraticForm([[1, 2], [3]])
+    with pytest.raises(ValueError, match="^matrix must be square$"):
+        QuadraticForm([[1, 2]])
+    with pytest.raises(ValueError, match="^matrix must be symmetric$"):
+        QuadraticForm([[1, "1/2"], [Fraction(1, 3), 1]])
+    with pytest.raises(ValueError, match="Invalid literal for Fraction"):
+        QuadraticForm([["x"]])
 
 
 def test_evaluate():

@@ -20,8 +20,9 @@ earlier lemma on a translate of a rep per facet class
 over every vertex of the Voronoi cell (`vertex_enumeration`) for the walk
 over the orbit reps of a star, the earlier `Fraction` Fincke-Pohst sweep
 for the integer sweep of the lattice points in a ball and the coset minima,
-and the former form-level match of a generator to its ray of K
-(`identify_pm` of `voronoi_transform`) for the integer `faces.k_ray`."""
+the former form-level match of a generator to its ray of K
+(`identify_pm` of `voronoi_transform`) for the integer `faces.k_ray`, and the
+former `Fraction` form arithmetic for the integer `form_add` and `form_scale`."""
 
 import random
 from collections import Counter
@@ -31,7 +32,7 @@ from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
 from math import gcd, isqrt, lcm
 from operator import mul
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 from unittest import mock
 
 import pytest
@@ -46,7 +47,6 @@ from latdel.delaunay import (
     EmptySphereCertificate,
     NotCospherical,
     NotPositiveDefiniteError,
-    _integer_gram,
     _integer_ldl,
     _power,
     canonical_orbit_rep,
@@ -70,10 +70,11 @@ from latdel.exact import (
     SingularMatrixError,
     _echelon,
     _scaled_inverse,
-    as_matrix,
     congruence_act,
     definiteness,
     dot,
+    form_add,
+    form_scale,
     integral,
     ldl,
     mat_mul,
@@ -724,6 +725,55 @@ def test_determinant_matches_fraction_elimination(m):
         assert got == ([[det * v for v in row[n:]] for row in reduced], det)
 
 
+def as_matrix(rows: Iterable[Iterable]) -> Matrix:
+    return tuple(tuple(Fraction(v) for v in row) for row in rows)
+
+
+def oracle_form_add(*forms: QuadraticForm) -> QuadraticForm:
+    """The former `exact.form_add`, on the `Fraction` entries."""
+    ranks = {f.rank for f in forms}
+    if len(ranks) != 1:
+        raise ValueError("dimension mismatch")
+    n = ranks.pop()
+    return QuadraticForm(
+        tuple(
+            tuple(sum(f.entries[i][j] for f in forms) for j in range(n))
+            for i in range(n)
+        )
+    )
+
+
+def oracle_form_scale(c, form: QuadraticForm) -> QuadraticForm:
+    """The former `exact.form_scale`, on the `Fraction` entries."""
+    c = Fraction(c)
+    return QuadraticForm(tuple(tuple(c * v for v in row) for row in form.entries))
+
+
+@st.composite
+def rational_forms(draw, n):
+    entries = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            entries[i][j] = entries[j][i] = draw(ENTRIES)
+    return QuadraticForm(entries)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(rational_forms(n), min_size=1, max_size=4)),
+       ENTRIES)
+def test_integer_form_arithmetic_matches_the_fraction_arithmetic(forms, c):
+    # the sum over the lcm of the scales and the scaled Gram, each in lowest terms,
+    # are the forms of the Fraction entries; the scale is the least denominator
+    for got, want in [(form_add(*forms), oracle_form_add(*forms))] + [
+            (form_scale(c, f), oracle_form_scale(c, f)) for f in forms]:
+        assert got == want and got.entries == want.entries and hash(got) == hash(want)
+        assert gcd(got.scale, *[x for row in got.gram for x in row]) == 1
+    for f in forms:
+        assert QuadraticForm(f.entries) == f and QuadraticForm(as_matrix(f.entries)) == f
+    with pytest.raises(ValueError, match="^dimension mismatch$"):
+        form_add(forms[0], QuadraticForm([[1] * (forms[0].rank + 1)] * (forms[0].rank + 1)))
+
+
 def oracle_congruence_act(a, form):
     """The congruence action B |-> A^T B A for invertible rational A."""
     a = as_matrix(a)
@@ -1049,7 +1099,7 @@ def test_cone_facets_match_the_oracle_where_the_search_prunes():
     # the hypothesis cones stop at dimension 4: here K's twelve flattened
     # generators in dimension 10, and the lifted vertices of every orbit rep
     # of the rank-4 unit stars in dimension 5, each also with rational rays
-    k_rays = [integral(_flatten(PM_FORMS[k]))[0] for k in SIGNED_PAIRS]
+    k_rays = _flatten(*[PM_FORMS[k] for k in SIGNED_PAIRS])
     assert len(k_rays[0]) == 10 and len(cone_facets(k_rays)) == 64
     assert tuple(map(tuple, k_rays)) == K_RAYS
     stars = [star_for(name) for name in catalog_names()]
@@ -1069,7 +1119,7 @@ def rank4_generator_rays():
         cone = catalog(name)
         for gname, g in zip(cone.generator_names, cone.generators):
             if cone.ambient_rank == 4:
-                named.setdefault(primitive(integral(_flatten(g))[0]), set()).add(gname)
+                named.setdefault(primitive(_flatten(g)[0]), set()).add(gname)
     return named
 
 
@@ -1263,10 +1313,10 @@ def oracle_k_faces():
         for signs in product((1, -1), repeat=3):
             dropped = tuple(sorted((p, q, s) for (p, q), s in zip(pairs, signs)))
             kept = [k for k in SIGNED_PAIRS if k not in dropped]
-            kernel = oracle_nullspace([_flatten(PM_FORMS[k]) for k in kept])
+            kernel = oracle_nullspace(_flatten(*[PM_FORMS[k] for k in kept]))
             faces[dropped] = None
             if len(kernel) == 1:
-                values = [dot(kernel[0], _flatten(PM_FORMS[k])) for k in dropped]
+                values = [dot(kernel[0], v) for v in _flatten(*[PM_FORMS[k] for k in dropped])]
                 if all(v > 0 for v in values):
                     faces[dropped] = kernel[0]
                 elif all(v < 0 for v in values):
@@ -1766,7 +1816,7 @@ def oracle_ball_sweep(form: QuadraticForm, cell: DelaunayCell) -> EmptySphereCer
     integers, by `_power`.  NotPositiveDefiniteError unless the form is
     definite, before any sphere.
     """
-    _integer_ldl(_integer_gram(form))
+    _integer_ldl(form)
     shift = min(cell.vertices)
     local = canonical_orbit_rep(cell)
     try:
@@ -1774,7 +1824,7 @@ def oracle_ball_sweep(form: QuadraticForm, cell: DelaunayCell) -> EmptySphereCer
     except (SingularMatrixError, NotCospherical):
         # report the vertices that break the sphere through a spanning subset
         return EmptySphereCertificate(cell, tuple(cell.vertices))
-    bound, power = 4 * sq_radius, _power(_integer_gram(form)[0], integral(center), {})
+    bound, power = 4 * sq_radius, _power(form.gram, integral(center), {})
     nearest = sorted(nearest_points(form, center))
     if power(nearest[0]) < 0:
         return EmptySphereCertificate(cell, shift_points(nearest, shift))
@@ -1793,7 +1843,7 @@ def lemma_on_cells(form, cells, facets):
     """`delaunay._lemma` on cells that stand where they are: each cell is its
     own placement, at the translation 0."""
     placements = [(i, (0,) * form.rank) for i in range(len(cells))]
-    delaunay._lemma(delaunay._integer_gram(form)[0], cells, placements, facets)
+    delaunay._lemma(form.gram, cells, placements, facets)
 
 
 def lemma_accepts(form, cells):
@@ -1924,7 +1974,7 @@ def oracle_check_local_delaunay(form: QuadraticForm, cells, facets):
     `facet_map` must have two cells A and B, and s_A(w) must exceed that
     constant, putting every vertex w of B off A strictly outside A's sphere.
     """
-    gram, _ = delaunay._integer_gram(form)
+    gram = form.gram
     powers = [delaunay._power(gram, cell.hole, {}) for cell in cells]
     levels = [{s(v) for v in cell.vertices} for cell, s in zip(cells, powers)]
     for cell, level in zip(cells, levels):
@@ -1957,7 +2007,7 @@ def assert_lemma_on_reps_matches_the_translates(form, reps):
     """The same verdict and text from the lemma on the reps and from the
     translate-based lemma; returns the text."""
     classes, placements = facet_classes(reps)
-    got = lemma_text(delaunay._lemma, delaunay._integer_gram(form)[0], reps, placements, classes)
+    got = lemma_text(delaunay._lemma, form.gram, reps, placements, classes)
     classes, translates = oracle_facet_classes(reps)
     assert got == lemma_text(oracle_check_local_delaunay, form, translates, classes)
     return got
@@ -2058,7 +2108,7 @@ def test_fraction_free_ldl_matches_the_fraction_ldl(entries):
     # on the integer Gram k B, d_i = p_i / p_{i-1} over the nonzero pivots is k times
     # the Fraction pivot and row i over p_i is row i of U; a zero pivot leaves a zero row
     form = QuadraticForm(entries)
-    gram, k = _integer_gram(form)
+    gram, k = form.gram, form.scale
     factor, reference = ldl(gram), oracle_ldl(form)
     assert (factor is None) == (reference is None)
     if factor is None:
