@@ -11,9 +11,9 @@ for every lattice z.  The star is built modulo translation and x -> -x, by a wal
 over its orbit reps in integers, one ratio test per +- class of reps, and certified
 on the reps and their facet classes alone (`star_from_reps`), so it never trusts the
 walk; a lone cell by the lattice points nearest its center (`certify_cell`).
-Every lattice point sweep, the coset minima included, is one integer Fincke-Pohst
-routine, `_sweep`, and every hole is kept in integers: rationals meet it only in
-`make_cell` and `center`.
+Every lattice point sweep is one integer Fincke-Pohst routine, `_sweep`, bounded in the
+integer Gram's units; the coset minima and the nearest points are one `_least`, and
+every hole is kept in integers: rationals meet it only in `make_cell` and `center`.
 """
 
 from __future__ import annotations
@@ -23,12 +23,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from math import factorial, floor, isqrt, lcm
+from math import factorial, isqrt, lcm
 from typing import Optional, Tuple
 
 from .exact import (
     QuadraticForm,
     SingularMatrixError,
+    _rational,
     _scaled_inverse,
     dot,
     integral,
@@ -128,77 +129,76 @@ class DelaunayStar:
 
 
 def _integer_ldl(form):
-    """(scale, weights, rows) in integers, scale * B(e, e) the sum of weights[i] (rows[i] . e)^2,
-    for the integer Gram G = kB of the form B: the rows of `ldl`, p_i times row i of U, and as
-    d_i = p_i / p_{i-1}, weights[i] = m / (p_i p_{i-1}) and scale = k m, for m the lcm of those
-    products; no Fraction is built.  NotPositiveDefiniteError unless B is definite."""
+    """(m, weights, rows) in integers, m G[e] the sum of weights[i] (rows[i] . e)^2 for the
+    integer Gram G = kB of the form B: the rows of `ldl`, p_i times row i of U, and as
+    d_i = p_i / p_{i-1}, weights[i] = m / (p_i p_{i-1}) for m the lcm of those products.
+    NotPositiveDefiniteError unless B is definite."""
     factor = ldl(form.gram)
     if factor is None or not all(factor[1]):
         raise NotPositiveDefiniteError("form is not positive definite")
     rows, pivots = factor
     products = [p * q for p, q in zip(pivots, [1] + pivots)]
     m = lcm(*products)
-    return form.scale * m, [m // p for p in products], rows
+    return m, [m // p for p in products], rows
 
 
-def _sweep(factor, residues, m, bound):
-    """[(e, scale * B(e, e))] for every integer e = residues (mod m) with
-    B(e, e) <= bound, by the `_integer_ldl` factor: Fincke-Pohst in integers.
-    With e fixed after i, s = rows[i] . e = q_i e_i + t, q_i = rows[i][i] > 0, and weights[i] s^2
-    fits the budget left when |s| <= isqrt(budget // weights[i])."""
-    scale, weights, rows = factor
-    total, out, e = floor(scale * bound), [], [0] * len(rows)
+def _sweep(factor, residues, mod, bound):
+    """[(e, G[e])] for every integer e = residues (mod mod) with G[e] <= bound, an integer
+    >= 0 in the units of the integer Gram G, by the `_integer_ldl` factor: Fincke-Pohst in
+    integers.  With e fixed after i, s = rows[i] . e = q_i e_i + t, q_i = rows[i][i] > 0, and
+    weights[i] s^2 fits the budget left of m * bound when |s| <= isqrt(budget // weights[i])."""
+    m, weights, rows = factor
+    total, out, e = m * bound, [], [0] * len(rows)
 
     def descend(i, budget, offsets):  # offsets[k] is t for k <= i
         w, q, t = weights[i], rows[i][i], offsets[i]
         r = isqrt(budget // w)
         lo, column = -((r + t) // q), [row[i] for row in rows[:i]]
-        for x in range(lo + (residues[i] - lo) % m, (r - t) // q + 1, m):
+        for x in range(lo + (residues[i] - lo) % mod, (r - t) // q + 1, mod):
             e[i], s = x, q * x + t
             if i:
                 descend(i - 1, budget - w * s * s, [o + c * x for o, c in zip(offsets, column)])
             else:
-                out.append((tuple(e), total - budget + w * s * s))
+                out.append((tuple(e), (total - budget + w * s * s) // m))
 
-    if total < 0 or not e:
-        return [] if total < 0 else [((), 0)]
-    descend(len(e) - 1, total, [0] * len(e))
-    return out
+    if e:
+        descend(len(e) - 1, total, [0] * len(e))
+    return out if e else [((), 0)]
+
+
+def _least(factor, gram, member, mod):
+    """The least e = member (mod mod) in G[e], sorted: one `_sweep` bounded by G[member]."""
+    found = _sweep(factor, member, mod, dot(member, mat_vec(gram, member)))
+    best = min(v for _, v in found)
+    return sorted(e for e, v in found if v == best)
 
 
 def points_within(form: QuadraticForm, alpha, bound: Fraction):
-    """All lattice points x with B(x - alpha, x - alpha) <= bound, sorted:
-    e = m x - a by `_sweep`, for alpha = a / m over a common denominator."""
-    alpha, bound = tuple(Fraction(a) for a in alpha), Fraction(bound)
+    """All lattice points x with B(x - alpha, x - alpha) <= bound, sorted: e = m x - a by
+    `_sweep`, for alpha = a / m, with G[e] = k m^2 B(x - alpha) <= floor(k m^2 bound), G = kB."""
+    alpha, bound = [_rational(a) for a in alpha], _rational(bound)
     if bound < 0:
         return []
-    factor = _integer_ldl(form)
-    a, m = integral(alpha)
-    found = _sweep(factor, [-c % m for c in a], m, m * m * bound)
+    factor, (a, m), k = _integer_ldl(form), integral(alpha), form.scale
+    found = _sweep(factor, [-c for c in a], m, k * m * m * bound.numerator // bound.denominator)
     return sorted(tuple((c + b) // m for c, b in zip(e, a)) for e, _ in found)
 
 
 def nearest_points(form: QuadraticForm, alpha):
-    """All lattice points attaining the minimum of ||b - alpha|| in B: one
-    `_sweep`, bounded by the rounding floor(alpha + 1/2), gives every
-    candidate's distance in integers."""
-    factor = _integer_ldl(form)
-    a, m = integral([Fraction(c) for c in alpha])
+    """All lattice points attaining the minimum of ||b - alpha|| in B: the `_least`
+    e = m b - a, for alpha = a / m, whose coset holds the rounding floor(alpha + 1/2)."""
+    factor, (a, m) = _integer_ldl(form), integral([_rational(c) for c in alpha])
     start = [m * ((2 * c + m) // (2 * m)) - c for c in a]
-    found = _sweep(factor, [-c % m for c in a], m, norm(form, start))
-    best = min(v for _, v in found)
-    return {tuple((c + b) // m for c, b in zip(e, a)) for e, v in found if v == best}
+    return {tuple((c + b) // m for c, b in zip(e, a)) for e in _least(factor, form.gram, start, m)}
 
 
 def _coset_minima(factor, form):
     """(e, Ge, G[e]) for the integer Gram G of the form and the minima e of the nonzero
-    cosets of X/2X, coset by coset in `product` order, each coset's sorted: one
-    `_sweep` of the factor modulo 2 per coset, bounded by its 0/1 representative."""
+    cosets of X/2X, coset by coset in `product` order, each coset's sorted: the
+    `_least` of each coset, whose 0/1 representative bounds its sweep."""
     gram, minima = form.gram, []
     for parity in filter(any, product((0, 1), repeat=len(gram))):
-        found = _sweep(factor, parity, 2, norm(form, parity))
-        best = min(v for _, v in found)
-        for e in sorted(e for e, v in found if v == best):
+        for e in _least(factor, gram, parity, 2):
             ge = mat_vec(gram, e)
             minima.append((e, ge, dot(e, ge)))
     return minima

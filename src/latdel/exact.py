@@ -1,8 +1,8 @@
 """Exact rational scalars, vectors and symmetric bilinear forms.
 
 All arithmetic is exact, in `int` and `fractions.Fraction`; nothing in this
-package ever rounds.  Vectors are plain tuples (ints for lattice vectors,
-Fractions for rational vectors) and matrices are tuples of row tuples.
+package ever rounds.  Vectors are plain tuples and matrices tuples of
+row tuples, of ints, and of Fractions only where a value is not integral.
 
 Row elimination lives in three routines only, all in integers: `_echelon`, a
 fraction-free (Bareiss) Gauss-Jordan core under the rank, nullspace, solves and
@@ -24,7 +24,7 @@ from typing import Iterable, Sequence, Tuple
 
 Rational = Fraction
 LatticeVector = Tuple[int, ...]
-Matrix = Tuple[Tuple[Fraction, ...], ...]
+Matrix = Tuple[tuple, ...]  # row tuples of ints or Fractions
 
 POSITIVE_DEFINITE = "positive_definite"
 POSITIVE_SEMIDEFINITE = "positive_semidefinite"
@@ -63,8 +63,11 @@ def format_rational(value) -> str:
 
 
 def _rational(value):
-    """An int or Fraction as it is, anything else through `Fraction()`."""
-    return value if isinstance(value, (int, Fraction)) else Fraction(value)
+    """An int or Fraction as it is, anything else through `Fraction()`; ValueError if not finite."""
+    try:
+        return value if isinstance(value, (int, Fraction)) else Fraction(value)
+    except OverflowError:
+        raise ValueError("%r is not a finite rational" % (value,))
 
 
 def basis_sum(rank: int, indices: Iterable[int]) -> LatticeVector:

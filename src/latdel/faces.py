@@ -155,14 +155,13 @@ def enumerate_faces():
 
 
 def group_generators():
-    """The 11 generators of G as `Fraction` matrices: four sign flips, six
-    coordinate swaps and the involution sigma = J/2 - I."""
-    flips = [[[(-1 if r == i else 1) if r == c else 0 for c in range(4)] for r in range(4)]
-             for i in range(4)]
+    """The 11 generators of G as matrices: four sign flips and six coordinate swaps
+    in ints, and the involution sigma = J/2 - I in `Fraction`s."""
+    flips = [[[(r == c) - 2 * (r == c == i) for c in range(4)] for r in range(4)] for i in range(4)]
     swaps = [[[int({r, c} == {i, j} or r == c not in (i, j)) for c in range(4)] for r in range(4)]
              for i, j in combinations(range(4), 2)]
-    sigma = [[Fraction(1, 2) - (r == c) for c in range(4)] for r in range(4)]
-    return [tuple(tuple(Fraction(v) for v in row) for row in m) for m in flips + swaps + [sigma]]
+    sigma = [[Fraction(1 - 2 * (r == c), 2) for c in range(4)] for r in range(4)]
+    return [tuple(map(tuple, m)) for m in flips + swaps + [sigma]]
 
 
 def root_permutation(element) -> Tuple[int, ...]:

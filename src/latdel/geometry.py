@@ -1,19 +1,17 @@
 """Exact polyhedral helpers: vertex enumeration, facets, triangulation.
 
-Everything here works over the rationals.  Dimensions are tiny (g <= 4), so
-the algorithms are the simple combinatorial ones.  One facet routine,
-`cone_facets`, serves everything: double description, one ray at a time, on
-integer normals that it joins as `exact._cut` does; the vertices of a
-polyhedron are its polar (`vertex_enumeration`).  A polytope is the
-cone over its lifted points (p, 1), and the pulling triangulations recurse on
-facets; a simplex takes one elimination.  The facets, each with its vertex
-tuple at 0 as its class key, and the normalized volume of a lattice polytope
-are computed once per translation class and its negative, and cached
-(`_lattice_polytope`).  A pointed cone is read from its facets too:
-membership is one solve per simplex of its pulling triangulation, and its
-extreme rays are the facet normals of its dual; a cone that is not pointed
-is refused (`pointed_cone_facets`).  The star walks its
-Voronoi cell from 0 (`_vertex_from_origin`) by the ratio test `_step`.
+Everything here is exact and in integers: rationals are built only for the vertices and
+cone coefficients it returns.  Dimensions are tiny (g <= 4), so the algorithms are the
+simple combinatorial ones.  One facet routine, `cone_facets`, serves everything: double
+description, one ray at a time, on integer normals that it joins as `exact._cut` does; the
+vertices of a polyhedron are its polar (`vertex_enumeration`).  A polytope is the cone over
+its lifted points (p, 1), and the pulling triangulations recurse on facets; a simplex takes
+one elimination.  The facets, each with its vertex tuple at 0 as its class key, and the
+normalized volume of a lattice polytope are computed once per translation class and its
+negative, and cached (`_lattice_polytope`).  A pointed cone is read from its facets too:
+membership is one solve per simplex of its pulling triangulation, and its extreme rays are
+the facet normals of its dual; a cone that is not pointed is refused (`pointed_cone_facets`).
+The star walks its Voronoi cell from 0 (`_vertex_from_origin`) by the ratio test `_step`.
 """
 
 from __future__ import annotations

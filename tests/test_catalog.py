@@ -82,6 +82,11 @@ def test_sample_interior():
         sample_interior(catalog("dim2.V1"), [1, 1])
 
 
+def test_sample_interior_refuses_an_infinite_weight_with_value_error():
+    with pytest.raises(ValueError, match="not a finite rational"):
+        sample_interior(catalog("dim2.V1"), [1, 1, float("inf")])
+
+
 def test_contains():
     k = catalog("dim4.K")
     coeffs = contains(k, OMEGA)

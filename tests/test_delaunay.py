@@ -29,6 +29,7 @@ from latdel.delaunay import (
     is_basic_simplex,
     make_cell,
     nearest_points,
+    points_within,
     star_from_reps,
     voronoi_inequalities,
 )
@@ -69,6 +70,15 @@ def test_nearest_points():
         (1, 0),
         (1, 1),
     }
+
+
+def test_points_within_floors_a_rational_bound_once():
+    # B = diag(1/2, 1/3) has scale k = 6; from alpha = (1/3, 0), m = 3, the point (1, 0)
+    # lies at 2/9, which is G[e] = k m^2 2/9 = 12 for e = 3 (1, 0) - (1, 0)
+    b, alpha, at = form([["1/2", 0], [0, "1/3"]]), (Fraction(1, 3), 0), Fraction(2, 9)
+    assert points_within(b, alpha, at) == [(0, 0), (1, 0)]
+    assert points_within(b, alpha, at - Fraction(1, 12)) == [(0, 0)]  # 1/(2k) below
+    assert points_within(b, alpha, at - Fraction(1, 108)) == [(0, 0)]  # G[e] <= 11.5
 
 
 def test_nearest_points_rejects_indefinite():

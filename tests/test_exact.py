@@ -112,6 +112,13 @@ def test_quadratic_form_refusals_are_unchanged():
         QuadraticForm([["x"]])
 
 
+def test_quadratic_form_refuses_every_non_finite_entry_with_value_error():
+    # an infinity used to escape as OverflowError from Fraction()
+    for value in (float("inf"), float("-inf"), float("nan"), "x"):
+        with pytest.raises(ValueError):
+            QuadraticForm([[value]])
+
+
 def test_evaluate():
     s12 = (1, 1)
     assert evaluate(HEX, s12, s12) == 2

@@ -83,7 +83,7 @@ def test_group_order():
     # 2 sigma = J - 2I sends e1+e2 to (-1,-1,1,1): both are off the root set
     flip, sigma = group_generators()[0], group_generators()[-1]
     with pytest.raises(RuntimeError):
-        root_permutation(tuple(tuple(v / 3 for v in row) for row in flip))
+        root_permutation(tuple(tuple(Fraction(v, 3) for v in row) for row in flip))
     with pytest.raises(RuntimeError):
         root_permutation(tuple(tuple(2 * v for v in row) for row in sigma))
 
