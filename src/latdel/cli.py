@@ -1,9 +1,10 @@
 """Command-line interface.
 
-Subcommands: del, catalog, sample, fuse, gen, tables, faces, verify.
-Exit codes: 0 success / all checks pass, 1 verification failure,
-2 usage or input error.  Output is canonical JSON, so identical
-invocations produce identical bytes.
+Subcommands: del, catalog, sample, fuse, gen, tables, faces, verify.  Output is
+canonical JSON, so identical invocations produce identical bytes.  The exit codes
+are one table, in `run`: 0 success; 1 verification failure, a failed check or any
+`CertificationError` or `FusionError`; 2 usage or input error, any other
+`ValueError`, as every refusal in the package is one.  Other exceptions are bugs.
 """
 
 from __future__ import annotations
@@ -14,14 +15,7 @@ from dataclasses import replace
 
 from . import formats
 from .catalog import catalog, catalog_names, sample_interior
-from .delaunay import (
-    CertificationError,
-    NotPositiveDefiniteError,
-    UnsupportedRankError,
-    certify_cell,
-    delaunay_star,
-    make_cell,
-)
+from .delaunay import CertificationError, certify_cell, delaunay_star, make_cell
 from .exact import parse_rational, shift_points
 from .generation import is_simplicially_generating, is_totally_generating
 from .verify import _ALIASES, SUITES, FusionError, fusion_check, reproduce_table, run_suites
@@ -69,11 +63,7 @@ def _cmd_sample(args) -> int:
             weights = [parse_rational(w) for w in args.weights.split(",")]
         except ValueError as exc:
             return _fail_usage("bad --weights: %s" % exc)
-    try:
-        form = sample_interior(cone, weights)
-    except ValueError as exc:
-        return _fail_usage(str(exc))
-    _emit(formats.encode_form(form))
+    _emit(formats.encode_form(sample_interior(cone, weights)))
     return 0
 
 
@@ -81,13 +71,7 @@ def _cmd_fuse(args) -> int:
     unknown = [name for name in (args.coarse, args.fine) if name not in catalog_names()]
     if unknown:
         return _fail_usage("unknown catalog cone %r" % unknown[0])
-    try:
-        report = fusion_check(args.coarse, args.fine)
-    except FusionError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        return _fail_usage(str(exc))
+    report = fusion_check(args.coarse, args.fine)
     _emit(
         {
             "coarse": report.coarse_cone,
@@ -129,10 +113,7 @@ def _cmd_gen(args) -> int:
     back = tuple(-c for c in shift)
     if args.pieces is not None:
         pieces = [p.translate(back) for p in pieces]
-        try:
-            report = is_simplicially_generating(cell.translate(back), pieces)
-        except ValueError as exc:  # the pieces do not refine the cell
-            return _fail_usage(str(exc))
+        report = is_simplicially_generating(cell.translate(back), pieces)
         report = replace(
             report,
             pieces=tuple(p.translate(shift) for p in report.pieces),
@@ -248,15 +229,11 @@ def run(argv=None) -> int:
         parser.error("catalog list takes no cone name")
     try:
         return args.func(args)
-    except (
-        formats.FormatError,
-        NotPositiveDefiniteError,
-        UnsupportedRankError,
-    ) as exc:
-        return _fail_usage(str(exc))
-    except CertificationError as exc:
+    except (CertificationError, FusionError) as exc:  # FusionError is a ValueError
         print("error: %s" % exc, file=sys.stderr)
         return 1
+    except ValueError as exc:
+        return _fail_usage(str(exc))
 
 
 def main():

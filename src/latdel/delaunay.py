@@ -44,8 +44,8 @@ from .geometry import (
     _at_zero,
     _step,
     _vertex_from_origin,
-    facet_map,
     normalized_volume,
+    polytope_facets,
     primitive,
     unpaired_facets,
 )
@@ -177,6 +177,8 @@ def points_within(form: QuadraticForm, alpha, bound: Fraction):
     """All lattice points x with B(x - alpha, x - alpha) <= bound, sorted: e = m x - a by
     `_sweep`, for alpha = a / m, with G[e] = k m^2 B(x - alpha) <= floor(k m^2 bound), G = kB."""
     alpha, bound = [_rational(a) for a in alpha], _rational(bound)
+    if len(alpha) != form.rank:
+        raise ValueError("dimension mismatch")
     if bound < 0:
         return []
     factor, (a, m), k = _integer_ldl(form), integral(alpha), form.scale
@@ -287,9 +289,15 @@ def is_basic_simplex(cell: DelaunayCell) -> bool:
 
 
 def facets_at_zero(cells):
-    """The `geometry.facet_map` of the cells' facets through 0; a facet
-    without the vertex 0 bounds the cells away from 0."""
-    return facet_map([c.vertices for c in cells], lambda f: all(map(any, f)))
+    """{facet through 0: [(cell index, outward normal), ...]} read from the `polytope_facets`
+    of the cells' sorted vertices; a facet without the vertex 0 bounds the cells away from 0."""
+    facets = {}
+    for index, cell in enumerate(cells):
+        for members, normal, _ in polytope_facets(cell.vertices):
+            facet = tuple(cell.vertices[i] for i in members)
+            if not all(map(any, facet)):
+                facets.setdefault(facet, []).append((index, normal))
+    return facets
 
 
 def check_star_completeness(cells) -> bool:
@@ -304,7 +312,7 @@ def _lemma(gram, cells, placements, facets):
     For a cell's hole c, s = `_power` is a positive multiple of Q[v-c] - Q[c]
     in integers, for G the integer Gram.  A full-dimensional cell has one
     equidistant point, so s constant on its vertices verifies the hole.  Each
-    facet of the `facet_map` must have two cells A and B, and s_A(w) must
+    facet of `facets`, a `facet_classes` map, must have two cells A and B, and s_A(w) must
     exceed that constant, putting every vertex w of B off A strictly outside
     A's sphere.  The holders are placements (i, v), the translates cells[i] - v
     of `facet_classes`: s once per cell, and w = u - v_B + v_A for u in B.
@@ -390,10 +398,10 @@ def _walk_reps(factor, form):
 
 
 def facet_classes(reps):
-    """(map, placements): a `geometry.facet_map` of the facets of the reps up to translation,
-    each moved so its smallest vertex is 0, over the placements (r, v) that hold them, the
-    translates reps[r] - v; every facet of the tiling is in a class.  The moved facets are
-    the keys cached with the facets (`_at_zero`).  CertificationError if a rep is flat."""
+    """(map, placements): {facet: [(placement, outward normal), ...]} of the reps' facets up to
+    translation, each moved so its smallest vertex is 0, over the placements (r, v) that hold
+    them, the translates reps[r] - v; every facet of the tiling is in a class.  The moved facets
+    are the keys cached with the facets (`_at_zero`).  CertificationError if a rep is flat."""
     classes, index = {}, {}
     for r, rep in enumerate(reps):
         try:

@@ -29,8 +29,8 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Dict, Optional, Tuple
 
-from .catalog import NamedCone, catalog
-from .exact import integral, mat_vec
+from .catalog import NamedCone, _flatten, catalog
+from .exact import congruence_act, integral
 from .geometry import cone_facets, primitive
 
 BLACK = "black"
@@ -76,13 +76,11 @@ _RAY_PAIR = dict(zip(K_RAYS, SIGNED_PAIRS))
 
 
 def k_ray(form) -> Optional[SignedPair]:
-    """The signed pair whose ray is a positive multiple of V^T B V, or None, for
-    the integer Gram of the form B and V = VORONOI_MATRIX: column j of V^T B V is
-    V^T (B v_j) for the column v_j of V, and its entries from j on are row j's."""
+    """The signed pair whose ray is a positive multiple of V^T B V, or None, for the form B
+    and V = VORONOI_MATRIX: `exact.congruence_act`, read as the vector of its entries i <= j."""
     if form.rank != 4:
         raise ValueError("the Voronoi transformation acts on rank-4 forms")
-    b, cols = form.gram, tuple(zip(*VORONOI_MATRIX))
-    image = [v for j, c in enumerate(cols) for v in mat_vec(cols, mat_vec(b, c))[j:]]
+    (image,) = _flatten(congruence_act(VORONOI_MATRIX, form))
     return _RAY_PAIR.get(primitive(image)) if any(image) else None
 
 

@@ -150,7 +150,7 @@ def is_totally_generating(cell: DelaunayCell) -> GenerationReport:
 
 def _overlap(pieces0, facets):
     """The first pair of pieces, in `combinations` order, where the vertex sum
-    of one satisfies every wall of the other in the facet map; or ()."""
+    of one satisfies every wall of the other in `facets`, their `facets_at_zero`; or ()."""
     walls = [[n for s in facets.values() for k, n in s if k == i] for i, _ in enumerate(pieces0)]
     sums = [tuple(map(sum, zip(*p.vertices))) for p in pieces0]
     for i, j in combinations(range(len(pieces0)), 2):
@@ -177,7 +177,7 @@ def cone_cover_check(coarse_cell: DelaunayCell, pieces) -> bool:
     A piece cone lies in the coarse cone exactly when the piece vertices
     satisfy the coarse walls.  Every facet through 0 of a piece, unless it
     lies in a coarse wall, must be shared by two pieces on opposite sides
-    (`geometry.facet_map`); then the number of piece cones over a point of
+    (`delaunay.facets_at_zero`); then the number of piece cones over a point of
     the coarse cone does not change across a facet, so off codimension 2 it
     is constant, hence at least 1: the closed cones cover.  Pieces that do
     not meet face to face at 0 count as not covering.

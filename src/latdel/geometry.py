@@ -189,24 +189,9 @@ def polytope_facets(points):
     return [(m, n, c + dot(n, t)) for m, n, c, _ in facets]
 
 
-def facet_map(polytopes, on_boundary):
-    """{facet vertex tuple: [(polytope index, outward normal), ...]} for the
-    facets of full-dimensional polytopes, skipping those with
-    `on_boundary(facet)`, read from the `polytope_facets` of the sorted vertices."""
-    facets = {}
-    for index, points in enumerate(polytopes):
-        points = sorted(tuple(p) for p in points)
-        for members, normal, _ in polytope_facets(points):
-            facet = tuple(points[i] for i in members)
-            if not on_boundary(facet):
-                facets.setdefault(facet, []).append((index, normal))
-    return facets
-
-
 def unpaired_facets(facets):
-    """Sorted facets of a `facet_map` that are not shared by exactly two
-    polytopes on opposite sides (outward normals with a negative dot
-    product)."""
+    """Sorted facets of a map {facet: [(polytope, outward normal), ...]} that are not
+    shared by exactly two polytopes on opposite sides (normals with a negative dot product)."""
     return sorted(f for f, s in facets.items() if len(s) != 2 or dot(s[0][1], s[1][1]) >= 0)
 
 

@@ -221,6 +221,23 @@ def test_fuse_exits_1_on_a_fusion_lemma_violation(monkeypatch, capsys):
     assert invoke(capsys, "fuse", "--coarse", "dim2.V1", "--fine", "dim2.V1capV2")[0] == 2
 
 
+@pytest.mark.parametrize("argv", [("verify", "--suite", "dim4"), ("tables", "--which", "1")])
+def test_a_fusion_lemma_violation_exits_1_under_verify_and_tables(argv, monkeypatch, capsys):
+    import dataclasses
+
+    stars = {name: verify.star_for(name) for name in ("dim4.V1", "dim4.V1capV2")}
+    monkeypatch.setattr(verify, "star_for", lambda name: stars[name])
+    # doctored stars stay out of the cache of fusion maps
+    monkeypatch.setattr(verify, "fusion_check", verify.fusion_check.__wrapped__)
+    # without one fine class, a coarse cell of the wall is not tiled
+    fine = stars["dim4.V1"]
+    stars["dim4.V1"] = dataclasses.replace(fine, orbit_reps=fine.orbit_reps[1:])
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: refinement does not tile the coarse cell ")
+    assert err.endswith("\n") and err.count("\n") == 1
+
+
 def test_fuse_keeps_the_exit_code_contract_on_every_pair_of_catalog_cones(capsys):
     # the stars of K's rigid D4 sample and of G1234's sample on its inner wall do
     # not refine the walls below them; each failure names the coarse cell

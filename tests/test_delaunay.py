@@ -81,6 +81,15 @@ def test_points_within_floors_a_rational_bound_once():
     assert points_within(b, alpha, at - Fraction(1, 108)) == [(0, 0)]  # G[e] <= 11.5
 
 
+@pytest.mark.parametrize("alpha", [(0, 0, 5), (0,)])
+def test_points_within_and_nearest_points_refuse_a_point_of_another_length(alpha):
+    # a longer point must not lose its last coordinate, nor a shorter one index past its end
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        points_within(ID2, alpha, 1)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        nearest_points(ID2, alpha)
+
+
 def test_nearest_points_rejects_indefinite():
     with pytest.raises(NotPositiveDefiniteError):
         nearest_points(form([[1, 0], [0, -1]]), (0, 0))

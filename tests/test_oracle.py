@@ -122,7 +122,6 @@ from latdel.geometry import (
     cone_contains,
     cone_facets,
     extremal_rays,
-    facet_map,
     normalized_volume,
     polytope_facets,
     primitive,
@@ -1458,6 +1457,20 @@ def oracle_cone_cover_check(coarse_cell, pieces) -> bool:
     return not oracle_unpaired_cone_facets(coarse_cell, pieces0)
 
 
+def facet_map(polytopes, on_boundary):
+    """{facet vertex tuple: [(polytope index, outward normal), ...]} for the
+    facets of full-dimensional polytopes, skipping those with
+    `on_boundary(facet)`, read from the `polytope_facets` of the sorted vertices."""
+    facets = {}
+    for index, points in enumerate(polytopes):
+        points = sorted(tuple(p) for p in points)
+        for members, normal, _ in polytope_facets(points):
+            facet = tuple(points[i] for i in members)
+            if not on_boundary(facet):
+                facets.setdefault(facet, []).append((index, normal))
+    return facets
+
+
 def oracle_unpaired_cone_facets(coarse_cell, pieces0):
     zero = _require_origin(coarse_cell)
     walls = [n for _, n, offset in polytope_facets(list(coarse_cell.vertices)) if offset == 0]
@@ -1953,7 +1966,7 @@ def test_nearest_points_certificate_matches_the_ball_sweep():
 
 
 def oracle_facet_classes(reps):
-    """(map, translates): a `geometry.facet_map` of the `polytope_facets` of
+    """(map, translates): a `facet_map` of the `polytope_facets` of
     the reps up to translation, each moved so its smallest vertex is 0, over
     the rep translates that hold them; every facet of the tiling is in a class."""
     classes, index = {}, {}
