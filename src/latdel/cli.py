@@ -74,8 +74,8 @@ def _cmd_fuse(args) -> int:
     report = fusion_check(args.coarse, args.fine)
     _emit(
         {
-            "coarse": report.coarse_cone,
-            "fine": report.fine_cone,
+            "coarse": args.coarse,
+            "fine": args.fine,
             "fusions": [
                 {
                     "cell": formats.encode_cell(cell),

@@ -6,11 +6,12 @@ representatives inside a coarse cell.  Their shapes are an index kept on
 the star (`DelaunayStar.shapes`); as translation keeps lexicographic order,
 k of a cell's n sorted vertices start among its first n - k + 1, the only
 anchors tried, and a rep of n vertices is one lookup of the cell's shape.
-`fusion_check` runs it over the orbit representatives of a wall star, and
-the tables and the theorem read their tilings from those fusion maps.  The
-expected tables are hard-coded and the computed side is rebuilt from scratch
-(stars, fusion maps, cell naming), so a run is an exact diff against the
-printed source of truth.
+`fusion_map` runs it over the orbit representatives of a wall star and so
+certifies a fusion on any two stars; `fusion_check` is its cached wrapper on
+catalog names, and names meet a fusion at that edge only.  The tables and the
+theorem read their tilings from those fusion maps.  The expected tables are
+hard-coded and the computed side is rebuilt from scratch (stars, fusion maps,
+cell naming), so a run is an exact diff against the printed source of truth.
 """
 
 from __future__ import annotations
@@ -82,8 +83,6 @@ class FusionError(ValueError):
 
 @dataclass(frozen=True)
 class FusionReport:
-    coarse_cone: str
-    fine_cone: str
     fusions: Tuple[Tuple[DelaunayCell, Tuple[DelaunayCell, ...]], ...]
     unchanged: Tuple[DelaunayCell, ...]
 
@@ -123,52 +122,46 @@ def cells_tiling(star: DelaunayStar, coarse: DelaunayCell):
     return pieces
 
 
-def _is_face_of(coarse_name: str, fine_name: str) -> bool:
-    coarse = catalog(coarse_name)
-    fine = catalog(fine_name)
-    gens = set(fine.generators)
-    return (
-        all(g in gens for g in coarse.generators)
-        and coarse.dimension < fine.dimension
-    )
-
-
-@lru_cache(maxsize=None)
-def fusion_check(coarse_name: str, fine_name: str) -> FusionReport:
+def fusion_map(coarse: DelaunayStar, fine: DelaunayStar) -> FusionReport:
     """The fusion map of a wall: the fine cells inside each coarse cell.
 
-    `coarse` must be a catalog face of `fine` (generator subset of smaller
-    dimension).  Each orbit rep of the coarse star is tiled by translates of
-    the fine orbit reps (`cells_tiling`, which checks the volume balance).
-    The fine cells refine the coarse ones, so each fine orbit rep is placed
-    exactly once among all the pieces; a class placed zero times or twice
-    contradicts the fusion lemma and raises.  Reports are cached per pair.
+    Each orbit rep of the coarse star is tiled by translates of the fine
+    orbit reps (`cells_tiling`, which checks the volume balance).  The fine
+    cells refine the coarse ones, so each fine orbit rep is placed exactly
+    once among all the pieces; a class placed zero times or twice contradicts
+    the fusion lemma and raises.  Stars of different ranks are refused.
     """
-    if not _is_face_of(coarse_name, fine_name):
-        raise ValueError(
-            "%s is not a catalog face of %s" % (coarse_name, fine_name)
-        )
-    coarse_star = star_for(coarse_name)
-    fine_star = star_for(fine_name)
-    fusions = []
-    unchanged = []
-    placed = Counter()
-    for rep in coarse_star.orbit_reps:
-        pieces = cells_tiling(fine_star, rep)
-        if len(pieces) == 1 and pieces[0].vertices == rep.vertices:
+    if coarse.form.rank != fine.form.rank:
+        raise ValueError("stars of rank %d and %d" % (coarse.form.rank, fine.form.rank))
+    fusions, unchanged, placed = [], [], Counter()
+    for rep in coarse.orbit_reps:
+        pieces = cells_tiling(fine, rep)
+        # cells_tiling checked a lone piece's volume and vertices: it is the cell
+        if len(pieces) == 1:
             unchanged.append(rep)
         else:
             fusions.append((rep, tuple(pieces)))
         placed.update(canonical_orbit_rep(p).vertices for p in pieces)
-    for rep in fine_star.orbit_reps:
+    for rep in fine.orbit_reps:
         if placed[rep.vertices] != 1:
             raise FusionError(
                 "fine cell class %r is placed %d times (fusion lemma violated)"
                 % (rep.vertices, placed[rep.vertices])
             )
-    return FusionReport(
-        coarse_name, fine_name, tuple(fusions), tuple(unchanged)
-    )
+    return FusionReport(tuple(fusions), tuple(unchanged))
+
+
+@lru_cache(maxsize=None)
+def fusion_check(coarse_name: str, fine_name: str) -> FusionReport:
+    """`fusion_map` of two catalog cones' stars, cached per pair of names.
+
+    `coarse` must be a catalog face of `fine`: its generators among the fine
+    cone's, its dimension smaller.
+    """
+    coarse, fine = catalog(coarse_name), catalog(fine_name)
+    if not set(coarse.generators) <= set(fine.generators) or coarse.dimension >= fine.dimension:
+        raise ValueError("%s is not a catalog face of %s" % (coarse_name, fine_name))
+    return fusion_map(star_for(coarse_name), star_for(fine_name))
 
 
 # ---------------------------------------------------------------------------

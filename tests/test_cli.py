@@ -223,7 +223,7 @@ def test_fuse_exits_1_on_a_fusion_lemma_violation(monkeypatch, capsys):
 
 @pytest.mark.parametrize("argv", [("verify", "--suite", "dim4"), ("tables", "--which", "1")])
 def test_a_fusion_lemma_violation_exits_1_under_verify_and_tables(argv, monkeypatch, capsys):
-    import dataclasses
+    from dataclasses import replace
 
     stars = {name: verify.star_for(name) for name in ("dim4.V1", "dim4.V1capV2")}
     monkeypatch.setattr(verify, "star_for", lambda name: stars[name])
@@ -231,7 +231,7 @@ def test_a_fusion_lemma_violation_exits_1_under_verify_and_tables(argv, monkeypa
     monkeypatch.setattr(verify, "fusion_check", verify.fusion_check.__wrapped__)
     # without one fine class, a coarse cell of the wall is not tiled
     fine = stars["dim4.V1"]
-    stars["dim4.V1"] = dataclasses.replace(fine, orbit_reps=fine.orbit_reps[1:])
+    stars["dim4.V1"] = replace(fine, orbit_reps=fine.orbit_reps[1:])
     code, out, err = invoke(capsys, *argv)
     assert (code, out) == (1, "")
     assert err.startswith("error: refinement does not tile the coarse cell ")

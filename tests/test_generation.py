@@ -2,10 +2,11 @@
 
 import pytest
 
-from latdel.delaunay import make_cell
+from latdel.delaunay import facets_at_zero, make_cell
 from latdel.exact import basis_sum
 from latdel.generation import (
     GenerationReport,
+    _overlap,
     cone_cover_check,
     cone_rays,
     in_semigroup,
@@ -129,6 +130,15 @@ def test_pieces_outside_the_cell_are_no_refinement():
     outside = make_cell([ZERO2, S2, (-1, 1)])
     with pytest.raises(ValueError, match="not a refinement"):
         is_simplicially_generating(SIGMA5, [SIGMA1, outside])
+
+
+def test_overlap_counts_a_vertex_sum_on_a_wall_of_the_other_piece():
+    # (1, 1), the vertex sum of P, lies on Q's wall with normal (1, -1), and
+    # (0, 1), that of Q, on P's wall with normal (-1, 0): neither is strictly
+    # inside, yet the two cones overlap
+    p = make_cell([ZERO2, S1, S2])
+    q = make_cell([ZERO2, S12, (-1, 0)])
+    assert _overlap((p, q), facets_at_zero([p, q])) == (p.vertices, q.vertices)
 
 
 def test_cone_cover_check():

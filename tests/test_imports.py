@@ -14,21 +14,32 @@ from test_tracer_names import load_tracer
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "latdel").glob("*.py"))
 MODULES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def unused_imports(source):
     """(line, name) of each import of a name that is never used, and of each
-    import of a name that an earlier import in the module already bound."""
+    import of a name that an earlier import in the same scope already bound:
+    an import binds its name in the module, or in the def or class around it."""
     tree = ast.parse(source)
+    parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+
+    def scope(node):
+        """The line of the def or class around the node, 0 for the module."""
+        while node in parent and not isinstance(node, SCOPES):
+            node = parent[node]
+        return getattr(node, "lineno", 0)
+
     imported = []
     used = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
-                imported.append((node.lineno, alias.asname or alias.name.split(".")[0]))
+                name = alias.asname or alias.name.split(".")[0]
+                imported.append((node.lineno, name, scope(node)))
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
-                imported.append((node.lineno, alias.asname or alias.name))
+                imported.append((node.lineno, alias.asname or alias.name, scope(node)))
         elif isinstance(node, ast.Name):
             used.add(node.id)
         elif isinstance(node, ast.Assign) and any(
@@ -37,10 +48,10 @@ def unused_imports(source):
             used.update(ast.literal_eval(node.value))
     seen = set()
     flagged = []
-    for line, name in sorted(imported):
-        if name not in used or name in seen:
+    for line, name, where in sorted(imported):
+        if name not in used or (where, name) in seen:
             flagged.append((line, name))
-        seen.add(name)
+        seen.add((where, name))
     return flagged
 
 
@@ -56,6 +67,19 @@ def test_the_checker_finds_unused_names():
         "print(least(2, 3), Counter())\n"
     )
     assert unused_imports(source) == [(2, "os"), (3, "gcd"), (6, "Counter")]
+    # each function's import binds only its own scope; the module's twice is once too many
+    source = (
+        "import re\n"
+        "def f():\n"
+        "    from dataclasses import replace\n"
+        "    return replace\n"
+        "def g():\n"
+        "    from dataclasses import replace\n"
+        "    return replace\n"
+        "import re\n"
+        "print(re)\n"
+    )
+    assert unused_imports(source) == [(8, "re")]
 
 
 def test_no_unused_imports():

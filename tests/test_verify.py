@@ -1,15 +1,21 @@
 """Verification suites: fusion reports, table diffs, cell naming."""
 
+import re
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from latdel import formats, verify
-from latdel.delaunay import make_cell
+from latdel.catalog import OMEGA, catalog
+from latdel.delaunay import canonical_orbit_rep, delaunay_star, make_cell
+from latdel.exact import form_add, form_scale
 from latdel.geometry import normalized_volume
 from latdel.verify import (
+    FusionError,
     fusion_check,
+    fusion_map,
     name_cell,
     name_vertex,
     reproduce_table,
@@ -58,22 +64,49 @@ def test_fusion_check_requires_face_relation():
         fusion_check("dim4.V1", "dim4.V1capV2")  # wrong direction
 
 
-def test_fusion_check_places_each_fine_class_once(monkeypatch):
-    stars = {"dim2.V1": star_for("dim2.V1"), "dim2.V1capV2": star_for("dim2.V1capV2")}
-    fine, coarse = stars["dim2.V1"], stars["dim2.V1capV2"]
-    monkeypatch.setattr(verify, "star_for", lambda name: stars[name])
-    check = fusion_check.__wrapped__  # doctored stars stay out of the cache
-    assert check("dim2.V1capV2", "dim2.V1") == fusion_check("dim2.V1capV2", "dim2.V1")
+def test_fusion_check_places_each_fine_class_once():
+    fine, coarse = star_for("dim2.V1"), star_for("dim2.V1capV2")
+    assert fusion_map(coarse, fine) == fusion_check("dim2.V1capV2", "dim2.V1")
     # a fine class that lies in no coarse cell: the triangle <0, 2 s1, 2 s2>
     stray = make_cell([(0, 0), (2, 0), (0, 2)])
-    stars["dim2.V1"] = replace(fine, orbit_reps=fine.orbit_reps + (stray,))
-    with pytest.raises(ValueError, match="placed 0 times"):
-        check("dim2.V1capV2", "dim2.V1")
+    with pytest.raises(FusionError, match="placed 0 times"):
+        fusion_map(coarse, replace(fine, orbit_reps=fine.orbit_reps + (stray,)))
     # the coarse square listed twice places each fine class twice
-    stars["dim2.V1"] = fine
-    stars["dim2.V1capV2"] = replace(coarse, orbit_reps=coarse.orbit_reps * 2)
-    with pytest.raises(ValueError, match="placed 2 times"):
-        check("dim2.V1capV2", "dim2.V1")
+    with pytest.raises(FusionError, match="placed 2 times"):
+        fusion_map(replace(coarse, orbit_reps=coarse.orbit_reps * 2), fine)
+
+
+def test_fusion_map_certifies_a_bf_wall_off_the_catalog():
+    # item 7's BF|BF wall, from the generators of K alone: c, the sum of all
+    # twelve (3 omega), plus the wall's eight; its sides add g_124 or e_45
+    k = catalog("dim4.K")
+    gen = dict(zip(k.generator_names, k.generators))
+    c = form_add(*k.generators)
+    assert c == form_scale(3, OMEGA)
+    names = ("e_13", "e_14", "e_15", "e_23", "e_24", "e_34", "f_1234", "g_123")
+    wall_form = form_add(c, *(gen[n] for n in names))
+    wall = delaunay_star(wall_form)
+    assert (len(wall.cells), len(wall.orbit_reps)) == (104, 20)
+    for side in ("g_124", "e_45"):
+        fine = delaunay_star(form_add(wall_form, gen[side]))
+        assert len(fine.orbit_reps) == 24
+        report = fusion_map(wall, fine)
+        assert len(report.fusions) == 4
+        placed = Counter(
+            canonical_orbit_rep(p).vertices for _, pieces in report.tilings for p in pieces
+        )
+        assert placed == Counter(rep.vertices for rep in fine.orbit_reps)
+        assert volume_conserved(report)
+    # a star that does not refine the wall: the first untiled coarse cell is named
+    with pytest.raises(FusionError, match=re.escape(
+        "refinement does not tile the coarse cell ((0, 0, 0, 0), (0, 0, 0, 1), (0, 1, 0, 1), "
+        "(1, 0, 0, 1), (1, 1, 1, 1), (1, 1, 1, 2)): its pieces have normalized volume 0, "
+        "the cell 2"
+    )):
+        fusion_map(wall, star_for("dim4.V1"))
+    with pytest.raises(ValueError, match="stars of rank 2 and 4") as refused:
+        fusion_map(star_for("dim2.V1capV2"), wall)
+    assert refused.type is ValueError  # a refusal of the input, not a failed lemma
 
 
 def test_fusion_check_dim4_volume_conserved():
@@ -172,6 +205,24 @@ def test_run_suites_all():
     # byte for byte the stdout of `latdel verify --suite all`
     golden = Path(__file__).parent / "golden" / "verify_all.json"
     assert formats.dumps(reports).encode("utf-8") == golden.read_bytes()
+
+
+def test_theorem_suite_fails_a_star_with_a_rep_that_is_not_basic(monkeypatch):
+    # the wall maps are cached from the true stars before star_for is doctored
+    for coarse, fine in (("dim4.V1capV2", "dim4.V1"), ("dim4.V2capV3", "dim4.V2"),
+                         ("dim4.W0", "dim4.V3")):
+        fusion_check(coarse, fine)
+    v1 = star_for("dim4.V1")
+    wide = make_cell([(0, 0, 0, 0), (2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
+    doctored = replace(v1, orbit_reps=(wide,) + v1.orbit_reps[1:])
+    assert (len(doctored.orbit_reps), len(doctored.cells)) == (24, 120)
+    monkeypatch.setattr(verify, "star_for", lambda n: doctored if n == "dim4.V1" else star_for(n))
+    report = verify.verify_main_theorem()
+    assert not report["pass"] and report["nilpotency"] == "unknown"
+    assert report["details"][0] == (
+        "FAIL dim4.V1: 24 orbit reps, all basic simplices, 120 star cells"
+    )
+    assert all(line.startswith("PASS ") for line in report["details"][1:])
 
 
 def test_star_for_one_cache_entry_per_form():
